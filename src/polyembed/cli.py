@@ -76,7 +76,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = deserialize_instance(_read(args.infile))
-    cfg = SolverConfig(time_limit_ms=args.timeout_ms, thread_count=args.threads)
+    cfg = SolverConfig(time_limit_ms=args.timeout_ms)
     outcome = decide_embedding(instance, cfg)
     if outcome.status is SolveStatus.EMBEDDED:
         _write(args.out, serialize_embedding(outcome.embedding))
@@ -161,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="instance file")
     p.add_argument("--out", required=True, help="embedding file to write on success")
     p.add_argument("--timeout-ms", dest="timeout_ms", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("verify", help="check a claimed embedding")

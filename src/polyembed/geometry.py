@@ -5,6 +5,12 @@ visibility inside a simple polygon. Every predicate works on integer
 coordinates only; no floating point appears anywhere in this module, so all
 answers are exact. Touching counts as intersecting throughout: a segment that
 merely grazes the polygon boundary "hits" it.
+
+:func:`segment_relation` is the one place that decides how two closed
+segments meet. It takes flat integer coordinates so hot loops can call it
+without building objects; :func:`classify_segments`,
+:func:`segment_hits_boundary`, polygon simplicity, the solver and the
+verifier all go through it.
 """
 
 from __future__ import annotations
@@ -89,37 +95,67 @@ class SegmentRelation:
     point: Point | None = None
 
 
-_DISJOINT = SegmentRelation(SegmentRelationKind.DISJOINT)
-_CROSSING = SegmentRelation(SegmentRelationKind.PROPER_CROSSING)
-_OVERLAP = SegmentRelation(SegmentRelationKind.COLLINEAR_OVERLAP)
+# Codes returned by segment_relation. The last four name the endpoint that
+# lies in the relative interior of the other segment (segments ab and cd).
+DISJOINT, CROSSING, TOUCH, OVERLAP, C_ON_AB, D_ON_AB, A_ON_CD, B_ON_CD = range(8)
+
+_KINDS = (
+    SegmentRelationKind.DISJOINT,
+    SegmentRelationKind.PROPER_CROSSING,
+    SegmentRelationKind.TOUCH_AT_ENDPOINT,
+    SegmentRelationKind.COLLINEAR_OVERLAP,
+) + (SegmentRelationKind.ENDPOINT_ON_INTERIOR,) * 4
 
 
-def _in_box(a: Point, b: Point, p: Point) -> bool:
-    return (
-        min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    )
+def segment_relation(ax, ay, bx, by, cx, cy, dx, dy) -> int:
+    """How the closed segments ab and cd meet, as one of the codes above.
 
-
-def _classify_collinear(a: Point, b: Point, c: Point, d: Point) -> SegmentRelation:
-    # All four points are on one line; compare 1-D intervals along the
-    # dominant axis of that line.
-    if a.x != b.x:
-        ka, kb, kc, kd = a.x, b.x, c.x, d.x
-    else:
-        ka, kb, kc, kd = a.y, b.y, c.y, d.y
-    s_lo, s_hi = (ka, kb) if ka <= kb else (kb, ka)
-    t_lo, t_hi = (kc, kd) if kc <= kd else (kd, kc)
-    lo = max(s_lo, t_lo)
-    hi = min(s_hi, t_hi)
-    if lo > hi:
-        return _DISJOINT
-    if lo == hi:
-        # Single-point contact on a common line is necessarily an
-        # endpoint-to-endpoint touch.
-        shared = c if kc == lo else d
-        return SegmentRelation(SegmentRelationKind.TOUCH_AT_ENDPOINT, shared)
-    return _OVERLAP
+    Both segments must be non-degenerate. The outcomes are mutually
+    exclusive and exhaustive: disjoint, a proper crossing at an interior
+    point, a touch at a shared endpoint, a positive-length collinear
+    overlap, or one segment's endpoint in the other's relative interior.
+    """
+    ux, uy = bx - ax, by - ay
+    d1 = ux * (cy - ay) - uy * (cx - ax)
+    d2 = ux * (dy - ay) - uy * (dx - ax)
+    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
+        return DISJOINT
+    if d1 == 0 and d2 == 0:
+        # All four points are on one line; compare 1-D intervals along the
+        # dominant axis of that line. Single-point contact on a common line
+        # is necessarily an endpoint-to-endpoint touch.
+        if ax != bx:
+            ka, kb, kc, kd = ax, bx, cx, dx
+        else:
+            ka, kb, kc, kd = ay, by, cy, dy
+        lo = max(min(ka, kb), min(kc, kd))
+        hi = min(max(ka, kb), max(kc, kd))
+        if lo > hi:
+            return DISJOINT
+        return TOUCH if lo == hi else OVERLAP
+    # Non-collinear segments meet in at most one point, so a shared endpoint
+    # is the whole intersection.
+    if (cx == ax and cy == ay) or (cx == bx and cy == by):
+        return TOUCH
+    if (dx == ax and dy == ay) or (dx == bx and dy == by):
+        return TOUCH
+    vx, vy = dx - cx, dy - cy
+    d3 = vx * (ay - cy) - vy * (ax - cx)
+    d4 = vx * (by - cy) - vy * (bx - cx)
+    if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
+        return DISJOINT
+    # Each segment now meets the other's line. At most one of d1..d4 is
+    # zero (two zeros mean collinear or a shared endpoint), and a zero puts
+    # that endpoint where the lines meet, which is inside the other segment.
+    if d1 == 0:
+        return C_ON_AB
+    if d2 == 0:
+        return D_ON_AB
+    if d3 == 0:
+        return A_ON_CD
+    if d4 == 0:
+        return B_ON_CD
+    return CROSSING
 
 
 def classify_segments(s: Segment, t: Segment) -> SegmentRelation:
@@ -130,31 +166,15 @@ def classify_segments(s: Segment, t: Segment) -> SegmentRelation:
     endpoint, have one segment's endpoint in the other's relative interior,
     or overlap along a positive-length collinear stretch.
     """
-    a, b = s.a, s.b
-    c, d = t.a, t.b
-    d1 = cross(a, b, c)
-    d2 = cross(a, b, d)
-    if d1 == 0 and d2 == 0:
-        return _classify_collinear(a, b, c, d)
-    # Non-collinear segments meet in at most one point, so a shared endpoint
-    # is the whole intersection.
-    if c == a or c == b:
-        return SegmentRelation(SegmentRelationKind.TOUCH_AT_ENDPOINT, c)
-    if d == a or d == b:
-        return SegmentRelation(SegmentRelationKind.TOUCH_AT_ENDPOINT, d)
-    d3 = cross(c, d, a)
-    d4 = cross(c, d, b)
-    if d1 == 0 and _in_box(a, b, c):
-        return SegmentRelation(SegmentRelationKind.ENDPOINT_ON_INTERIOR, c)
-    if d2 == 0 and _in_box(a, b, d):
-        return SegmentRelation(SegmentRelationKind.ENDPOINT_ON_INTERIOR, d)
-    if d3 == 0 and _in_box(c, d, a):
-        return SegmentRelation(SegmentRelationKind.ENDPOINT_ON_INTERIOR, a)
-    if d4 == 0 and _in_box(c, d, b):
-        return SegmentRelation(SegmentRelationKind.ENDPOINT_ON_INTERIOR, b)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return _CROSSING
-    return _DISJOINT
+    a, b, c, d = s.a, s.b, t.a, t.b
+    code = segment_relation(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
+    if code == TOUCH:
+        point = c if c == a or c == b else d
+    elif code >= C_ON_AB:
+        point = (c, d, a, b)[code - C_ON_AB]
+    else:
+        point = None
+    return SegmentRelation(_KINDS[code], point)
 
 
 @dataclass(frozen=True)
@@ -163,7 +183,8 @@ class SimplePolygon:
 
     Construction only enforces the cheap structural invariants (at least
     three vertices, no two consecutive vertices equal) so that candidate
-    polygons can be built and *then* tested or normalized.
+    polygons can be built and *then* tested or normalized. The simplicity
+    test runs at most once per polygon object and is cached on it.
     """
 
     vertices: tuple[Point, ...]
@@ -183,10 +204,29 @@ class SimplePolygon:
                 )
 
     @functools.cached_property
-    def edge_segments(self) -> tuple[Segment, ...]:
+    def edge_boxes(self) -> tuple[tuple[int, ...], ...]:
+        """Per edge: (ax, ay, bx, by, minx, maxx, miny, maxy)."""
         verts = self.vertices
-        k = len(verts)
-        return tuple(Segment(verts[i], verts[(i + 1) % k]) for i in range(k))
+        out = []
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            out.append(
+                (a.x, a.y, b.x, b.y, min(a.x, b.x), max(a.x, b.x), min(a.y, b.y), max(a.y, b.y))
+            )
+        return tuple(out)
+
+    @functools.cached_property
+    def _simple(self) -> bool:
+        edges = self.edge_boxes
+        k = len(edges)
+        for i in range(k):
+            for j in range(i + 1, k):
+                rel = segment_relation(*edges[i][:4], *edges[j][:4])
+                if j == i + 1 or (i == 0 and j == k - 1):
+                    if rel != TOUCH:
+                        return False
+                elif rel != DISJOINT:
+                    return False
+        return True
 
 
 def signed_area2(polygon: SimplePolygon) -> int:
@@ -199,30 +239,14 @@ def signed_area2(polygon: SimplePolygon) -> int:
     return total
 
 
-@functools.lru_cache(maxsize=512)
-def _is_simple_cached(vertices: tuple[Point, ...]) -> bool:
-    k = len(vertices)
-    edges = [Segment(vertices[i], vertices[(i + 1) % k]) for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = (j == i + 1) or (i == 0 and j == k - 1)
-            rel = classify_segments(edges[i], edges[j])
-            if adjacent:
-                if rel.kind is not SegmentRelationKind.TOUCH_AT_ENDPOINT:
-                    return False
-            elif rel.kind is not SegmentRelationKind.DISJOINT:
-                return False
-    return True
-
-
 def is_simple(polygon: SimplePolygon) -> bool:
     """True iff no two non-adjacent edges intersect and adjacent edges meet
     only at their shared vertex."""
-    return _is_simple_cached(polygon.vertices)
+    return polygon._simple
 
 
 def ensure_simple(polygon: SimplePolygon) -> None:
-    if not is_simple(polygon):
+    if not polygon._simple:
         raise ValidationError("PolygonNotSimple", "polygon boundary self-intersects")
 
 
@@ -273,16 +297,13 @@ def segment_hits_boundary(s: Segment, polygon: SimplePolygon) -> bool:
     """True iff the closed segment shares at least one point with the
     polygon's boundary polyline. Grazing contact counts."""
     ensure_simple(polygon)
-    s_minx, s_maxx = (s.a.x, s.b.x) if s.a.x <= s.b.x else (s.b.x, s.a.x)
-    s_miny, s_maxy = (s.a.y, s.b.y) if s.a.y <= s.b.y else (s.b.y, s.a.y)
-    for edge in polygon.edge_segments:
-        e_minx, e_maxx = (edge.a.x, edge.b.x) if edge.a.x <= edge.b.x else (edge.b.x, edge.a.x)
-        if e_minx > s_maxx or e_maxx < s_minx:
+    ax, ay, bx, by = s.a.x, s.a.y, s.b.x, s.b.y
+    minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
+    miny, maxy = (ay, by) if ay <= by else (by, ay)
+    for cx, cy, dx, dy, eminx, emaxx, eminy, emaxy in polygon.edge_boxes:
+        if eminx > maxx or emaxx < minx or eminy > maxy or emaxy < miny:
             continue
-        e_miny, e_maxy = (edge.a.y, edge.b.y) if edge.a.y <= edge.b.y else (edge.b.y, edge.a.y)
-        if e_miny > s_maxy or e_maxy < s_miny:
-            continue
-        if classify_segments(s, edge).kind is not SegmentRelationKind.DISJOINT:
+        if segment_relation(ax, ay, bx, by, cx, cy, dx, dy) != DISJOINT:
             return True
     return False
 
@@ -294,7 +315,6 @@ def visible(p: Point, q: Point, polygon: SimplePolygon) -> bool:
     Raises for endpoints that are not strictly inside; boundary points get
     no visibility convention here because no caller needs one.
     """
-    ensure_simple(polygon)
     for name, pt in (("p", p), ("q", q)):
         if point_in_polygon(pt, polygon) is not PointLocation.INSIDE:
             raise ValidationError(

@@ -19,7 +19,6 @@ from .geometry import (
     Point,
     PointLocation,
     SimplePolygon,
-    is_simple,
     normalize_ccw,
     point_in_polygon,
 )
@@ -267,8 +266,6 @@ def make_instance(
     tree: FreeTree, points: PointSet, polygon: SimplePolygon
 ) -> EmbeddingInstance:
     """Normalize the polygon to CCW and enforce every instance invariant."""
-    if not is_simple(polygon):
-        raise ValidationError("PolygonNotSimple", "polygon boundary self-intersects")
     polygon = normalize_ccw(polygon)
     if len(points) != tree.node_count:
         raise ValidationError(

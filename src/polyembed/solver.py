@@ -28,12 +28,15 @@ from enum import Enum
 
 from .errors import ValidationError
 from .geometry import (
+    DISJOINT,
+    OVERLAP,
     PointLocation,
     Segment,
     SimplePolygon,
     cross,
     point_in_polygon,
     segment_hits_boundary,
+    segment_relation,
 )
 from .model import Embedding, EmbeddingInstance, FreeTree, PointSet
 from .verifier import verify_embedding
@@ -80,11 +83,14 @@ class SolveOutcome:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search knobs; defaults give the canonical deterministic order."""
+    """Search settings; defaults give the canonical deterministic order.
+
+    ``root_node`` fixes the tree node placed first (default: the lowest-index
+    node of maximum degree); ``time_limit_ms`` bounds the whole decision.
+    """
 
     root_node: int | None = None
     time_limit_ms: int | None = None
-    thread_count: int = 1
 
 
 def _dfs_order(tree: FreeTree, root: int) -> tuple[list[int], list[int]]:
@@ -166,21 +172,17 @@ def _can_tile(sizes: tuple[int, ...], caps: tuple[int, ...], memo: dict) -> bool
 
 
 def decide_embedding(
-    instance: EmbeddingInstance,
-    config: SolverConfig | None = None,
-    *,
-    use_visibility_prefilter: bool = True,
+    instance: EmbeddingInstance, config: SolverConfig | None = None
 ) -> SolveOutcome:
     """Complete decision: an embedding exists iff the search finds one.
 
     Returns EMBEDDED with a verifier-checked embedding, INFEASIBLE after an
     exhaustive search, or TIMED_OUT once a configured time limit is spent.
-    Disabling the visibility prefilter replaces the precomputed matrix with
-    per-candidate boundary checks; the outcome is identical either way.
+    Candidates for each edge come from the precomputed visibility matrix,
+    and every new edge is tested against the placed ones with
+    :func:`~polyembed.geometry.segment_relation`.
     """
     cfg = config or SolverConfig()
-    if cfg.thread_count < 1:
-        raise ValidationError("InvalidConfig", "thread_count must be at least 1")
     tree, points, polygon = instance.tree, instance.points, instance.polygon
     n = tree.node_count
     if cfg.root_node is not None and not 0 <= cfg.root_node < n:
@@ -207,12 +209,7 @@ def decide_embedding(
     pxs = [p.x for p in pts]
     pys = [p.y for p in pts]
     matrix = build_visibility_graph(points, polygon).matrix
-    if use_visibility_prefilter:
-        vis_rows: list[list[int]] | None = [
-            [q for q in range(n) if matrix[p][q]] for p in range(n)
-        ]
-    else:
-        vis_rows = None
+    vis_rows = [[q for q in range(n) if matrix[p][q]] for p in range(n)]
     by_x = sorted(range(n), key=lambda i: pxs[i])
     xs_keys = [pxs[i] for i in by_x]
 
@@ -291,29 +288,14 @@ def decide_embedding(
         for cx, cy, dx, dy, ominx, omaxx, ominy, omaxy, na, nb in placed:
             if ominx > maxx or omaxx < minx or ominy > maxy or omaxy < miny:
                 continue
+            rel = segment_relation(ax, ay, bx, by, cx, cy, dx, dy)
             if na == par or nb == par:
-                # Edges sharing the parent's image may only touch there:
-                # reject exactly the collinear same-direction overlap.
-                rx, ry = (dx, dy) if na == par else (cx, cy)
-                ux, uy = bx - ax, by - ay
-                wx, wy = rx - ax, ry - ay
-                if ux * wy == uy * wx and ux * wx + uy * wy > 0:
+                # Edges sharing the parent's image always touch there; they
+                # may not overlap beyond it.
+                if rel == OVERLAP:
                     return False
-                continue
-            # Node-disjoint edges must have empty closed intersection.
-            d1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            d2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
-            if d1 == 0 and (minx <= cx <= maxx and miny <= cy <= maxy):
-                return False
-            if d2 == 0 and (minx <= dx <= maxx and miny <= dy <= maxy):
-                return False
-            d3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
-            d4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
-            if d3 == 0 and (ominx <= ax <= omaxx and ominy <= ay <= omaxy):
-                return False
-            if d4 == 0 and (ominx <= bx <= omaxx and ominy <= by <= omaxy):
-                return False
-            if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 and d2 and d3 and d4:
+            elif rel != DISJOINT:
+                # Node-disjoint edges must have empty closed intersection.
                 return False
         # The new edge may not cover any point at all: covered points can
         # never be assigned later, so the branch would always be futile.
@@ -355,32 +337,16 @@ def decide_embedding(
             sib = prev_iso[node]
             if sib >= 0 and node_point[sib] + 1 > p:
                 p = node_point[sib] + 1
-            if vis_rows is not None:
-                row = vis_rows[pp]
-                for t in range(bisect_left(row, p), len(row)):
-                    q = row[t]
-                    trials += 1
-                    if trials % 4096 == 0 and limit_s is not None:
-                        if time.perf_counter() - start >= limit_s:
-                            return timed_out()
-                    if not used[q] and admissible(node, pp, q) and completion_feasible(node, q):
-                        chosen = q
-                        break
-            else:
-                while p < n:
-                    trials += 1
-                    if trials % 4096 == 0 and limit_s is not None:
-                        if time.perf_counter() - start >= limit_s:
-                            return timed_out()
-                    if (
-                        not used[p]
-                        and not segment_hits_boundary(Segment(pts[pp], pts[p]), polygon)
-                        and admissible(node, pp, p)
-                        and completion_feasible(node, p)
-                    ):
-                        chosen = p
-                        break
-                    p += 1
+            row = vis_rows[pp]
+            for t in range(bisect_left(row, p), len(row)):
+                q = row[t]
+                trials += 1
+                if trials % 4096 == 0 and limit_s is not None:
+                    if time.perf_counter() - start >= limit_s:
+                        return timed_out()
+                if not used[q] and admissible(node, pp, q) and completion_feasible(node, q):
+                    chosen = q
+                    break
         if chosen < 0:
             candidate[depth] = 0
             depth -= 1

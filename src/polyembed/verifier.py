@@ -18,11 +18,13 @@ from collections.abc import Sequence
 
 from .errors import ValidationError
 from .geometry import (
+    CROSSING,
+    DISJOINT,
+    OVERLAP,
+    TOUCH,
     Segment,
-    SegmentRelationKind,
-    classify_segments,
-    cross,
     segment_hits_boundary,
+    segment_relation,
 )
 from .model import (
     Embedding,
@@ -85,29 +87,26 @@ def _verify(tree, points, embedding, polygon) -> VerificationReport:
     pts = points.points
     violations: set[Violation] = set()
 
-    # (minx, maxx, miny, maxy, edge_index, node_u, node_v, Segment)
+    # (minx, maxx, miny, maxy, edge_index, node_u, node_v, (ax, ay, bx, by))
     segs = []
     for idx, (u, v) in enumerate(tree.edges):
         pa, pb = pts[mapping[u]], pts[mapping[v]]
         minx, maxx = (pa.x, pb.x) if pa.x <= pb.x else (pb.x, pa.x)
         miny, maxy = (pa.y, pb.y) if pa.y <= pb.y else (pb.y, pa.y)
-        segs.append((minx, maxx, miny, maxy, idx, u, v, Segment(pa, pb)))
+        segs.append((minx, maxx, miny, maxy, idx, u, v, (pa.x, pa.y, pb.x, pb.y)))
+        if polygon is not None and segment_hits_boundary(Segment(pa, pb), polygon):
+            violations.add(Violation(KIND_EDGE_HITS_BOUNDARY, edges=(idx,)))
 
-    if polygon is not None:
-        for minx, maxx, miny, maxy, idx, u, v, seg in segs:
-            if segment_hits_boundary(seg, polygon):
-                violations.add(Violation(KIND_EDGE_HITS_BOUNDARY, edges=(idx,)))
-
-    _check_edge_pairs(segs, mapping, violations)
+    _check_edge_pairs(segs, violations)
     _check_points_on_edges(segs, mapping, pts, violations)
     return VerificationReport.from_violations(violations)
 
 
-def _check_edge_pairs(segs, mapping, violations) -> None:
+def _check_edge_pairs(segs, violations) -> None:
     ordered = sorted(segs, key=lambda rec: rec[0])
     active: list[tuple] = []
     for rec in ordered:
-        minx, maxx, miny, maxy, idx, u, v, seg = rec
+        minx, maxx, miny, maxy = rec[:4]
         keep = []
         for other in active:
             if other[1] < minx:
@@ -115,56 +114,41 @@ def _check_edge_pairs(segs, mapping, violations) -> None:
             keep.append(other)
             if other[2] > maxy or other[3] < miny:
                 continue
-            _classify_pair(rec, other, mapping, violations)
+            _classify_pair(rec, other, violations)
         keep.append(rec)
         active = keep
 
 
-def _classify_pair(rec_a, rec_b, mapping, violations) -> None:
-    idx_a, u_a, v_a, seg_a = rec_a[4], rec_a[5], rec_a[6], rec_a[7]
-    idx_b, u_b, v_b, seg_b = rec_b[4], rec_b[5], rec_b[6], rec_b[7]
+def _classify_pair(rec_a, rec_b, violations) -> None:
+    rel = segment_relation(*rec_a[7], *rec_b[7])
+    if rel == DISJOINT:
+        return
+    idx_a, u_a, v_a = rec_a[4:7]
+    idx_b, u_b, v_b = rec_b[4:7]
     pair = (idx_a, idx_b) if idx_a < idx_b else (idx_b, idx_a)
-    shares_node = u_a in (u_b, v_b) or v_a in (u_b, v_b)
-    rel = classify_segments(seg_a, seg_b)
-    kind = rel.kind
-    if shares_node:
+    if rel == OVERLAP:
+        violations.add(Violation(KIND_EDGES_OVERLAP, edges=pair))
+    elif u_a in (u_b, v_b) or v_a in (u_b, v_b):
         # Sharing a node, the images always meet at that node's point; the
         # only possible misbehaviour is extra collinear contact.
-        if kind is SegmentRelationKind.COLLINEAR_OVERLAP:
-            violations.add(Violation(KIND_EDGES_OVERLAP, edges=pair))
         return
-    if kind is SegmentRelationKind.DISJOINT:
-        return
-    if kind is SegmentRelationKind.PROPER_CROSSING:
+    elif rel == CROSSING:
         violations.add(Violation(KIND_EDGE_CROSSES_EDGE, edges=pair))
-    elif kind is SegmentRelationKind.COLLINEAR_OVERLAP:
-        violations.add(Violation(KIND_EDGES_OVERLAP, edges=pair))
-    elif kind is SegmentRelationKind.ENDPOINT_ON_INTERIOR:
-        # One edge runs through the other's endpoint, which is a mapped
-        # point; report it against the pierced edge. The dedicated
-        # point-on-edge pass finds the same fact, and the set dedupes it.
-        pt = rel.point
-        if pt in (seg_a.a, seg_a.b):
-            through_edge, point_idx = idx_b, mapping[u_a if pt == seg_a.a else v_a]
-        else:
-            through_edge, point_idx = idx_a, mapping[u_b if pt == seg_b.a else v_b]
-        violations.add(
-            Violation(KIND_EDGE_THROUGH_POINT, edges=(through_edge,), points=(point_idx,))
-        )
-    else:
-        # TOUCH_AT_ENDPOINT without a shared node is impossible for a
+    elif rel == TOUCH:
+        # Endpoint contact without a shared node is impossible for a
         # bijective mapping onto distinct points.
         raise AssertionError("endpoint contact between node-disjoint edges")
+    # The remaining codes put one edge's endpoint, a mapped point, inside
+    # the other edge; _check_points_on_edges reports that.
 
 
 def _check_points_on_edges(segs, mapping, pts, violations) -> None:
     xs = sorted((p.x, i) for i, p in enumerate(pts))
     xs_keys = [x for x, _ in xs]
-    for minx, maxx, miny, maxy, idx, u, v, seg in segs:
+    for minx, maxx, miny, maxy, idx, u, v, (ax, ay, bx, by) in segs:
         end_a, end_b = mapping[u], mapping[v]
         lo = bisect_left(xs_keys, minx)
         hi = bisect_right(xs_keys, maxx)
-        a, b = seg.a, seg.b
         for t in range(lo, hi):
             point_idx = xs[t][1]
             if point_idx == end_a or point_idx == end_b:
@@ -172,7 +156,7 @@ def _check_points_on_edges(segs, mapping, pts, violations) -> None:
             p = pts[point_idx]
             if p.y < miny or p.y > maxy:
                 continue
-            if cross(a, b, p) == 0:
+            if (bx - ax) * (p.y - ay) == (by - ay) * (p.x - ax):
                 violations.add(
                     Violation(KIND_EDGE_THROUGH_POINT, edges=(idx,), points=(point_idx,))
                 )

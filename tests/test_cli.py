@@ -65,11 +65,6 @@ class TestSolveVerifyExtract:
         rc = run("solve", "--in", str(inst), "--out", str(tmp_path / "e.json"), "--timeout-ms", "0")
         assert rc == 3
 
-    def test_threads_flag_accepted(self, tmp_path):
-        inst, _ = self._gen(tmp_path, 7, "2,2,3")
-        emb = tmp_path / "emb.json"
-        assert run("solve", "--in", str(inst), "--out", str(emb), "--threads", "4") == 0
-
     def test_extract_two_groups_sums(self, tmp_path, capsys):
         inst, meta = self._gen(tmp_path, 7, "2,2,3,2,2,3")
         emb = tmp_path / "emb.json"

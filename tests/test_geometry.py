@@ -3,8 +3,15 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from polyembed.errors import ValidationError
 from polyembed.geometry import (
+    A_ON_CD,
+    B_ON_CD,
+    C_ON_AB,
+    D_ON_AB,
+    DISJOINT,
+    TOUCH,
     Orientation,
     Point,
     PointLocation,
@@ -18,9 +25,11 @@ from polyembed.geometry import (
     orient2d,
     point_in_polygon,
     segment_hits_boundary,
+    segment_relation,
     signed_area2,
     visible,
 )
+from polyembed.model import FreeTree, PointSet, make_instance
 
 TRIANGLE = SimplePolygon((Point(0, 0), Point(9, 0), Point(0, 9)))
 # build_polygon(2, 7), hardcoded to keep this module self-contained
@@ -136,6 +145,24 @@ class TestClassifySegments:
             assert rel.kind is not SegmentRelationKind.DISJOINT
 
 
+class TestSegmentRelation:
+    def test_agrees_with_oracle_on_4x4_grid(self):
+        grid = [(x, y) for x in range(4) for y in range(4)]
+        segs = [(a, b) for a in grid for b in grid if a != b]
+        for a, b in segs:
+            for c, d in segs:
+                rel = segment_relation(*a, *b, *c, *d)
+                assert (rel != DISJOINT) == oracles.segments_share_point(a, b, c, d), (a, b, c, d)
+                if rel == TOUCH:
+                    assert {a, b} & {c, d}, (a, b, c, d)
+                elif rel in (C_ON_AB, D_ON_AB):
+                    end = c if rel == C_ON_AB else d
+                    assert end not in (a, b) and oracles.between(*a, *b, *end), (a, b, c, d)
+                elif rel in (A_ON_CD, B_ON_CD):
+                    end = a if rel == A_ON_CD else b
+                    assert end not in (c, d) and oracles.between(*c, *d, *end), (a, b, c, d)
+
+
 class TestPointInPolygon:
     def test_strictly_interior(self):
         assert point_in_polygon(Point(1, 1), TRIANGLE) is PointLocation.INSIDE
@@ -182,10 +209,24 @@ class TestPointInPolygon:
                     assert point_in_polygon(p, poly) is expected, (poly, p)
 
     def test_nonsimple_polygon_rejected(self):
-        bowtie = SimplePolygon((Point(0, 0), Point(2, 2), Point(2, 0), Point(0, 2)))
-        with pytest.raises(ValidationError) as err:
-            point_in_polygon(Point(1, 1), bowtie)
-        assert err.value.code == "PolygonNotSimple"
+        # Every public entry rejects the bowtie, also once its simplicity
+        # verdict is cached on the polygon object.
+        entries = {
+            "point_in_polygon": lambda poly: point_in_polygon(Point(1, 1), poly),
+            "segment_hits_boundary": lambda poly: segment_hits_boundary(
+                Segment(Point(1, 0), Point(1, 2)), poly
+            ),
+            "visible": lambda poly: visible(Point(1, 0), Point(1, 2), poly),
+            "make_instance": lambda poly: make_instance(
+                FreeTree(1, ()), PointSet((Point(1, 1),)), poly
+            ),
+        }
+        for name, call in entries.items():
+            bowtie = SimplePolygon((Point(0, 0), Point(2, 2), Point(2, 0), Point(0, 2)))
+            for _ in range(2):
+                with pytest.raises(ValidationError) as err:
+                    call(bowtie)
+                assert err.value.code == "PolygonNotSimple", name
 
 
 class TestSegmentHitsBoundary:

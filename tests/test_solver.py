@@ -104,33 +104,10 @@ class TestDecideEmbedding:
         b = decide_embedding(instance)
         assert a.embedding == b.embedding
 
-    def test_prefilter_toggle_preserves_outcome(self):
-        rng = random.Random(23)
-        checked = 0
-        for poly in POLYGON_CATALOG:
-            for _ in range(4):
-                n = rng.randint(2, 6)
-                instance, *_ = random_bounded_instance(rng, n, poly)
-                fast = decide_embedding(instance)
-                slow = decide_embedding(instance, use_visibility_prefilter=False)
-                assert fast.status is slow.status
-                assert fast.embedding == slow.embedding
-                checked += 1
-        assert checked == 16
-
     def test_invalid_config_rejected(self):
         instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
         with pytest.raises(ValidationError):
-            decide_embedding(instance, SolverConfig(thread_count=0))
-        with pytest.raises(ValidationError):
             decide_embedding(instance, SolverConfig(root_node=99))
-
-    def test_thread_count_does_not_change_variant(self):
-        for b, a in [(7, [2, 2, 3]), (16, [5, 5, 5, 5, 5, 7])]:
-            instance, _ = build_instance(validate_3p(b, a))
-            one = decide_embedding(instance, SolverConfig(thread_count=1))
-            four = decide_embedding(instance, SolverConfig(thread_count=4))
-            assert one.status is four.status
 
     def test_explicit_root_still_complete(self):
         instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
@@ -151,6 +128,51 @@ class TestDecideEmbedding:
                 assert got == want, (edges, pts, polyverts)
                 agree += 1
         assert agree == 24
+
+
+# First-found embeddings recorded before the solver's candidate loop and its
+# segment tests were unified; the search order must keep producing them.
+PINNED_REDUCTIONS = [
+    ((7, [2, 2, 3, 2, 2, 3]), SolveStatus.EMBEDDED, tuple(range(15))),
+    ((22, [6, 6, 10, 7, 7, 8] * 3), SolveStatus.EMBEDDED, tuple(range(133))),
+    ((16, [5, 5, 5, 5, 5, 7]), SolveStatus.INFEASIBLE, None),
+]
+PINNED_CATALOG_SEED_23 = [
+    (1, 0, 2, 3),
+    (0, 1, 2, 5, 4, 3),
+    (0, 1),
+    (0, 1, 2, 3, 4),
+    (3, 1, 0, 2, 4, 5),
+    (0, 1),
+    (0, 1, 2, 4, 3, 5),
+    (0, 1),
+    (0, 1, 2, 3, 5, 4),
+    (0, 1, 3, 2, 4, 5),
+    (0, 3, 2, 1, 4),
+    (0, 1),
+    (1, 0, 2, 3, 4),
+    (0, 1),
+    (1, 0, 2, 3, 4, 5),
+    (3, 0, 2, 4, 1, 5),
+]
+
+
+def test_first_found_embedding_pinned():
+    for (b, a), status, mapping in PINNED_REDUCTIONS:
+        instance, _ = build_instance(validate_3p(b, a))
+        outcome = decide_embedding(instance)
+        assert outcome.status is status, (b, a)
+        got = outcome.embedding.mapping if outcome.embedding else None
+        assert got == mapping, (b, a)
+    rng = random.Random(23)
+    got = []
+    for poly in POLYGON_CATALOG:
+        for _ in range(4):
+            instance, *_ = random_bounded_instance(rng, rng.randint(2, 6), poly)
+            outcome = decide_embedding(instance)
+            assert outcome.status is SolveStatus.EMBEDDED
+            got.append(outcome.embedding.mapping)
+    assert got == PINNED_CATALOG_SEED_23
 
 
 class TestGeneralPosition:

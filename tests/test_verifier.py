@@ -6,7 +6,7 @@ import pytest
 from oracles import brute_valid
 from polyembed.errors import ValidationError
 from polyembed.geometry import Point, SimplePolygon
-from polyembed.model import Embedding, FreeTree, PointSet, make_instance
+from polyembed.model import Embedding, FreeTree, PointSet, Violation, make_instance
 from polyembed.reduction import build_instance, validate_3p
 from polyembed.solver import decide_embedding
 from polyembed.verifier import verify_embedding, verify_planar_only
@@ -56,6 +56,16 @@ class TestViolationKinds:
         assert any(
             v.kind == "EdgeThroughMappedPoint" and v.edges == (0,) and v.points == (2,)
             for v in report.violations
+        )
+
+    def test_t_junction_reports_only_the_pierced_edge(self):
+        # edge 1 = (2,0)-(2,3) ends inside node-disjoint edge 0 = (0,0)-(4,0),
+        # at a right angle; edge 2 = (4,0)-(2,3) joins the two
+        tree = FreeTree(4, ((0, 1), (2, 3), (1, 3)))
+        pts = PointSet((Point(0, 0), Point(4, 0), Point(2, 0), Point(2, 3)))
+        report = verify_planar_only(tree, pts, Embedding((0, 1, 2, 3)))
+        assert report.violations == (
+            Violation("EdgeThroughMappedPoint", edges=(0,), points=(2,)),
         )
 
     def test_star_on_good_points_valid(self):
