@@ -1,21 +1,25 @@
 """Exact integer-arithmetic planar geometry.
 
-Orientation, segment-pair classification, point-in-polygon, and pairwise
-visibility inside a simple polygon. Every predicate works on integer
-coordinates only; no floating point appears anywhere in this module, so all
-answers are exact. Touching counts as intersecting throughout: a segment that
+Orientation, segment-pair classification, point-in-polygon, pairwise
+visibility inside a simple polygon, and the points that lie on a segment
+between two points of a set. Every predicate works on integer coordinates
+only; no floating point appears anywhere in this module, so all answers are
+exact. Touching counts as intersecting throughout: a segment that
 merely grazes the polygon boundary "hits" it.
 
 :func:`segment_relation` is the one place that decides how two closed
 segments meet. It takes flat integer coordinates so hot loops can call it
 without building objects; :func:`classify_segments`,
 :func:`segment_hits_boundary`, polygon simplicity, the solver and the
-verifier all go through it.
+verifier all go through it. :class:`PointIndex` is likewise the one scan for
+instance points covered by a segment between two others.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -271,25 +275,22 @@ class PointLocation(Enum):
 def point_in_polygon(p: Point, polygon: SimplePolygon) -> PointLocation:
     """Exact location of p relative to a simple polygon.
 
-    Boundary incidence is detected first; interiority then follows from the
-    crossing number of a rightward ray, computed without any division.
+    One pass over the edges: a zero cross product with p inside the edge's
+    box puts p on the boundary; otherwise the crossing number of a rightward
+    ray decides interiority, computed without any division.
     """
     ensure_simple(polygon)
-    verts = polygon.vertices
-    k = len(verts)
-    for i in range(k):
-        if on_segment(verts[i], verts[(i + 1) % k], p):
-            return PointLocation.ON_BOUNDARY
+    px, py = p.x, p.y
     inside = False
-    for i in range(k):
-        a = verts[i]
-        b = verts[(i + 1) % k]
-        if (a.y > p.y) != (b.y > p.y):
-            # The edge straddles the horizontal through p; the rightward ray
-            # crosses it iff the intersection lies right of p, which reduces
-            # to a sign test on the cross product.
-            if (cross(a, b, p) > 0) == (b.y > a.y):
-                inside = not inside
+    for ax, ay, bx, by, minx, maxx, miny, maxy in polygon.edge_boxes:
+        c = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        if c == 0 and minx <= px <= maxx and miny <= py <= maxy:
+            return PointLocation.ON_BOUNDARY
+        # An edge straddling the horizontal through p is crossed by the
+        # rightward ray iff the intersection lies right of p, which reduces
+        # to a sign test on the cross product.
+        if (ay > py) != (by > py) and (c > 0) == (by > ay):
+            inside = not inside
     return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
 
 
@@ -322,3 +323,31 @@ def visible(p: Point, q: Point, polygon: SimplePolygon) -> bool:
                 f"visibility endpoint {name}={pt} is not strictly inside the polygon",
             )
     return not segment_hits_boundary(Segment(p, q), polygon)
+
+
+class PointIndex:
+    """A point set sorted by x, for finding points covered by a segment.
+
+    ``xs`` and ``ys`` are the flat coordinates in point-index order.
+    """
+
+    def __init__(self, points: Sequence[Point]):
+        self.xs = [p.x for p in points]
+        self.ys = [p.y for p in points]
+        self._by_x = sorted(range(len(self.xs)), key=self.xs.__getitem__)
+        self._x_keys = [self.xs[r] for r in self._by_x]
+
+    def inside(self, i: int, j: int) -> Iterator[int]:
+        """Yield every point index other than i and j on the segment from
+        point i to point j."""
+        xs, ys, by_x, keys = self.xs, self.ys, self._by_x, self._x_keys
+        ax, ay, bx, by = xs[i], ys[i], xs[j], ys[j]
+        minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
+        miny, maxy = (ay, by) if ay <= by else (by, ay)
+        for t in range(bisect_left(keys, minx), bisect_right(keys, maxx)):
+            r = by_x[t]
+            if r == i or r == j:
+                continue
+            ry = ys[r]
+            if miny <= ry <= maxy and (bx - ax) * (ry - ay) == (by - ay) * (xs[r] - ax):
+                yield r

@@ -89,6 +89,18 @@ def _point(value, path: str) -> Point:
     return Point(_coordinate(arr[0], f"{path}[0]"), _coordinate(arr[1], f"{path}[1]"))
 
 
+def _edge_list(value) -> list[tuple[int, int]]:
+    edges = []
+    for i, e in enumerate(_expect_list(value, "tree_edges")):
+        pair = _expect_list(e, f"tree_edges[{i}]")
+        if len(pair) != 2:
+            raise ParseError(f"tree_edges[{i}]: expected [u, v]")
+        edges.append(
+            (_index(pair[0], f"tree_edges[{i}][0]"), _index(pair[1], f"tree_edges[{i}][1]"))
+        )
+    return edges
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 
@@ -297,14 +309,7 @@ def validate_instance(raw) -> EmbeddingInstance:
         _point(v, f"points[{i}]")
         for i, v in enumerate(_expect_list(obj["points"], "points"))
     ]
-    edges = []
-    for i, e in enumerate(_expect_list(obj["tree_edges"], "tree_edges")):
-        pair = _expect_list(e, f"tree_edges[{i}]")
-        if len(pair) != 2:
-            raise ParseError(f"tree_edges[{i}]: expected [u, v]")
-        edges.append(
-            (_index(pair[0], f"tree_edges[{i}][0]"), _index(pair[1], f"tree_edges[{i}][1]"))
-        )
+    edges = _edge_list(obj["tree_edges"])
     polygon = SimplePolygon(tuple(poly_pts))
     points = PointSet(tuple(pts))
     node_count = max((max(u, v) for u, v in edges), default=0) + 1 if edges else 1
@@ -363,14 +368,7 @@ def serialize_tree(tree: FreeTree) -> str:
 def deserialize_tree(text: str) -> FreeTree:
     obj = _expect_object(loads_strict(text), "tree", {"node_count", "tree_edges"})
     count = _expect_int(obj["node_count"], "node_count")
-    edges = []
-    for i, e in enumerate(_expect_list(obj["tree_edges"], "tree_edges")):
-        pair = _expect_list(e, f"tree_edges[{i}]")
-        if len(pair) != 2:
-            raise ParseError(f"tree_edges[{i}]: expected [u, v]")
-        edges.append(
-            (_index(pair[0], f"tree_edges[{i}][0]"), _index(pair[1], f"tree_edges[{i}][1]"))
-        )
+    edges = _edge_list(obj["tree_edges"])
     return FreeTree(node_count=count, edges=tuple(edges))
 
 

@@ -2,14 +2,15 @@
 
 ``decide_embedding`` is a complete backtracking search for the
 polygon-bounded problem: nodes are placed in depth-first order from a
-max-degree root, candidate points are tried in ascending index order, and a
-partial placement survives only if the new edge joins mutually visible
-points, relates correctly to every placed edge, and passes through no other
-point of the instance. Pruning on points that are not yet placed is safe:
-every point must eventually be used, so an edge covering one can never
-extend to a valid embedding. Interchangeable sibling subtrees additionally
-get ascending root images, which skips permutations of identical chains
-without ever skipping the first solution the plain order would find.
+max-degree root, and candidate points are tried in ascending index order.
+Candidates come from clean sightlines: pairs of mutually visible points with
+no third point of the instance between them. Excluding edges that cover a
+point not yet placed is safe: every point must eventually be used, so such
+an edge can never extend to a valid embedding. A partial placement then
+survives only if the new edge relates correctly to every placed edge.
+Interchangeable sibling subtrees additionally get ascending root images,
+which skips permutations of identical chains without ever skipping the first
+solution the plain order would find.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,6 +31,7 @@ from .errors import ValidationError
 from .geometry import (
     DISJOINT,
     OVERLAP,
+    PointIndex,
     PointLocation,
     Segment,
     SimplePolygon,
@@ -178,8 +180,8 @@ def decide_embedding(
 
     Returns EMBEDDED with a verifier-checked embedding, INFEASIBLE after an
     exhaustive search, or TIMED_OUT once a configured time limit is spent.
-    Candidates for each edge come from the precomputed visibility matrix,
-    and every new edge is tested against the placed ones with
+    Candidates for each edge come from the precomputed clean-sightline
+    graph, and every new edge is tested against the placed ones with
     :func:`~polyembed.geometry.segment_relation`.
     """
     cfg = config or SolverConfig()
@@ -204,37 +206,21 @@ def decide_embedding(
     order, parent = _dfs_order(tree, root)
     children, size, prev_iso = _rooted_shape(tree, root, parent, order)
 
-    pts = points.points
+    index = PointIndex(points.points)
     # Flat coordinate arrays keep the inner loops free of attribute lookups.
-    pxs = [p.x for p in pts]
-    pys = [p.y for p in pts]
+    pxs, pys = index.xs, index.ys
     matrix = build_visibility_graph(points, polygon).matrix
-    vis_rows = [[q for q in range(n) if matrix[p][q]] for p in range(n)]
-    by_x = sorted(range(n), key=lambda i: pxs[i])
-    xs_keys = [pxs[i] for i in by_x]
 
     # Static clean-sightline graph: the point pairs an edge image may ever
-    # join (mutually visible, no third point on the open segment). Every
-    # placed edge is one of these, so each pending subtree must land inside
-    # a single connected component of this graph restricted to free points.
+    # join (mutually visible, no third point on the open segment). Rows come
+    # out ascending, as the candidate scan needs, because pairs are appended
+    # in (i, j) loop order. Every placed edge is one of these, so each
+    # pending subtree must land inside a single connected component of this
+    # graph restricted to free points.
     clean_adj: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
-        ax, ay = pxs[i], pys[i]
         for j in range(i + 1, n):
-            if not matrix[i][j]:
-                continue
-            bx, by = pxs[j], pys[j]
-            minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
-            miny, maxy = (ay, by) if ay <= by else (by, ay)
-            blocked = False
-            for t in range(bisect_left(xs_keys, minx), bisect_right(xs_keys, maxx)):
-                r = by_x[t]
-                if r == i or r == j:
-                    continue
-                if miny <= pys[r] <= maxy and (bx - ax) * (pys[r] - ay) == (by - ay) * (pxs[r] - ax):
-                    blocked = True
-                    break
-            if not blocked:
+            if matrix[i][j] and next(index.inside(i, j), None) is None:
                 clean_adj[i].append(j)
                 clean_adj[j].append(i)
 
@@ -297,19 +283,6 @@ def decide_embedding(
             elif rel != DISJOINT:
                 # Node-disjoint edges must have empty closed intersection.
                 return False
-        # The new edge may not cover any point at all: covered points can
-        # never be assigned later, so the branch would always be futile.
-        lo = bisect_left(xs_keys, minx)
-        hi = bisect_right(xs_keys, maxx)
-        for t in range(lo, hi):
-            r = by_x[t]
-            if r == pp or r == p:
-                continue
-            qy = pys[r]
-            if miny <= qy <= maxy:
-                qx = pxs[r]
-                if (bx - ax) * (qy - ay) == (by - ay) * (qx - ax):
-                    return False
         return True
 
     depth = 0
@@ -337,7 +310,7 @@ def decide_embedding(
             sib = prev_iso[node]
             if sib >= 0 and node_point[sib] + 1 > p:
                 p = node_point[sib] + 1
-            row = vis_rows[pp]
+            row = clean_adj[pp]
             for t in range(bisect_left(row, p), len(row)):
                 q = row[t]
                 trials += 1

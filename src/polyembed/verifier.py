@@ -13,7 +13,6 @@ small constants; every surviving candidate pair is decided exactly.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 
 from .errors import ValidationError
@@ -22,6 +21,7 @@ from .geometry import (
     DISJOINT,
     OVERLAP,
     TOUCH,
+    PointIndex,
     Segment,
     segment_hits_boundary,
     segment_relation,
@@ -98,7 +98,7 @@ def _verify(tree, points, embedding, polygon) -> VerificationReport:
             violations.add(Violation(KIND_EDGE_HITS_BOUNDARY, edges=(idx,)))
 
     _check_edge_pairs(segs, violations)
-    _check_points_on_edges(segs, mapping, pts, violations)
+    _check_points_on_edges(tree.edges, mapping, PointIndex(pts), violations)
     return VerificationReport.from_violations(violations)
 
 
@@ -142,21 +142,9 @@ def _classify_pair(rec_a, rec_b, violations) -> None:
     # the other edge; _check_points_on_edges reports that.
 
 
-def _check_points_on_edges(segs, mapping, pts, violations) -> None:
-    xs = sorted((p.x, i) for i, p in enumerate(pts))
-    xs_keys = [x for x, _ in xs]
-    for minx, maxx, miny, maxy, idx, u, v, (ax, ay, bx, by) in segs:
-        end_a, end_b = mapping[u], mapping[v]
-        lo = bisect_left(xs_keys, minx)
-        hi = bisect_right(xs_keys, maxx)
-        for t in range(lo, hi):
-            point_idx = xs[t][1]
-            if point_idx == end_a or point_idx == end_b:
-                continue
-            p = pts[point_idx]
-            if p.y < miny or p.y > maxy:
-                continue
-            if (bx - ax) * (p.y - ay) == (by - ay) * (p.x - ax):
-                violations.add(
-                    Violation(KIND_EDGE_THROUGH_POINT, edges=(idx,), points=(point_idx,))
-                )
+def _check_points_on_edges(edges, mapping, index, violations) -> None:
+    for idx, (u, v) in enumerate(edges):
+        for point_idx in index.inside(mapping[u], mapping[v]):
+            violations.add(
+                Violation(KIND_EDGE_THROUGH_POINT, edges=(idx,), points=(point_idx,))
+            )

@@ -20,6 +20,24 @@ def between(ax, ay, bx, by, px, py):
     return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
+def point_location(verts, p):
+    """Where p lies relative to the polygon with these (x, y) vertices:
+    "on_boundary" by `between`, else "inside" or "outside" by winding
+    number."""
+    k = len(verts)
+    edges = [(verts[t], verts[(t + 1) % k]) for t in range(k)]
+    if any(between(*a, *b, *p) for a, b in edges):
+        return "on_boundary"
+    winding = 0
+    for (ax, ay), (bx, by) in edges:
+        side = orient(ax, ay, bx, by, p[0], p[1])
+        if ay <= p[1] < by and side > 0:
+            winding += 1
+        elif by <= p[1] < ay and side < 0:
+            winding -= 1
+    return "inside" if winding else "outside"
+
+
 def segments_share_point(a, b, c, d):
     """Do the closed segments ab and cd share at least one point?"""
     d1 = orient(c[0], c[1], d[0], d[1], a[0], a[1])

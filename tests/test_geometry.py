@@ -14,6 +14,7 @@ from polyembed.geometry import (
     TOUCH,
     Orientation,
     Point,
+    PointIndex,
     PointLocation,
     Segment,
     SegmentRelationKind,
@@ -30,6 +31,7 @@ from polyembed.geometry import (
     visible,
 )
 from polyembed.model import FreeTree, PointSet, make_instance
+from polyembed.reduction import build_points, build_polygon
 
 TRIANGLE = SimplePolygon((Point(0, 0), Point(9, 0), Point(0, 9)))
 # build_polygon(2, 7), hardcoded to keep this module self-contained
@@ -163,6 +165,33 @@ class TestSegmentRelation:
                     assert end not in (c, d) and oracles.between(*c, *d, *end), (a, b, c, d)
 
 
+class TestPointIndex:
+    def test_inside_agrees_with_oracle_on_4x4_grid(self):
+        grid = [Point(x, y) for x in range(4) for y in range(4)]
+        index = PointIndex(grid)
+        for i, a in enumerate(grid):
+            for j, b in enumerate(grid):
+                if i == j:
+                    continue
+                expected = {
+                    k
+                    for k, c in enumerate(grid)
+                    if k not in (i, j) and oracles.between(a.x, a.y, b.x, b.y, c.x, c.y)
+                }
+                got = list(index.inside(i, j))
+                assert len(got) == len(set(got)) and set(got) == expected, (a, b)
+
+    def test_collinear_group(self):
+        points, groups = build_points(2, 7)
+        index = PointIndex(points.points)
+        group = groups[0]
+        for a, i in enumerate(group):
+            for b, j in enumerate(group):
+                if a != b:
+                    lo, hi = min(a, b), max(a, b)
+                    assert sorted(index.inside(i, j)) == list(group[lo + 1 : hi])
+
+
 class TestPointInPolygon:
     def test_strictly_interior(self):
         assert point_in_polygon(Point(1, 1), TRIANGLE) is PointLocation.INSIDE
@@ -207,6 +236,18 @@ class TestPointInPolygon:
                     else:
                         expected = PointLocation.INSIDE
                     assert point_in_polygon(p, poly) is expected, (poly, p)
+
+    def test_agrees_with_oracle_on_notched_polygons(self):
+        # Notch peaks and horizontal base edges are where the one-pass
+        # boundary test and the crossing parity interact.
+        for poly in (build_polygon(3, 7), build_polygon(2, 12)):
+            verts = [(v.x, v.y) for v in poly.vertices]
+            xs = [x for x, _ in verts]
+            ys = [y for _, y in verts]
+            for x in range(min(xs) - 2, max(xs) + 3):
+                for y in range(min(ys) - 2, max(ys) + 3):
+                    got = point_in_polygon(Point(x, y), poly).value
+                    assert got == oracles.point_location(verts, (x, y)), (verts, x, y)
 
     def test_nonsimple_polygon_rejected(self):
         # Every public entry rejects the bowtie, also once its simplicity

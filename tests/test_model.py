@@ -222,6 +222,25 @@ class TestSerialization:
         with pytest.raises(ParseError):
             deserialize_instance('{"points": [[1,1]], "tree_edges": []}')
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ("[[0]]", "tree_edges[0]: expected [u, v]"),
+            ("[[0,-1]]", "tree_edges[0][1]: expected a non-negative index"),
+            ("[[0,true]]", "tree_edges[0][1]: expected an integer"),
+            ("[0]", "tree_edges[0]: expected an array"),
+        ],
+    )
+    def test_malformed_edge_list_rejected(self, edges, message):
+        texts = (
+            f'{{"polygon": [[0,0],[9,0],[0,9]], "points": [[1,1]], "tree_edges": {edges}}}',
+            f'{{"node_count": 2, "tree_edges": {edges}}}',
+        )
+        for parse, text in zip((deserialize_instance, deserialize_tree), texts):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == message, parse.__name__
+
     def test_embedding_roundtrip(self):
         emb = Embedding((3, 1, 0, 2))
         assert deserialize_embedding(serialize_embedding(emb)) == emb
