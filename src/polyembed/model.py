@@ -82,6 +82,16 @@ def _index(value, path: str) -> int:
     return v
 
 
+def _indices(value, path: str) -> tuple[int, ...]:
+    arr = _expect_list(value, path)
+    return tuple(_index(v, f"{path}[{i}]") for i, v in enumerate(arr))
+
+
+def _index_rows(value, path: str) -> tuple[tuple[int, ...], ...]:
+    rows = _expect_list(value, path)
+    return tuple(_indices(row, f"{path}[{i}]") for i, row in enumerate(rows))
+
+
 def _point(value, path: str) -> Point:
     arr = _expect_list(value, path)
     if len(arr) != 2:
@@ -122,11 +132,13 @@ class FreeTree:
         n = self.node_count
         if n < 1:
             raise ValidationError("EmptyTree", "a tree needs at least one node")
-        parent = list(range(n))
+        # Union-find over the nodes the edges touch; a dict keeps its size
+        # bounded by the edge list rather than by the declared node count.
+        parent: dict[int, int] = {}
 
         def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
+            while x in parent:
+                parent[x] = parent.get(parent[x], parent[x])
                 x = parent[x]
             return x
 
@@ -345,8 +357,7 @@ def serialize_embedding(emb: Embedding) -> str:
 
 def deserialize_embedding(text: str) -> Embedding:
     obj = _expect_object(loads_strict(text), "embedding", {"mapping"})
-    arr = _expect_list(obj["mapping"], "mapping")
-    return Embedding(tuple(_index(v, f"mapping[{i}]") for i, v in enumerate(arr)))
+    return Embedding(_indices(obj["mapping"], "mapping"))
 
 
 def serialize_point_set(points: PointSet) -> str:
@@ -397,14 +408,8 @@ def deserialize_report(text: str) -> VerificationReport:
         violations.append(
             Violation(
                 kind=kind,
-                edges=tuple(
-                    _index(e, f"violations[{i}].edges[{j}]")
-                    for j, e in enumerate(_expect_list(vobj["edges"], f"violations[{i}].edges"))
-                ),
-                points=tuple(
-                    _index(p, f"violations[{i}].points[{j}]")
-                    for j, p in enumerate(_expect_list(vobj["points"], f"violations[{i}].points"))
-                ),
+                edges=_indices(vobj["edges"], f"violations[{i}].edges"),
+                points=_indices(vobj["points"], f"violations[{i}].points"),
             )
         )
     return VerificationReport(valid=obj["valid"], violations=tuple(violations))

@@ -18,9 +18,9 @@ from .model import (
     FreeTree,
     PointSet,
     _expect_int,
-    _expect_list,
     _expect_object,
     _index,
+    _index_rows,
     dumps_canonical,
     loads_strict,
     make_instance,
@@ -146,7 +146,8 @@ class ReductionMeta:
             if not path:
                 raise ValidationError("InvalidMeta", "empty path")
             covered.extend(path)
-        if sorted(covered) != list(range(total)):
+        # Lengths first, so an oversized n*B is rejected without allocating.
+        if len(covered) != total or sorted(covered) != list(range(total)):
             raise ValidationError(
                 "InvalidMeta", "hub and paths do not partition the node range"
             )
@@ -159,7 +160,7 @@ class ReductionMeta:
         covered_pts = [self.p0_point]
         for group in self.group_points:
             covered_pts.extend(group)
-        if sorted(covered_pts) != list(range(total)):
+        if len(covered_pts) != total or sorted(covered_pts) != list(range(total)):
             raise ValidationError(
                 "InvalidMeta", "p0 and groups do not partition the point range"
             )
@@ -360,20 +361,14 @@ def deserialize_meta(text: str) -> ReductionMeta:
         "meta",
         {"B", "n", "v0_node", "path_nodes", "group_points", "p0_point"},
     )
-    paths = [
-        tuple(_index(v, f"path_nodes[{i}][{j}]") for j, v in enumerate(_expect_list(p, f"path_nodes[{i}]")))
-        for i, p in enumerate(_expect_list(obj["path_nodes"], "path_nodes"))
-    ]
-    groups = [
-        tuple(_index(v, f"group_points[{i}][{j}]") for j, v in enumerate(_expect_list(g, f"group_points[{i}]")))
-        for i, g in enumerate(_expect_list(obj["group_points"], "group_points"))
-    ]
+    paths = _index_rows(obj["path_nodes"], "path_nodes")
+    groups = _index_rows(obj["group_points"], "group_points")
     return ReductionMeta(
         B=_expect_int(obj["B"], "B"),
         n=_expect_int(obj["n"], "n"),
         v0_node=_index(obj["v0_node"], "v0_node"),
-        path_nodes=tuple(paths),
-        group_points=tuple(groups),
+        path_nodes=paths,
+        group_points=groups,
         p0_point=_index(obj["p0_point"], "p0_point"),
     )
 
@@ -384,8 +379,4 @@ def serialize_partition(partition: Partition) -> str:
 
 def deserialize_partition(text: str) -> Partition:
     obj = _expect_object(loads_strict(text), "partition", {"sets"})
-    sets = [
-        tuple(_index(v, f"sets[{i}][{j}]") for j, v in enumerate(_expect_list(s, f"sets[{i}]")))
-        for i, s in enumerate(_expect_list(obj["sets"], "sets"))
-    ]
-    return Partition(sets=tuple(sets))
+    return Partition(sets=_index_rows(obj["sets"], "sets"))

@@ -3,14 +3,15 @@
 ``decide_embedding`` is a complete backtracking search for the
 polygon-bounded problem: nodes are placed in depth-first order from a
 max-degree root, and candidate points are tried in ascending index order.
-Candidates come from clean sightlines: pairs of mutually visible points with
-no third point of the instance between them. Excluding edges that cover a
-point not yet placed is safe: every point must eventually be used, so such
-an edge can never extend to a valid embedding. A partial placement then
-survives only if the new edge relates correctly to every placed edge.
-Interchangeable sibling subtrees additionally get ascending root images,
-which skips permutations of identical chains without ever skipping the first
-solution the plain order would find.
+The root's candidates are all points; every other node's come from clean
+sightlines to its parent's image: pairs of mutually visible points with no
+third point of the instance between them. One candidate loop serves both.
+Excluding edges that cover a point not yet placed is safe: every point must
+eventually be used, so such an edge can never extend to a valid embedding.
+A partial placement then survives only if the new edge relates correctly to
+every placed edge. Interchangeable sibling subtrees additionally get
+ascending root images, which skips permutations of identical chains without
+ever skipping the first solution the plain order would find.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -95,82 +96,78 @@ class SolverConfig:
     time_limit_ms: int | None = None
 
 
-def _dfs_order(tree: FreeTree, root: int) -> tuple[list[int], list[int]]:
-    """Preorder node sequence and parent array, children visited ascending."""
+def _rooted(tree: FreeTree, root: int):
+    """Preorder, parents, children, subtree sizes and isomorphic siblings.
+
+    Children are listed and visited in ascending index order. ``prev_iso[v]``
+    is the previous sibling rooting a subtree isomorphic to v's (canonical
+    rooted-subtree codes, computed bottom-up); such siblings form
+    index-ordered chains used for symmetry breaking.
+    """
+    n = tree.node_count
     adj = tree.adjacency
     order: list[int] = []
-    parent = [-1] * tree.node_count
+    parent = [-1] * n
+    children: list[list[int]] = [[] for _ in range(n)]
     stack = [root]
-    seen = [False] * tree.node_count
-    seen[root] = True
     while stack:
         v = stack.pop()
         order.append(v)
+        kids = children[v] = [w for w in adj[v] if w != parent[v]]
+        for w in kids:
+            parent[w] = v
         # push descending so the lowest-index child pops first
-        for w in reversed(adj[v]):
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                stack.append(w)
-    return order, parent
-
-
-def _rooted_shape(tree: FreeTree, root: int, parent: list[int], order: list[int]):
-    """Children lists, subtree sizes, and per-node isomorphism data.
-
-    ``prev_iso[v]`` is the previous sibling rooting a subtree isomorphic to
-    v's (canonical rooted-subtree codes, computed bottom-up); such siblings
-    form index-ordered chains used for symmetry breaking.
-    """
-    n = tree.node_count
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if parent[v] >= 0:
-            children[parent[v]].append(v)
-    for v in range(n):
-        children[v].sort()
+        stack.extend(reversed(kids))
     size = [1] * n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    code: list[int] = [-1] * n
+    code = [-1] * n
     code_ids: dict[tuple[int, ...], int] = {}
-    for v in reversed(order):
-        key = tuple(sorted(code[c] for c in children[v]))
-        code[v] = code_ids.setdefault(key, len(code_ids))
     prev_iso = [-1] * n
-    for v in range(n):
+    for v in reversed(order):
         last_by_code: dict[int, int] = {}
         for c in children[v]:
+            size[v] += size[c]
             if code[c] in last_by_code:
                 prev_iso[c] = last_by_code[code[c]]
             last_by_code[code[c]] = c
-    return children, size, prev_iso
+        key = tuple(sorted(code[c] for c in children[v]))
+        code[v] = code_ids.setdefault(key, len(code_ids))
+    return order, parent, children, size, prev_iso
 
 
 def _can_tile(sizes: tuple[int, ...], caps: tuple[int, ...], memo: dict) -> bool:
-    """Can the multiset of subtree sizes fill every capacity exactly?"""
-    if not sizes:
-        return not caps or caps[0] == 0
-    key = (sizes, caps)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    s = sizes[0]
-    rest = sizes[1:]
-    tried: set[int] = set()
-    ok = False
-    for i, c in enumerate(caps):
-        if c >= s and c not in tried:
-            tried.add(c)
-            reduced = tuple(sorted(caps[:i] + (c - s,) + caps[i + 1 :], reverse=True))
-            if reduced and reduced[-1] == 0:
-                reduced = tuple(x for x in reduced if x)
-            if _can_tile(rest, reduced, memo):
-                ok = True
+    """Can the multiset of subtree sizes fill every capacity exactly?
+
+    Both tuples are sorted descending. The first size goes into one capacity
+    of each distinct value that can hold it, and the rest are tiled into
+    what remains. Every explored state is cached in ``memo`` with its answer.
+    The search keeps its own stack, one frame per size placed, so long size
+    lists do not recurse.
+    """
+    stack: list[list] = []  # frames: [(sizes, caps), index of the next cap]
+    state = (sizes, caps)
+    while True:
+        sz, cp = state
+        found = memo.get(state) if sz else not cp or cp[0] == 0
+        if found:
+            # A tiling of the new state completes every state on the stack.
+            for frame in stack:
+                memo[frame[0]] = True
+            return True
+        if found is None:
+            stack.append([state, 0])
+        while stack:
+            frame = stack[-1]
+            (sz, cp), i = frame
+            if i < len(cp) and cp[i] >= sz[0]:
                 break
-    memo[key] = ok
-    return ok
+            memo[frame[0]] = False
+            stack.pop()
+        else:
+            return False
+        c = cp[i]
+        frame[1] = i + cp.count(c)  # equal capacities are adjacent
+        filled = (c - sz[0],) if c > sz[0] else ()
+        state = (sz[1:], tuple(sorted(cp[:i] + filled + cp[i + 1 :], reverse=True)))
 
 
 def decide_embedding(
@@ -203,8 +200,19 @@ def decide_embedding(
         root = cfg.root_node
     else:
         root = max(range(n), key=lambda v: (tree.degree(v), -v))
-    order, parent = _dfs_order(tree, root)
-    children, size, prev_iso = _rooted_shape(tree, root, parent, order)
+    order, parent, children, size, prev_iso = _rooted(tree, root)
+
+    # Nodes are placed in the fixed order `order`, so the subtrees still to
+    # place once order[d] is placed depend on d alone: they are the unplaced
+    # nodes whose parent is placed. tile_sizes[d] holds their sizes, sorted
+    # descending for the tiling check.
+    tile_sizes: list[tuple[int, ...]] = []
+    pending: list[int] = []
+    for d, v in enumerate(order):
+        if d:
+            pending.remove(size[v])
+        pending.extend(size[c] for c in children[v])
+        tile_sizes.append(tuple(sorted(pending, reverse=True)))
 
     index = PointIndex(points.points)
     # Flat coordinate arrays keep the inner loops free of attribute lookups.
@@ -230,22 +238,19 @@ def decide_embedding(
     placed: list[tuple[int, int, int, int, int, int, int, int, int, int]] = []
     candidate = [0] * (n + 1)
     trials = 0
-    pending: set[int] = {root}  # unplaced subtree roots with a placed parent
     tile_memo: dict = {}
 
-    def completion_feasible(node: int, p: int) -> bool:
-        """Could placing `node` at point `p` still extend to a full embedding?
+    def completion_feasible(depth: int, p: int) -> bool:
+        """Could placing `order[depth]` at point `p` still extend to a full embedding?
 
         Checks that the pending subtree sizes can exactly tile the connected
         components of the clean-sightline graph over the remaining free
         points. Placements failing this can never complete, so skipping them
         changes neither the outcome nor which embedding is found first.
         """
-        sizes = [size[c] for c in children[node]]
-        sizes.extend(size[r] for r in pending if r != node)
+        sizes = tile_sizes[depth]
         if not sizes:
             return True
-        sizes.sort(reverse=True)
         visited = bytearray(used)
         visited[p] = 1
         caps = []
@@ -263,14 +268,13 @@ def decide_embedding(
                         stack.append(w)
             caps.append(comp)
         caps.sort(reverse=True)
-        return _can_tile(tuple(sizes), tuple(caps), tile_memo)
+        return _can_tile(sizes, tuple(caps), tile_memo)
 
-    def admissible(node: int, pp: int, p: int) -> bool:
+    def admissible(par: int, pp: int, p: int) -> bool:
         ax, ay = pxs[pp], pys[pp]
         bx, by = pxs[p], pys[p]
         minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
         miny, maxy = (ay, by) if ay <= by else (by, ay)
-        par = parent[node]
         for cx, cy, dx, dy, ominx, omaxx, ominy, omaxy, na, nb in placed:
             if ominx > maxx or omaxx < minx or ominy > maxy or omaxy < miny:
                 continue
@@ -297,29 +301,27 @@ def decide_embedding(
                 raise RuntimeError("solver produced an embedding its verifier rejects")
             return SolveOutcome(SolveStatus.EMBEDDED, embedding=embedding)
         node = order[depth]
-        p = candidate[depth]
-        chosen = -1
-        if depth == 0:
-            while p < n:
-                if not used[p] and completion_feasible(node, p):
-                    chosen = p
-                    break
-                p += 1
+        par = parent[node]
+        if par < 0:
+            # The root may go to any point; admissible has no placed edge yet.
+            pp, row = -1, range(n)
         else:
-            pp = node_point[parent[node]]
-            sib = prev_iso[node]
-            if sib >= 0 and node_point[sib] + 1 > p:
-                p = node_point[sib] + 1
+            pp = node_point[par]
             row = clean_adj[pp]
-            for t in range(bisect_left(row, p), len(row)):
-                q = row[t]
-                trials += 1
-                if trials % 4096 == 0 and limit_s is not None:
-                    if time.perf_counter() - start >= limit_s:
-                        return timed_out()
-                if not used[q] and admissible(node, pp, q) and completion_feasible(node, q):
-                    chosen = q
-                    break
+        p = candidate[depth]
+        sib = prev_iso[node]
+        if sib >= 0 and node_point[sib] + 1 > p:
+            p = node_point[sib] + 1
+        chosen = -1
+        for t in range(bisect_left(row, p), len(row)):
+            q = row[t]
+            trials += 1
+            if trials % 4096 == 0 and limit_s is not None:
+                if time.perf_counter() - start >= limit_s:
+                    return timed_out()
+            if not used[q] and admissible(par, pp, q) and completion_feasible(depth, q):
+                chosen = q
+                break
         if chosen < 0:
             candidate[depth] = 0
             depth -= 1
@@ -328,17 +330,12 @@ def decide_embedding(
             undo = order[depth]
             used[node_point[undo]] = 0
             node_point[undo] = -1
-            pending.difference_update(children[undo])
-            pending.add(undo)
             if depth > 0:
                 placed.pop()
             continue
         used[chosen] = 1
         node_point[node] = chosen
-        pending.discard(node)
-        pending.update(children[node])
-        if depth > 0:
-            pp = node_point[parent[node]]
+        if par >= 0:
             ax, ay, bx, by = pxs[pp], pys[pp], pxs[chosen], pys[chosen]
             placed.append(
                 (
@@ -350,7 +347,7 @@ def decide_embedding(
                     bx if ax <= bx else ax,
                     ay if ay <= by else by,
                     by if ay <= by else ay,
-                    parent[node],
+                    par,
                     node,
                 )
             )
@@ -400,8 +397,7 @@ def embed_tree_unconstrained(tree: FreeTree, points: PointSet) -> Embedding:
     if n == 1:
         return Embedding((0,))
 
-    order, parent = _dfs_order(tree, 0)
-    children, size, _ = _rooted_shape(tree, 0, parent, order)
+    _, _, children, size, _ = _rooted(tree, 0)
 
     def angular_sort(anchor_idx: int, block: list[int]) -> list[int]:
         anchor = pts[anchor_idx]

@@ -25,7 +25,12 @@ from polyembed.model import (
     serialize_tree,
     validate_instance,
 )
-from polyembed.reduction import build_instance, validate_3p
+from polyembed.reduction import (
+    build_instance,
+    deserialize_meta,
+    deserialize_partition,
+    validate_3p,
+)
 
 
 class TestFreeTree:
@@ -45,6 +50,11 @@ class TestFreeTree:
     def test_disconnected_rejected(self):
         with pytest.raises(ValidationError) as err:
             FreeTree(4, ((0, 1), (2, 3)))
+        assert err.value.code == "TreeNotConnected"
+
+    def test_huge_node_count_rejected_without_allocating(self):
+        with pytest.raises(ValidationError) as err:
+            deserialize_tree('{"node_count": 1000000000000, "tree_edges": []}')
         assert err.value.code == "TreeNotConnected"
 
     def test_self_loop_rejected(self):
@@ -240,6 +250,35 @@ class TestSerialization:
             with pytest.raises(ParseError) as err:
                 parse(text)
             assert str(err.value) == message, parse.__name__
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (
+                deserialize_meta,
+                '{"B": 7, "n": 1, "v0_node": 0, "path_nodes": [1],'
+                ' "group_points": [], "p0_point": 0}',
+                "path_nodes[0]: expected an array",
+            ),
+            (
+                deserialize_meta,
+                '{"B": 7, "n": 1, "v0_node": 0, "path_nodes": [[1]],'
+                ' "group_points": [1], "p0_point": 0}',
+                "group_points[0]: expected an array",
+            ),
+            (deserialize_partition, '{"sets": [[0, 1, 2], 3]}', "sets[1]: expected an array"),
+            (
+                deserialize_report,
+                '{"valid": false, "violations":'
+                ' [{"kind": "EdgeCrossesEdge", "edges": [true], "points": []}]}',
+                "violations[0].edges[0]: expected an integer",
+            ),
+        ],
+    )
+    def test_malformed_index_array_rejected(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
     def test_embedding_roundtrip(self):
         emb = Embedding((3, 1, 0, 2))

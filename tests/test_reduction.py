@@ -267,6 +267,14 @@ class TestMetaAndPartitionFiles:
             (3, 4, 5),
         )
 
+    def test_huge_group_size_rejected_without_allocating(self):
+        with pytest.raises(ValidationError) as err:
+            deserialize_meta(
+                '{"B": 1000000000000, "n": 1, "v0_node": 0, "path_nodes": [[1], [2], [3]],'
+                ' "group_points": [[1, 2, 3]], "p0_point": 0}'
+            )
+        assert err.value.code == "InvalidMeta"
+
     def test_meta_invariants_enforced(self):
         with pytest.raises(ValidationError):
             ReductionMeta(

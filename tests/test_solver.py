@@ -10,6 +10,7 @@ from polyembed.reduction import build_instance, build_points, build_polygon, val
 from polyembed.solver import (
     SolveStatus,
     SolverConfig,
+    _can_tile,
     build_visibility_graph,
     check_general_position,
     decide_embedding,
@@ -116,6 +117,19 @@ class TestDecideEmbedding:
             assert outcome.status is SolveStatus.EMBEDDED
             assert verify_embedding(instance, outcome.embedding).valid
 
+    def test_star_on_grid_infeasible_within_deadline(self):
+        # Every grid point has another point hidden behind a neighbour in its
+        # 4-point column, so the hub has no clean sightline to some point.
+        # Without the sibling-symmetry prune the search tries the
+        # interchangeable leaves in every order and runs out of time.
+        square = SimplePolygon((Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10)))
+        grid = PointSet(tuple(Point(x, y) for x in range(1, 4) for y in range(1, 5)))
+        star = FreeTree(12, tuple((0, leaf) for leaf in range(1, 12)))
+        outcome = decide_embedding(
+            make_instance(star, grid, square), SolverConfig(time_limit_ms=5000)
+        )
+        assert outcome.status is SolveStatus.INFEASIBLE
+
     def test_matches_exhaustive_oracle_on_small_cases(self):
         rng = random.Random(99)
         agree = 0
@@ -128,6 +142,10 @@ class TestDecideEmbedding:
                 assert got == want, (edges, pts, polyverts)
                 agree += 1
         assert agree == 24
+
+
+def test_tiling_check_handles_long_size_lists():
+    assert _can_tile((1,) * 1200, (1200,), {})
 
 
 # First-found embeddings recorded before the solver's candidate loop and its
