@@ -11,8 +11,11 @@ merely grazes the polygon boundary "hits" it.
 segments meet. It takes flat integer coordinates so hot loops can call it
 without building objects; :func:`classify_segments`,
 :func:`segment_hits_boundary`, polygon simplicity, the solver and the
-verifier all go through it. :class:`PointIndex` is likewise the one scan for
-instance points covered by a segment between two others.
+verifier all go through it. :func:`boxed` is the one segment record and
+:meth:`SimplePolygon.blocks` the one segment-versus-boundary test. Public
+predicates validate their polygon; loops over an already-validated instance
+call these flat forms, which check nothing again. :class:`PointIndex` is
+the one scan for instance points covered by a segment between two others.
 """
 
 from __future__ import annotations
@@ -162,6 +165,13 @@ def segment_relation(ax, ay, bx, by, cx, cy, dx, dy) -> int:
     return CROSSING
 
 
+def boxed(ax: int, ay: int, bx: int, by: int) -> tuple[int, ...]:
+    """(ax, ay, bx, by, minx, maxx, miny, maxy); callers may append fields."""
+    minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
+    miny, maxy = (ay, by) if ay <= by else (by, ay)
+    return (ax, ay, bx, by, minx, maxx, miny, maxy)
+
+
 def classify_segments(s: Segment, t: Segment) -> SegmentRelation:
     """Classify how two non-degenerate closed segments meet.
 
@@ -209,14 +219,20 @@ class SimplePolygon:
 
     @functools.cached_property
     def edge_boxes(self) -> tuple[tuple[int, ...], ...]:
-        """Per edge: (ax, ay, bx, by, minx, maxx, miny, maxy)."""
+        """The :func:`boxed` record of every edge, in vertex order."""
         verts = self.vertices
-        out = []
-        for a, b in zip(verts, verts[1:] + verts[:1]):
-            out.append(
-                (a.x, a.y, b.x, b.y, min(a.x, b.x), max(a.x, b.x), min(a.y, b.y), max(a.y, b.y))
-            )
-        return tuple(out)
+        return tuple(boxed(a.x, a.y, b.x, b.y) for a, b in zip(verts, verts[1:] + verts[:1]))
+
+    def blocks(self, seg: tuple[int, ...]) -> bool:
+        """True iff the segment of a :func:`boxed` record shares a point with
+        the boundary. Does not check simplicity; callers validated it."""
+        ax, ay, bx, by, minx, maxx, miny, maxy = seg[:8]
+        for cx, cy, dx, dy, eminx, emaxx, eminy, emaxy in self.edge_boxes:
+            if eminx > maxx or emaxx < minx or eminy > maxy or emaxy < miny:
+                continue
+            if segment_relation(ax, ay, bx, by, cx, cy, dx, dy) != DISJOINT:
+                return True
+        return False
 
     @functools.cached_property
     def _simple(self) -> bool:
@@ -298,15 +314,7 @@ def segment_hits_boundary(s: Segment, polygon: SimplePolygon) -> bool:
     """True iff the closed segment shares at least one point with the
     polygon's boundary polyline. Grazing contact counts."""
     ensure_simple(polygon)
-    ax, ay, bx, by = s.a.x, s.a.y, s.b.x, s.b.y
-    minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
-    miny, maxy = (ay, by) if ay <= by else (by, ay)
-    for cx, cy, dx, dy, eminx, emaxx, eminy, emaxy in polygon.edge_boxes:
-        if eminx > maxx or emaxx < minx or eminy > maxy or emaxy < miny:
-            continue
-        if segment_relation(ax, ay, bx, by, cx, cy, dx, dy) != DISJOINT:
-            return True
-    return False
+    return polygon.blocks(boxed(s.a.x, s.a.y, s.b.x, s.b.y))
 
 
 def visible(p: Point, q: Point, polygon: SimplePolygon) -> bool:
@@ -341,9 +349,7 @@ class PointIndex:
         """Yield every point index other than i and j on the segment from
         point i to point j."""
         xs, ys, by_x, keys = self.xs, self.ys, self._by_x, self._x_keys
-        ax, ay, bx, by = xs[i], ys[i], xs[j], ys[j]
-        minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
-        miny, maxy = (ay, by) if ay <= by else (by, ay)
+        ax, ay, bx, by, minx, maxx, miny, maxy = boxed(xs[i], ys[i], xs[j], ys[j])
         for t in range(bisect_left(keys, minx), bisect_right(keys, maxx)):
             r = by_x[t]
             if r == i or r == j:

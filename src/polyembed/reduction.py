@@ -245,9 +245,10 @@ def build_points(n: int, B: int) -> tuple[PointSet, tuple[tuple[int, ...], ...]]
 def build_instance(inst: ThreePartitionInstance) -> tuple[EmbeddingInstance, ReductionMeta]:
     """Assemble and validate the full embedding instance for a 3-partition input."""
     n, B = inst.group_count, inst.target
-    tree, paths = build_tree(inst)
+    # Points and polygon check the coordinate bound before the tree allocates n*B nodes.
     points, groups = build_points(n, B)
     polygon = build_polygon(n, B)
+    tree, paths = build_tree(inst)
     instance = make_instance(tree, points, polygon)
     meta = ReductionMeta(
         B=B,

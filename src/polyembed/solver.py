@@ -8,10 +8,11 @@ sightlines to its parent's image: pairs of mutually visible points with no
 third point of the instance between them. One candidate loop serves both.
 Excluding edges that cover a point not yet placed is safe: every point must
 eventually be used, so such an edge can never extend to a valid embedding.
-A partial placement then survives only if the new edge relates correctly to
-every placed edge. Interchangeable sibling subtrees additionally get
-ascending root images, which skips permutations of identical chains without
-ever skipping the first solution the plain order would find.
+A partial placement then survives only if the new edge meets the placed
+edges at the parent's image alone. Interchangeable sibling subtrees
+additionally get ascending root images, which skips permutations of
+identical chains without ever skipping the first solution the plain order
+would find.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -31,14 +32,12 @@ from enum import Enum
 from .errors import ValidationError
 from .geometry import (
     DISJOINT,
-    OVERLAP,
     PointIndex,
     PointLocation,
-    Segment,
     SimplePolygon,
+    boxed,
     cross,
     point_in_polygon,
-    segment_hits_boundary,
     segment_relation,
 )
 from .model import Embedding, EmbeddingInstance, FreeTree, PointSet
@@ -61,11 +60,13 @@ def build_visibility_graph(points: PointSet, polygon: SimplePolygon) -> Visibili
                 "PointNotStrictlyInside",
                 f"point {i} at {p} is not strictly inside the polygon",
             )
+    # point_in_polygon validated the polygon, so the loop calls its flat test.
+    xs, ys, blocks = [p.x for p in points], [p.y for p in points], polygon.blocks
     rows = [[False] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = True
         for j in range(i + 1, n):
-            vis = not segment_hits_boundary(Segment(points[i], points[j]), polygon)
+            vis = not blocks(boxed(xs[i], ys[i], xs[j], ys[j]))
             rows[i][j] = vis
             rows[j][i] = vis
     return VisibilityGraph(matrix=tuple(tuple(r) for r in rows))
@@ -234,7 +235,7 @@ def decide_embedding(
 
     used = bytearray(n)
     node_point = [-1] * n
-    # placed edge: (ax, ay, bx, by, minx, maxx, miny, maxy, node_a, node_b)
+    # placed edge: boxed(...) + (parent node, child node)
     placed: list[tuple[int, int, int, int, int, int, int, int, int, int]] = []
     candidate = [0] * (n + 1)
     trials = 0
@@ -271,20 +272,15 @@ def decide_embedding(
         return _can_tile(sizes, tuple(caps), tile_memo)
 
     def admissible(par: int, pp: int, p: int) -> bool:
-        ax, ay = pxs[pp], pys[pp]
-        bx, by = pxs[p], pys[p]
-        minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
-        miny, maxy = (ay, by) if ay <= by else (by, ay)
+        ax, ay, bx, by, minx, maxx, miny, maxy = boxed(pxs[pp], pys[pp], pxs[p], pys[p])
         for cx, cy, dx, dy, ominx, omaxx, ominy, omaxy, na, nb in placed:
+            if na == par or nb == par:
+                # Clean sightlines from the parent's image meet only there:
+                # an overlap would cover the nearer one's far endpoint.
+                continue
             if ominx > maxx or omaxx < minx or ominy > maxy or omaxy < miny:
                 continue
-            rel = segment_relation(ax, ay, bx, by, cx, cy, dx, dy)
-            if na == par or nb == par:
-                # Edges sharing the parent's image always touch there; they
-                # may not overlap beyond it.
-                if rel == OVERLAP:
-                    return False
-            elif rel != DISJOINT:
+            if segment_relation(ax, ay, bx, by, cx, cy, dx, dy) != DISJOINT:
                 # Node-disjoint edges must have empty closed intersection.
                 return False
         return True
@@ -336,21 +332,7 @@ def decide_embedding(
         used[chosen] = 1
         node_point[node] = chosen
         if par >= 0:
-            ax, ay, bx, by = pxs[pp], pys[pp], pxs[chosen], pys[chosen]
-            placed.append(
-                (
-                    ax,
-                    ay,
-                    bx,
-                    by,
-                    ax if ax <= bx else bx,
-                    bx if ax <= bx else ax,
-                    ay if ay <= by else by,
-                    by if ay <= by else ay,
-                    par,
-                    node,
-                )
-            )
+            placed.append(boxed(pxs[pp], pys[pp], pxs[chosen], pys[chosen]) + (par, node))
         candidate[depth] = chosen + 1
         depth += 1
         candidate[depth] = 0

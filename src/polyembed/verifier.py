@@ -22,8 +22,8 @@ from .geometry import (
     OVERLAP,
     TOUCH,
     PointIndex,
-    Segment,
-    segment_hits_boundary,
+    boxed,
+    ensure_simple,
     segment_relation,
 )
 from .model import (
@@ -84,35 +84,39 @@ def _verify(tree, points, embedding, polygon) -> VerificationReport:
             [Violation(KIND_NOT_BIJECTION, points=tuple(offenders))]
         )
 
-    pts = points.points
+    if polygon is not None:
+        # Cached once the polygon came through make_instance; an instance
+        # built directly gets its one check here, not one per edge.
+        ensure_simple(polygon)
+    index = PointIndex(points.points)
+    xs, ys = index.xs, index.ys
     violations: set[Violation] = set()
 
-    # (minx, maxx, miny, maxy, edge_index, node_u, node_v, (ax, ay, bx, by))
+    # boxed(...) + (edge_index, node_u, node_v)
     segs = []
     for idx, (u, v) in enumerate(tree.edges):
-        pa, pb = pts[mapping[u]], pts[mapping[v]]
-        minx, maxx = (pa.x, pb.x) if pa.x <= pb.x else (pb.x, pa.x)
-        miny, maxy = (pa.y, pb.y) if pa.y <= pb.y else (pb.y, pa.y)
-        segs.append((minx, maxx, miny, maxy, idx, u, v, (pa.x, pa.y, pb.x, pb.y)))
-        if polygon is not None and segment_hits_boundary(Segment(pa, pb), polygon):
+        a, b = mapping[u], mapping[v]
+        rec = boxed(xs[a], ys[a], xs[b], ys[b]) + (idx, u, v)
+        segs.append(rec)
+        if polygon is not None and polygon.blocks(rec):
             violations.add(Violation(KIND_EDGE_HITS_BOUNDARY, edges=(idx,)))
 
     _check_edge_pairs(segs, violations)
-    _check_points_on_edges(tree.edges, mapping, PointIndex(pts), violations)
+    _check_points_on_edges(tree.edges, mapping, index, violations)
     return VerificationReport.from_violations(violations)
 
 
 def _check_edge_pairs(segs, violations) -> None:
-    ordered = sorted(segs, key=lambda rec: rec[0])
+    ordered = sorted(segs, key=lambda rec: rec[4])
     active: list[tuple] = []
     for rec in ordered:
-        minx, maxx, miny, maxy = rec[:4]
+        minx, maxx, miny, maxy = rec[4:8]
         keep = []
         for other in active:
-            if other[1] < minx:
+            if other[5] < minx:
                 continue
             keep.append(other)
-            if other[2] > maxy or other[3] < miny:
+            if other[6] > maxy or other[7] < miny:
                 continue
             _classify_pair(rec, other, violations)
         keep.append(rec)
@@ -120,11 +124,13 @@ def _check_edge_pairs(segs, violations) -> None:
 
 
 def _classify_pair(rec_a, rec_b, violations) -> None:
-    rel = segment_relation(*rec_a[7], *rec_b[7])
+    rel = segment_relation(
+        rec_a[0], rec_a[1], rec_a[2], rec_a[3], rec_b[0], rec_b[1], rec_b[2], rec_b[3]
+    )
     if rel == DISJOINT:
         return
-    idx_a, u_a, v_a = rec_a[4:7]
-    idx_b, u_b, v_b = rec_b[4:7]
+    idx_a, u_a, v_a = rec_a[8:11]
+    idx_b, u_b, v_b = rec_b[8:11]
     pair = (idx_a, idx_b) if idx_a < idx_b else (idx_b, idx_a)
     if rel == OVERLAP:
         violations.add(Violation(KIND_EDGES_OVERLAP, edges=pair))

@@ -29,6 +29,14 @@ class TestGen:
         assert rc == 2
         assert "ElementOutOfRange" in capsys.readouterr().err
 
+    def test_huge_group_size_exits_2(self, tmp_path, capsys):
+        rc = run(
+            "gen", "--B", str(10**12), "--a", "333333333333,333333333333,333333333334",
+            "--out", str(tmp_path / "i.json"), "--meta", str(tmp_path / "m.json"),
+        )
+        assert rc == 2
+        assert "CoordinateOutOfRange" in capsys.readouterr().err
+
     def test_two_group_summary(self, tmp_path, capsys):
         rc = run(
             "gen", "--B", "7", "--a", "2,2,3,2,2,3",

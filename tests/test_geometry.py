@@ -30,8 +30,9 @@ from polyembed.geometry import (
     signed_area2,
     visible,
 )
-from polyembed.model import FreeTree, PointSet, make_instance
+from polyembed.model import Embedding, EmbeddingInstance, FreeTree, PointSet, make_instance
 from polyembed.reduction import build_points, build_polygon
+from polyembed.verifier import verify_embedding
 
 TRIANGLE = SimplePolygon((Point(0, 0), Point(9, 0), Point(0, 9)))
 # build_polygon(2, 7), hardcoded to keep this module self-contained
@@ -261,6 +262,11 @@ class TestPointInPolygon:
             "make_instance": lambda poly: make_instance(
                 FreeTree(1, ()), PointSet((Point(1, 1),)), poly
             ),
+            # an instance built without make_instance
+            "verify_embedding": lambda poly: verify_embedding(
+                EmbeddingInstance(FreeTree(2, ((0, 1),)), PointSet((Point(1, 0), Point(1, 2))), poly),
+                Embedding((0, 1)),
+            ),
         }
         for name, call in entries.items():
             bowtie = SimplePolygon((Point(0, 0), Point(2, 2), Point(2, 0), Point(0, 2)))
@@ -288,6 +294,20 @@ class TestSegmentHitsBoundary:
         for p in (Point(0, 0), Point(4, 0), Point(3, 6), Point(0, 5)):
             assert point_in_polygon(p, TRIANGLE) is PointLocation.ON_BOUNDARY
             assert segment_hits_boundary(Segment(p, Point(1, 1)), TRIANGLE)
+
+    def test_agrees_with_oracle_on_lattice(self):
+        # Every ordered pair of lattice points, inside, outside and on the
+        # boundary, against every edge; boxes that only touch must not be
+        # filtered out.
+        lattice = [(x, y) for x in range(-1, 12) for y in range(-1, 6)]
+        reflex_l = [(0, 0), (10, 0), (10, 4), (6, 4), (6, 8), (0, 8)]
+        for poly in (build_polygon(2, 7), SimplePolygon(tuple(Point(*v) for v in reflex_l))):
+            verts = [(v.x, v.y) for v in poly.vertices]
+            edges = list(zip(verts, verts[1:] + verts[:1]))
+            for p, q in itertools.permutations(lattice, 2):
+                want = any(oracles.segments_share_point(p, q, c, d) for c, d in edges)
+                got = segment_hits_boundary(Segment(Point(*p), Point(*q)), poly)
+                assert got == want, (verts, p, q)
 
 
 class TestVisible:

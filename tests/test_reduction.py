@@ -161,6 +161,14 @@ class TestBuildInstance:
             instance, _ = build_instance(validate_3p(B, a))
             assert len(instance.points) == instance.tree.node_count
 
+    def test_huge_group_size_rejected_before_building_tree(self):
+        # The tree would have n*B + 1 nodes; the coordinate bound must reject
+        # the input before any of them is allocated.
+        inst3p = validate_3p(10**12, [333333333333, 333333333333, 333333333334])
+        with pytest.raises(ValidationError) as err:
+            build_instance(inst3p)
+        assert err.value.code == "CoordinateOutOfRange"
+
     def test_deterministic_serialization(self):
         from polyembed.model import serialize_instance
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import exhaustive_feasible
+from oracles import exhaustive_feasible, segments_share_point
 from polyembed.errors import ValidationError
 from polyembed.geometry import Point, PointLocation, SimplePolygon, point_in_polygon
 from polyembed.model import FreeTree, PointSet, make_instance
@@ -68,6 +68,20 @@ class TestVisibilityGraph:
         pts, _ = build_points(1, 7)
         vg = build_visibility_graph(pts, build_polygon(1, 7))
         assert all(vg.matrix[i][i] for i in range(len(pts)))
+
+    def test_matches_oracle_on_catalog_polygons(self):
+        rng = random.Random(41)
+        for verts in POLYGON_CATALOG:
+            edges = list(zip(verts, verts[1:] + verts[:1]))
+            for _ in range(3):
+                instance, _, chosen, _ = random_bounded_instance(rng, 12, verts)
+                matrix = build_visibility_graph(instance.points, instance.polygon).matrix
+                for i, p in enumerate(chosen):
+                    for j, q in enumerate(chosen):
+                        want = i == j or not any(
+                            segments_share_point(p, q, a, b) for a, b in edges
+                        )
+                        assert matrix[i][j] == want, (verts, p, q)
 
     def test_point_on_boundary_rejected(self):
         tri = SimplePolygon((Point(0, 0), Point(9, 0), Point(0, 9)))
