@@ -1,0 +1,65 @@
+"""Parity digests: fixed corpora whose outputs must not drift.
+
+Each family recomputes its outputs over a deterministic corpus and compares
+the SHA-256 of their canonical JSON with a checked-in digest. A digest may
+change only together with a note saying which outputs changed and why.
+"""
+
+import hashlib
+import json
+import random
+
+from polyembed.reduction import build_instance, validate_3p
+from polyembed.solver import SolverConfig, decide_embedding
+from test_acceptance import enumerate_3p_sweep
+from test_solver import POLYGON_CATALOG, random_bounded_instance
+
+SOLVER_DIGEST = "989cd51d368490842df1233906c541a126fab65adb03335c1b89aecd24b8b893"
+
+# Reductions beyond the sweep, solved with the default root.
+LARGER_REDUCTIONS = [
+    (22, [6, 6, 10, 7, 7, 8] * 3),
+    (22, [7, 7, 7, 7, 7, 9] * 3),
+    (16, [5, 5, 5, 5, 5, 7] * 2),
+]
+
+
+def _digest(records) -> str:
+    text = json.dumps(records, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def solver_corpus():
+    """(label, instance, config) for every case of the solver family.
+
+    The criterion-1 sweep to B <= 22 with the default root, its B <= 12 part
+    again with root node 1, three larger reductions, and 240 random
+    catalogue instances (80 per seed), each with the default root and with
+    a seeded explicit root.
+    """
+    sweep = enumerate_3p_sweep(max_b=22)
+    cases = [((b, a), b, a, None) for b, a in sweep]
+    cases += [((b, a, "root1"), b, a, 1) for b, a in sweep if b <= 12]
+    cases += [((b, a), b, a, None) for b, a in LARGER_REDUCTIONS]
+    for label, b, a, root in cases:
+        instance, _ = build_instance(validate_3p(b, a))
+        yield label, instance, SolverConfig(root_node=root)
+    for seed in (23, 31337, 5):
+        rng = random.Random(seed)
+        for case in range(80):
+            poly = POLYGON_CATALOG[case % len(POLYGON_CATALOG)]
+            n = rng.randint(2, 9)
+            instance, *_ = random_bounded_instance(rng, n, poly)
+            yield (seed, case), instance, SolverConfig()
+            root = rng.randrange(n)
+            yield (seed, case, root), instance, SolverConfig(root_node=root)
+
+
+def test_solver_parity_digest():
+    records = []
+    for label, instance, config in solver_corpus():
+        outcome = decide_embedding(instance, config)
+        mapping = outcome.embedding.mapping if outcome.embedding else None
+        records.append([label, outcome.status.value, mapping])
+    assert len(records) == 608
+    assert _digest(records) == SOLVER_DIGEST
