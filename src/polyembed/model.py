@@ -42,6 +42,8 @@ def loads_strict(text: str):
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nesting too deep") from exc
 
 
 def _expect_object(value, path: str, keys: set[str]) -> dict:

@@ -12,7 +12,8 @@ A partial placement then survives only if the new edge meets the placed
 edges at the parent's image alone. Interchangeable sibling subtrees
 additionally get ascending root images, which skips permutations of
 identical chains without ever skipping the first solution the plain order
-would find.
+would find. A time limit is checked before every candidate trial, but not
+yet in the visibility and clean-sightline precompute.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -24,6 +25,7 @@ block) becomes the child's image.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -191,16 +193,47 @@ def decide_embedding(
         raise ValidationError("InvalidConfig", "time_limit_ms must be non-negative")
 
     start = time.perf_counter()
-    limit_s = None if cfg.time_limit_ms is None else cfg.time_limit_ms / 1000.0
-
-    def timed_out() -> SolveOutcome:
-        elapsed = int((time.perf_counter() - start) * 1000)
-        return SolveOutcome(SolveStatus.TIMED_OUT, elapsed_ms=elapsed)
-
-    if cfg.root_node is not None:
-        root = cfg.root_node
-    else:
+    deadline = math.inf if cfg.time_limit_ms is None else start + cfg.time_limit_ms / 1000.0
+    root = cfg.root_node
+    if root is None:
         root = max(range(n), key=lambda v: (tree.degree(v), -v))
+
+    index = PointIndex(points.points)
+    matrix = build_visibility_graph(points, polygon).matrix
+    # Static clean-sightline graph: the point pairs an edge image may ever
+    # join (mutually visible, no third point on the open segment). Rows come
+    # out ascending, as the candidate scan needs, because pairs are appended
+    # in (i, j) loop order. Every placed edge is one of these, so each
+    # pending subtree must land inside a single connected component of this
+    # graph restricted to free points.
+    clean_adj: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if matrix[i][j] and next(index.inside(i, j), None) is None:
+                clean_adj[i].append(j)
+                clean_adj[j].append(i)
+
+    status, mapping = _search(tree, root, index, clean_adj, deadline)
+    if status is SolveStatus.TIMED_OUT:
+        return SolveOutcome(status, elapsed_ms=int((time.perf_counter() - start) * 1000))
+    if status is SolveStatus.INFEASIBLE:
+        return SolveOutcome(status)
+    embedding = Embedding(mapping)
+    if not verify_embedding(instance, embedding).valid:
+        raise RuntimeError("solver produced an embedding its verifier rejects")
+    return SolveOutcome(status, embedding=embedding)
+
+
+def _search(
+    tree: FreeTree, root: int, index: PointIndex, clean_adj: list[list[int]], deadline: float
+) -> tuple[SolveStatus, tuple[int, ...] | None]:
+    """Backtracking search; returns the status and, if EMBEDDED, each node's point.
+
+    The clock is read in one place, before each candidate trial.
+    """
+    n = tree.node_count
+    # Flat coordinate arrays keep the inner loops free of attribute lookups.
+    pxs, pys = index.xs, index.ys
     order, parent, children, size, prev_iso = _rooted(tree, root)
 
     # Nodes are placed in the fixed order `order`, so the subtrees still to
@@ -215,30 +248,9 @@ def decide_embedding(
         pending.extend(size[c] for c in children[v])
         tile_sizes.append(tuple(sorted(pending, reverse=True)))
 
-    index = PointIndex(points.points)
-    # Flat coordinate arrays keep the inner loops free of attribute lookups.
-    pxs, pys = index.xs, index.ys
-    matrix = build_visibility_graph(points, polygon).matrix
-
-    # Static clean-sightline graph: the point pairs an edge image may ever
-    # join (mutually visible, no third point on the open segment). Rows come
-    # out ascending, as the candidate scan needs, because pairs are appended
-    # in (i, j) loop order. Every placed edge is one of these, so each
-    # pending subtree must land inside a single connected component of this
-    # graph restricted to free points.
-    clean_adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if matrix[i][j] and next(index.inside(i, j), None) is None:
-                clean_adj[i].append(j)
-                clean_adj[j].append(i)
-
     used = bytearray(n)
     node_point = [-1] * n
-    # placed edge: boxed(...) + (parent node, child node)
-    placed: list[tuple[int, int, int, int, int, int, int, int, int, int]] = []
-    candidate = [0] * (n + 1)
-    trials = 0
+    placed: list[tuple] = []  # boxed(...) + (parent node, child node) per edge
     tile_memo: dict = {}
 
     def completion_feasible(depth: int, p: int) -> bool:
@@ -285,17 +297,10 @@ def decide_embedding(
                 return False
         return True
 
-    depth = 0
-    while True:
-        if limit_s is not None and time.perf_counter() - start >= limit_s:
-            return timed_out()
-        if depth == n:
-            mapping = tuple(node_point[v] for v in range(n))
-            embedding = Embedding(mapping)
-            report = verify_embedding(instance, embedding)
-            if not report.valid:
-                raise RuntimeError("solver produced an embedding its verifier rejects")
-            return SolveOutcome(SolveStatus.EMBEDDED, embedding=embedding)
+    # `resume` is the lowest point left to try at `depth`: 0 on a fresh
+    # visit, one past the undone image after a backtrack.
+    depth = resume = 0
+    while depth < n:
         node = order[depth]
         par = parent[node]
         if par < 0:
@@ -304,38 +309,30 @@ def decide_embedding(
         else:
             pp = node_point[par]
             row = clean_adj[pp]
-        p = candidate[depth]
         sib = prev_iso[node]
-        if sib >= 0 and node_point[sib] + 1 > p:
-            p = node_point[sib] + 1
-        chosen = -1
-        for t in range(bisect_left(row, p), len(row)):
-            q = row[t]
-            trials += 1
-            if trials % 4096 == 0 and limit_s is not None:
-                if time.perf_counter() - start >= limit_s:
-                    return timed_out()
+        lo = max(resume, node_point[sib] + 1 if sib >= 0 else 0)
+        for q in row[bisect_left(row, lo) :]:
+            if time.perf_counter() >= deadline:
+                return SolveStatus.TIMED_OUT, None
             if not used[q] and admissible(par, pp, q) and completion_feasible(depth, q):
-                chosen = q
                 break
-        if chosen < 0:
-            candidate[depth] = 0
+        else:
             depth -= 1
             if depth < 0:
-                return SolveOutcome(SolveStatus.INFEASIBLE)
+                return SolveStatus.INFEASIBLE, None
             undo = order[depth]
             used[node_point[undo]] = 0
-            node_point[undo] = -1
+            resume = node_point[undo] + 1
             if depth > 0:
                 placed.pop()
             continue
-        used[chosen] = 1
-        node_point[node] = chosen
+        used[q] = 1
+        node_point[node] = q
         if par >= 0:
-            placed.append(boxed(pxs[pp], pys[pp], pxs[chosen], pys[chosen]) + (par, node))
-        candidate[depth] = chosen + 1
+            placed.append(boxed(pxs[pp], pys[pp], pxs[q], pys[q]) + (par, node))
         depth += 1
-        candidate[depth] = 0
+        resume = 0
+    return SolveStatus.EMBEDDED, tuple(node_point)
 
 
 # ---------------------------------------------------------------------------

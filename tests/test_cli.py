@@ -68,6 +68,14 @@ class TestSolveVerifyExtract:
         inst, _ = self._gen(tmp_path, 16, "5,5,5,5,5,7")
         assert run("solve", "--in", str(inst), "--out", str(tmp_path / "e.json")) == 1
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        inst, _ = self._gen(tmp_path, 7, "2,2,3")
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        assert run("solve", "--in", str(deep), "--out", str(tmp_path / "e.json")) == 2
+        assert run("verify", "--in", str(inst), "--embedding", str(deep)) == 2
+        assert "nesting too deep" in capsys.readouterr().err
+
     def test_zero_timeout_exits_3(self, tmp_path):
         inst, _ = self._gen(tmp_path, 7, "2,2,3")
         rc = run("solve", "--in", str(inst), "--out", str(tmp_path / "e.json"), "--timeout-ms", "0")
@@ -210,6 +218,12 @@ class TestUsageErrors:
 
     def test_missing_file(self, tmp_path, capsys):
         assert run("solve", "--in", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.json")) == 2
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        assert run("solve", "--in", str(bad), "--out", str(tmp_path / "o.json")) == 2
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestPipelineLaw:

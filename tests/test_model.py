@@ -224,6 +224,10 @@ class TestSerialization:
             deserialize_instance('{"polygon": [[0,0],')
         assert "line" in str(err.value) and "column" in str(err.value)
 
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            deserialize_instance("[" * 200_000)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError):
             deserialize_embedding('{"mapping": [0], "extra": 1}')

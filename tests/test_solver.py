@@ -131,6 +131,14 @@ class TestDecideEmbedding:
             assert outcome.status is SolveStatus.EMBEDDED
             assert verify_embedding(instance, outcome.embedding).valid
 
+    def test_deadline_expires_mid_search(self):
+        # Infeasible, and about 1.5 s to refute unbounded: the limit runs out
+        # inside the candidate loop, long after the precompute.
+        instance, _ = build_instance(validate_3p(22, [7, 7, 7, 7, 7, 9] * 5))
+        outcome = decide_embedding(instance, SolverConfig(time_limit_ms=500))
+        assert outcome.status is SolveStatus.TIMED_OUT
+        assert outcome.elapsed_ms >= 500
+
     def test_star_on_grid_infeasible_within_deadline(self):
         # Every grid point has another point hidden behind a neighbour in its
         # 4-point column, so the hub has no clean sightline to some point.
