@@ -6,15 +6,19 @@ change only together with a note saying which outputs changed and why.
 """
 
 import hashlib
+import itertools
 import json
 import random
 
+from polyembed.model import VIOLATION_KINDS, Embedding, serialize_report
 from polyembed.reduction import build_instance, validate_3p
 from polyembed.solver import SolverConfig, decide_embedding
+from polyembed.verifier import verify_embedding
 from test_acceptance import enumerate_3p_sweep
 from test_solver import POLYGON_CATALOG, random_bounded_instance
 
 SOLVER_DIGEST = "989cd51d368490842df1233906c541a126fab65adb03335c1b89aecd24b8b893"
+VERIFIER_DIGEST = "0fdaef420c23cae868d891c674b127c8e7dfbe6921a055b525a32704ddf51bdb"
 
 # Reductions beyond the sweep, solved with the default root.
 LARGER_REDUCTIONS = [
@@ -63,3 +67,46 @@ def test_solver_parity_digest():
         records.append([label, outcome.status.value, mapping])
     assert len(records) == 608
     assert _digest(records) == SOLVER_DIGEST
+
+
+def verifier_corpus():
+    """(label, instance, embedding) for every case of the verifier family.
+
+    Every single swap of the solver's embedding on the two-group sweep
+    instances with B <= 10, then 600 random catalogue instances with
+    shuffled raw mappings, every tenth made non-bijective.
+    """
+    for b, a in enumerate_3p_sweep(max_b=10):
+        if len(a) != 6:
+            continue
+        instance, _ = build_instance(validate_3p(b, a))
+        outcome = decide_embedding(instance)
+        if outcome.embedding is None:
+            continue
+        base = outcome.embedding.mapping
+        for i, j in itertools.combinations(range(len(base)), 2):
+            mapping = list(base)
+            mapping[i], mapping[j] = mapping[j], mapping[i]
+            yield (b, a, i, j), instance, Embedding(mapping)
+    rng = random.Random(2024)
+    for case in range(600):
+        poly = POLYGON_CATALOG[case % len(POLYGON_CATALOG)]
+        n = rng.randint(2, 9)
+        instance, *_ = random_bounded_instance(rng, n, poly)
+        mapping = list(range(n))
+        rng.shuffle(mapping)
+        if case % 10 == 0:
+            mapping[0] = mapping[1]
+        yield ("catalog", case), instance, mapping
+
+
+def test_verifier_parity_digest():
+    records = []
+    kinds = set()
+    for label, instance, embedding in verifier_corpus():
+        report = verify_embedding(instance, embedding)
+        kinds.update(v.kind for v in report.violations)
+        records.append([label, serialize_report(report)])
+    assert len(records) == 1290
+    assert kinds == VIOLATION_KINDS
+    assert _digest(records) == VERIFIER_DIGEST
