@@ -1,11 +1,11 @@
 """Exact integer-arithmetic planar geometry.
 
-Orientation, segment-pair classification, point-in-polygon, pairwise
-visibility inside a simple polygon, and the points that lie on a segment
-between two points of a set. Every predicate works on integer coordinates
-only; no floating point appears anywhere in this module, so all answers are
-exact. Touching counts as intersecting throughout: a segment that
-merely grazes the polygon boundary "hits" it.
+Orientation, exact direction keys, segment-pair classification,
+point-in-polygon, pairwise visibility inside a simple polygon, and the
+points that lie on a segment between two points of a set. Every predicate
+works on integer coordinates only; no floating point appears anywhere in
+this module, so all answers are exact. Touching counts as intersecting
+throughout: a segment that merely grazes the polygon boundary "hits" it.
 
 :func:`segment_relation` is the one place that decides how two closed
 segments meet. It takes flat integer coordinates so hot loops can call it
@@ -21,6 +21,7 @@ the one scan for instance points covered by a segment between two others.
 from __future__ import annotations
 
 import functools
+import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -58,6 +59,15 @@ def orient2d(a: Point, b: Point, c: Point) -> Orientation:
     if d < 0:
         return Orientation.CW
     return Orientation.COLLINEAR
+
+
+def direction_key(dx: int, dy: int) -> tuple[int, int]:
+    """The direction of a nonzero vector up to sign, as an exact hash key:
+    divided by the gcd of its components, first nonzero component positive.
+    Two nonzero vectors are parallel iff their keys are equal."""
+    g = math.gcd(dx, dy)
+    dx, dy = dx // g, dy // g
+    return (-dx, -dy) if dx < 0 or (dx == 0 and dy < 0) else (dx, dy)
 
 
 def on_segment(a: Point, b: Point, p: Point) -> bool:

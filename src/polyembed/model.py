@@ -226,13 +226,29 @@ class Embedding:
 class EmbeddingInstance:
     """A decision-problem instance: embed `tree` onto `points` inside `polygon`.
 
-    Build these through :func:`make_instance` / :func:`validate_instance`,
-    which normalize the polygon and enforce every invariant.
+    Construction checks every invariant: a simple polygon, stored CCW, one
+    point per tree node, and every point strictly inside the polygon.
     """
 
     tree: FreeTree
     points: PointSet
     polygon: SimplePolygon
+
+    def __post_init__(self):
+        tree, points = self.tree, self.points
+        polygon = normalize_ccw(self.polygon)
+        object.__setattr__(self, "polygon", polygon)
+        if len(points) != tree.node_count:
+            raise ValidationError(
+                "NodeCountMismatch",
+                f"tree has {tree.node_count} nodes but there are {len(points)} points",
+            )
+        for i, p in enumerate(points):
+            if point_in_polygon(p, polygon) is not PointLocation.INSIDE:
+                raise ValidationError(
+                    "PointOnOrOutsideBoundary",
+                    f"point {i} at {p} is not strictly inside the polygon",
+                )
 
 
 VIOLATION_KINDS = frozenset(
@@ -291,19 +307,7 @@ class VerificationReport:
 def make_instance(
     tree: FreeTree, points: PointSet, polygon: SimplePolygon
 ) -> EmbeddingInstance:
-    """Normalize the polygon to CCW and enforce every instance invariant."""
-    polygon = normalize_ccw(polygon)
-    if len(points) != tree.node_count:
-        raise ValidationError(
-            "NodeCountMismatch",
-            f"tree has {tree.node_count} nodes but there are {len(points)} points",
-        )
-    for i, p in enumerate(points):
-        if point_in_polygon(p, polygon) is not PointLocation.INSIDE:
-            raise ValidationError(
-                "PointOnOrOutsideBoundary",
-                f"point {i} at {p} is not strictly inside the polygon",
-            )
+    """Build an instance; :class:`EmbeddingInstance` checks itself."""
     return EmbeddingInstance(tree=tree, points=points, polygon=polygon)
 
 

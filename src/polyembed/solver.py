@@ -39,6 +39,7 @@ from .geometry import (
     SimplePolygon,
     boxed,
     cross,
+    direction_key,
     point_in_polygon,
     segment_relation,
 )
@@ -339,14 +340,23 @@ def _search(
 # Unconstrained embedding (no polygon, general-position points)
 
 def check_general_position(points: PointSet) -> tuple[int, int, int] | None:
-    """First collinear index triple, or None when no three points align."""
+    """Least collinear index triple (i, j, k), or None when no three points align.
+
+    For each anchor i, the points after it are grouped by the direction of
+    their offset from it; two in one group are collinear with the anchor.
+    """
     pts = points.points
     n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if cross(pts[i], pts[j], pts[k]) == 0:
-                    return (i, j, k)
+    for i in range(n - 2):
+        ax, ay = pts[i].x, pts[i].y
+        first: dict[tuple[int, int], int] = {}
+        best = None
+        for k in range(i + 1, n):
+            j = first.setdefault(direction_key(pts[k].x - ax, pts[k].y - ay), k)
+            if j != k and (best is None or j < best[0]):
+                best = (j, k)
+        if best is not None:
+            return (i, *best)
     return None
 
 

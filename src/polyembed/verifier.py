@@ -23,7 +23,6 @@ from .geometry import (
     TOUCH,
     PointIndex,
     boxed,
-    ensure_simple,
     segment_relation,
 )
 from .model import (
@@ -84,10 +83,6 @@ def _verify(tree, points, embedding, polygon) -> VerificationReport:
             [Violation(KIND_NOT_BIJECTION, points=tuple(offenders))]
         )
 
-    if polygon is not None:
-        # Cached once the polygon came through make_instance; an instance
-        # built directly gets its one check here, not one per edge.
-        ensure_simple(polygon)
     index = PointIndex(points.points)
     xs, ys = index.xs, index.ys
     violations: set[Violation] = set()

@@ -20,6 +20,17 @@ def between(ax, ay, bx, by, px, py):
     return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
+def first_collinear_triple(points):
+    """Least index triple (i, j, k) of collinear (x, y) points, or None."""
+    n = len(points)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if orient(*points[i], *points[j], *points[k]) == 0:
+                    return (i, j, k)
+    return None
+
+
 def point_location(verts, p):
     """Where p lies relative to the polygon with these (x, y) vertices:
     "on_boundary" by `between`, else "inside" or "outside" by winding

@@ -81,6 +81,12 @@ class TestSolveVerifyExtract:
         rc = run("solve", "--in", str(inst), "--out", str(tmp_path / "e.json"), "--timeout-ms", "0")
         assert rc == 3
 
+    def test_negative_timeout_exits_2(self, tmp_path, capsys):
+        inst, _ = self._gen(tmp_path, 7, "2,2,3")
+        rc = run("solve", "--in", str(inst), "--out", str(tmp_path / "e.json"), "--timeout-ms", "-5")
+        assert rc == 2
+        assert "InvalidConfig" in capsys.readouterr().err
+
     def test_extract_two_groups_sums(self, tmp_path, capsys):
         inst, meta = self._gen(tmp_path, 7, "2,2,3,2,2,3")
         emb = tmp_path / "emb.json"

@@ -20,6 +20,7 @@ from polyembed.geometry import (
     SegmentRelationKind,
     SimplePolygon,
     classify_segments,
+    direction_key,
     is_simple,
     normalize_ccw,
     on_segment,
@@ -68,6 +69,20 @@ class TestOrient2d:
         results = {orient2d(*perm) for perm in itertools.permutations((a, b, c))}
         if Orientation.COLLINEAR in results:
             assert results == {Orientation.COLLINEAR}
+
+
+class TestDirectionKey:
+    def test_equal_iff_parallel(self):
+        vecs = [(dx, dy) for dx in range(-4, 5) for dy in range(-4, 5) if dx or dy]
+        for u in vecs:
+            for v in vecs:
+                parallel = oracles.orient(0, 0, *u, *v) == 0
+                assert (direction_key(*u) == direction_key(*v)) == parallel, (u, v)
+
+    def test_reduced_and_sign_normalised(self):
+        assert direction_key(-6, 4) == (3, -2)
+        assert direction_key(0, -5) == (0, 1)
+        assert direction_key(-7, 0) == (1, 0)
 
 
 class TestClassifySegments:

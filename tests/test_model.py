@@ -8,6 +8,7 @@ from polyembed.errors import ParseError, ValidationError
 from polyembed.geometry import Point, SimplePolygon, signed_area2
 from polyembed.model import (
     Embedding,
+    EmbeddingInstance,
     FreeTree,
     PointSet,
     VerificationReport,
@@ -362,3 +363,26 @@ def test_make_instance_counts_must_match():
     with pytest.raises(ValidationError) as err:
         make_instance(tree, PointSet((Point(1, 1), Point(2, 1), Point(3, 1))), tri)
     assert err.value.code == "NodeCountMismatch"
+
+
+class TestEmbeddingInstance:
+    TRI = SimplePolygon((Point(0, 0), Point(10, 0), Point(0, 10)))
+
+    def test_invalid_instances_rejected_at_construction(self):
+        edge, path = FreeTree(2, ((0, 1),)), FreeTree(3, ((0, 1), (1, 2)))
+        cases = [
+            (edge, (Point(20, 20), Point(21, 25)), "PointOnOrOutsideBoundary"),
+            (edge, (Point(1, 1), Point(2, 1), Point(3, 1)), "NodeCountMismatch"),
+            (path, (Point(1, 1), Point(2, 1)), "NodeCountMismatch"),
+        ]
+        for tree, pts, code in cases:
+            with pytest.raises(ValidationError) as err:
+                EmbeddingInstance(tree, PointSet(pts), self.TRI)
+            assert err.value.code == code
+
+    def test_direct_construction_normalizes_polygon(self):
+        cw = SimplePolygon((Point(0, 0), Point(0, 10), Point(10, 0)))
+        tree, pts = FreeTree(2, ((0, 1),)), PointSet((Point(1, 1), Point(2, 1)))
+        direct = EmbeddingInstance(tree, pts, cw)
+        assert signed_area2(direct.polygon) > 0
+        assert direct == make_instance(tree, pts, cw)

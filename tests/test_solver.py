@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from oracles import exhaustive_feasible, segments_share_point
+from oracles import exhaustive_feasible, first_collinear_triple, segments_share_point
 from polyembed.errors import ValidationError
 from polyembed.geometry import Point, PointLocation, SimplePolygon, point_in_polygon
 from polyembed.model import FreeTree, PointSet, make_instance
@@ -124,6 +125,12 @@ class TestDecideEmbedding:
         with pytest.raises(ValidationError):
             decide_embedding(instance, SolverConfig(root_node=99))
 
+    def test_negative_time_limit_rejected(self):
+        instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
+        with pytest.raises(ValidationError) as err:
+            decide_embedding(instance, SolverConfig(time_limit_ms=-1))
+        assert err.value.code == "InvalidConfig"
+
     def test_explicit_root_still_complete(self):
         instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
         for root in range(0, 8, 3):
@@ -227,6 +234,22 @@ class TestGeneralPosition:
     def test_generated_groups_are_collinear(self):
         pts, _ = build_points(1, 7)
         assert check_general_position(pts) is not None
+
+    def test_agrees_with_oracle_on_small_lattice_sets(self):
+        rng = random.Random(8)
+        lattice = [(x, y) for x in range(7) for y in range(7)]
+        for _ in range(300):
+            chosen = rng.sample(lattice, rng.randint(3, 12))
+            pts = PointSet(tuple(Point(x, y) for x, y in chosen))
+            assert check_general_position(pts) == first_collinear_triple(chosen), chosen
+
+    def test_thousand_points_checked_quickly(self):
+        # Points on a parabola: no three align, so every pair is examined.
+        ts = random.Random(3).sample(range(-20000, 20000), 1000)
+        pts = PointSet(tuple(Point(t, t * t) for t in ts))
+        start = time.perf_counter()
+        assert check_general_position(pts) is None
+        assert time.perf_counter() - start < 5
 
 
 class TestUnconstrainedEmbedder:
