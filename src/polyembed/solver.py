@@ -12,8 +12,12 @@ A partial placement then survives only if the new edge meets the placed
 edges at the parent's image alone. Interchangeable sibling subtrees
 additionally get ascending root images, which skips permutations of
 identical chains without ever skipping the first solution the plain order
-would find. A time limit is checked before every candidate trial, but not
-yet in the visibility and clean-sightline precompute.
+would find. A placement is also dropped when the pending subtree sizes
+cannot exactly tile the clean-sightline components of the free points. The
+tiling that accepted the previous placement is kept, so a placement
+re-tiles only the component it touched; a full tiling check runs only when
+that local check fails. A time limit is checked before every candidate
+trial, but not yet in the visibility and clean-sightline precompute.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -94,10 +98,18 @@ class SolverConfig:
 
     ``root_node`` fixes the tree node placed first (default: the lowest-index
     node of maximum degree); ``time_limit_ms`` bounds the whole decision.
+    Negative values raise ``InvalidConfig`` here; ``decide_embedding`` checks
+    ``root_node`` against the tree's node count.
     """
 
     root_node: int | None = None
     time_limit_ms: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("root_node", "time_limit_ms"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValidationError("InvalidConfig", f"{name} must be non-negative")
 
 
 def _rooted(tree: FreeTree, root: int):
@@ -174,6 +186,40 @@ def _can_tile(sizes: tuple[int, ...], caps: tuple[int, ...], memo: dict) -> bool
         state = (sz[1:], tuple(sorted(cp[:i] + filled + cp[i + 1 :], reverse=True)))
 
 
+def _tiling(
+    sizes: tuple[int, ...], caps: list[int], memo: dict
+) -> list[tuple[int, ...]] | None:
+    """The sizes that fill each capacity in an exact tiling, or None if none exists.
+
+    ``sizes`` is sorted descending; ``caps`` may come in any order, and entry
+    i of the result lists the sizes that fill ``caps[i]``. The answer is
+    :func:`_can_tile`'s (one capacity needs only a sum). The tiling is read
+    back from ``memo``: every state it holds as True has a successor that is
+    True there too or is the empty, fully filled state.
+    """
+    if len(caps) == 1:
+        return [sizes] if sum(sizes) == caps[0] else None
+    cp = tuple(sorted(caps, reverse=True))
+    if not _can_tile(sizes, cp, memo):
+        return None
+    left = list(caps)
+    parts: list[list[int]] = [[] for _ in caps]
+    for k, s in enumerate(sizes):
+        rest = sizes[k + 1 :]
+        # Capacities run descending, so a True successor comes before any
+        # capacity too small to hold s.
+        for i, c in enumerate(cp):
+            filled = (c - s,) if c > s else ()
+            after = tuple(sorted(cp[:i] + filled + cp[i + 1 :], reverse=True))
+            if memo.get((rest, after)) if rest else not after or after[0] == 0:
+                break
+        cp = after
+        j = left.index(c)
+        left[j] -= s
+        parts[j].append(s)
+    return [tuple(p) for p in parts]
+
+
 def decide_embedding(
     instance: EmbeddingInstance, config: SolverConfig | None = None
 ) -> SolveOutcome:
@@ -188,10 +234,8 @@ def decide_embedding(
     cfg = config or SolverConfig()
     tree, points, polygon = instance.tree, instance.points, instance.polygon
     n = tree.node_count
-    if cfg.root_node is not None and not 0 <= cfg.root_node < n:
+    if cfg.root_node is not None and cfg.root_node >= n:
         raise ValidationError("InvalidConfig", f"root_node {cfg.root_node} out of range")
-    if cfg.time_limit_ms is not None and cfg.time_limit_ms < 0:
-        raise ValidationError("InvalidConfig", "time_limit_ms must be non-negative")
 
     start = time.perf_counter()
     deadline = math.inf if cfg.time_limit_ms is None else start + cfg.time_limit_ms / 1000.0
@@ -253,6 +297,11 @@ def _search(
     node_point = [-1] * n
     placed: list[tuple] = []  # boxed(...) + (parent node, child node) per edge
     tile_memo: dict = {}
+    # witness[d] is a tiling of the free points' components by the pending
+    # sizes before order[d] is placed: each component's lowest free point
+    # index maps to (its point count, the sizes that fill it). It is set by
+    # the check that accepted order[d - 1]'s current image; the root has none.
+    witness: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(n)]
 
     def completion_feasible(depth: int, p: int) -> bool:
         """Could placing `order[depth]` at point `p` still extend to a full embedding?
@@ -261,13 +310,22 @@ def _search(
         components of the clean-sightline graph over the remaining free
         points. Placements failing this can never complete, so skipping them
         changes neither the outcome nor which embedding is found first.
+
+        Only the component that held p changes. Its witness sizes, less the
+        placed subtree and plus its children's subtrees, are tiled into p's
+        leftover pieces; every other component keeps its witness sizes, so
+        a local tiling proves a global one. A full tiling of all components
+        runs only when that local check fails.
         """
         sizes = tile_sizes[depth]
         if not sizes:
             return True
         visited = bytearray(used)
         visited[p] = 1
-        caps = []
+        old = witness[depth]
+        kept = {}  # the components old still tiles, with their entries
+        keys, caps = [], []  # every other component
+        # Ascending scan, so each component is found from its lowest index.
         for q in range(n):
             if visited[q]:
                 continue
@@ -280,9 +338,31 @@ def _search(
                         visited[w] = 1
                         comp += 1
                         stack.append(w)
-            caps.append(comp)
-        caps.sort(reverse=True)
-        return _can_tile(sizes, tuple(caps), tile_memo)
+            entry = old.get(q)
+            if entry is not None and entry[0] == comp:
+                kept[q] = entry
+            else:
+                keys.append(q)
+                caps.append(comp)
+        parts = None
+        touched = [fill for q, (_, fill) in old.items() if q not in kept]
+        node = order[depth]
+        # With no component kept, the local problem is the whole one.
+        if kept and len(touched) == 1 and size[node] in touched[0]:
+            local = list(touched[0])
+            local.remove(size[node])
+            local.extend(size[c] for c in children[node])
+            parts = _tiling(tuple(sorted(local, reverse=True)), caps, tile_memo)
+        if parts is None:
+            keys.extend(kept)
+            caps.extend(entry[0] for entry in kept.values())
+            kept = {}
+            parts = _tiling(sizes, caps, tile_memo)
+            if parts is None:
+                return False
+        kept.update(zip(keys, zip(caps, parts)))
+        witness[depth + 1] = kept
+        return True
 
     def admissible(par: int, pp: int, p: int) -> bool:
         ax, ay, bx, by, minx, maxx, miny, maxy = boxed(pxs[pp], pys[pp], pxs[p], pys[p])

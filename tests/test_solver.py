@@ -12,6 +12,7 @@ from polyembed.solver import (
     SolveStatus,
     SolverConfig,
     _can_tile,
+    _tiling,
     build_visibility_graph,
     check_general_position,
     decide_embedding,
@@ -131,6 +132,12 @@ class TestDecideEmbedding:
             decide_embedding(instance, SolverConfig(time_limit_ms=-1))
         assert err.value.code == "InvalidConfig"
 
+    def test_config_rejects_negative_values(self):
+        for kwargs in ({"time_limit_ms": -1}, {"root_node": -3}):
+            with pytest.raises(ValidationError) as err:
+                SolverConfig(**kwargs)
+            assert err.value.code == "InvalidConfig", kwargs
+
     def test_explicit_root_still_complete(self):
         instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
         for root in range(0, 8, 3):
@@ -177,6 +184,38 @@ def test_tiling_check_handles_long_size_lists():
     assert _can_tile((1,) * 1200, (1200,), {})
 
 
+def test_tiling_witness_agrees_with_can_tile():
+    # One memo across all cases, as in a search: read-backs must stay
+    # correct however the memo was filled.
+    rng = random.Random(8)
+    memo: dict = {}
+    answers = {True: 0, False: 0}
+    for case in range(2000):
+        caps = [rng.randint(1, 12) for _ in range(rng.randint(0, 5))]
+        sizes = []
+        if case % 3 == 0:  # split each capacity, so a tiling exists
+            for c in caps:
+                while c:
+                    s = rng.randint(1, c)
+                    sizes.append(s)
+                    c -= s
+        else:  # random sizes of the same total, or one fewer
+            total = sum(caps) - (case % 3 == 2)
+            while total > 0:
+                s = rng.randint(1, min(total, 12))
+                sizes.append(s)
+                total -= s
+        sizes = tuple(sorted(sizes, reverse=True))
+        parts = _tiling(sizes, caps, memo)
+        want = _can_tile(sizes, tuple(sorted(caps, reverse=True)), {})
+        assert (parts is not None) == want, (sizes, caps)
+        answers[want] += 1
+        if parts is not None:
+            assert [sum(p) for p in parts] == caps, (sizes, caps, parts)
+            assert sorted(s for p in parts for s in p) == sorted(sizes), (sizes, caps, parts)
+    assert min(answers.values()) > 400, answers
+
+
 # First-found embeddings recorded before the solver's candidate loop and its
 # segment tests were unified; the search order must keep producing them.
 PINNED_REDUCTIONS = [
@@ -220,6 +259,15 @@ def test_first_found_embedding_pinned():
             assert outcome.status is SolveStatus.EMBEDDED
             got.append(outcome.embedding.mapping)
     assert got == PINNED_CATALOG_SEED_23
+
+
+def test_feasible_reduction_solves_at_441_points():
+    # Each placement re-tiles only the component it touched, so growth on
+    # the paper's feasible reductions stays far below this limit.
+    instance, _ = build_instance(validate_3p(22, [6, 6, 10, 7, 7, 8] * 10))
+    outcome = decide_embedding(instance, SolverConfig(time_limit_ms=10000))
+    assert outcome.status is SolveStatus.EMBEDDED
+    assert outcome.embedding.mapping == tuple(range(441))
 
 
 class TestGeneralPosition:
