@@ -8,6 +8,7 @@ integer.
 
 from __future__ import annotations
 
+from .errors import ValidationError
 from .model import Embedding, EmbeddingInstance
 
 STYLE = {
@@ -27,6 +28,11 @@ def render_svg(
     embedding: Embedding | None = None,
     highlight_point: int | None = None,
 ) -> str:
+    if embedding is not None and len(embedding) != instance.tree.node_count:
+        raise ValidationError(
+            "MappingLengthMismatch",
+            f"mapping covers {len(embedding)} nodes, tree has {instance.tree.node_count}",
+        )
     poly = instance.polygon.vertices
     pts = instance.points.points
     all_x = [p.x for p in poly] + [p.x for p in pts]

@@ -17,7 +17,8 @@ cannot exactly tile the clean-sightline components of the free points. The
 tiling that accepted the previous placement is kept, so a placement
 re-tiles only the component it touched; a full tiling check runs only when
 that local check fails. A time limit is checked before every candidate
-trial, but not yet in the visibility and clean-sightline precompute.
+trial and inside the tiling check, but not yet in the visibility and
+clean-sightline precompute.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -150,73 +151,62 @@ def _rooted(tree: FreeTree, root: int):
     return order, parent, children, size, prev_iso
 
 
-def _can_tile(sizes: tuple[int, ...], caps: tuple[int, ...], memo: dict) -> bool:
-    """Can the multiset of subtree sizes fill every capacity exactly?
+class _Expired(Exception):
+    """The deadline passed inside the tiling search.
 
-    Both tuples are sorted descending. The first size goes into one capacity
-    of each distinct value that can hold it, and the rest are tiled into
-    what remains. Every explored state is cached in ``memo`` with its answer.
-    The search keeps its own stack, one frame per size placed, so long size
-    lists do not recurse.
+    Not ``TimeoutError``: that is an ``OSError``, which ``cli.main`` reports
+    as an input error (exit 2).
     """
+
+
+def _tiling(
+    sizes: tuple[int, ...], caps: list[int], failed: set, deadline: float = math.inf
+) -> list[tuple[int, ...]] | None:
+    """The sizes that fill each capacity in an exact tiling, or None if none exists.
+
+    ``sizes`` is sorted descending; ``caps`` may come in any order, and entry
+    i of the result lists the sizes that fill ``caps[i]``. One capacity needs
+    only a sum. Otherwise the first size goes into one capacity of each
+    distinct value that can hold it, largest first, and the rest are tiled
+    into what remains; every refuted state is added to ``failed``. The
+    search keeps its own stack, one frame per size placed, so long size
+    lists do not recurse, and on success the frames are the tiling. The
+    clock is read once per new state; past ``deadline`` it raises
+    :class:`_Expired`.
+    """
+    if len(caps) == 1:
+        return [sizes] if sum(sizes) == caps[0] else None
     stack: list[list] = []  # frames: [(sizes, caps), index of the next cap]
-    state = (sizes, caps)
+    state = (sizes, tuple(sorted(caps, reverse=True)))
     while True:
         sz, cp = state
-        found = memo.get(state) if sz else not cp or cp[0] == 0
-        if found:
-            # A tiling of the new state completes every state on the stack.
-            for frame in stack:
-                memo[frame[0]] = True
-            return True
-        if found is None:
+        if not sz:
+            if not cp or cp[0] == 0:
+                break
+        elif state not in failed:
+            if time.perf_counter() >= deadline:
+                raise _Expired
             stack.append([state, 0])
         while stack:
             frame = stack[-1]
             (sz, cp), i = frame
             if i < len(cp) and cp[i] >= sz[0]:
                 break
-            memo[frame[0]] = False
+            failed.add(frame[0])
             stack.pop()
         else:
-            return False
+            return None
         c = cp[i]
         frame[1] = i + cp.count(c)  # equal capacities are adjacent
         filled = (c - sz[0],) if c > sz[0] else ()
         state = (sz[1:], tuple(sorted(cp[:i] + filled + cp[i + 1 :], reverse=True)))
-
-
-def _tiling(
-    sizes: tuple[int, ...], caps: list[int], memo: dict
-) -> list[tuple[int, ...]] | None:
-    """The sizes that fill each capacity in an exact tiling, or None if none exists.
-
-    ``sizes`` is sorted descending; ``caps`` may come in any order, and entry
-    i of the result lists the sizes that fill ``caps[i]``. The answer is
-    :func:`_can_tile`'s (one capacity needs only a sum). The tiling is read
-    back from ``memo``: every state it holds as True has a successor that is
-    True there too or is the empty, fully filled state.
-    """
-    if len(caps) == 1:
-        return [sizes] if sum(sizes) == caps[0] else None
-    cp = tuple(sorted(caps, reverse=True))
-    if not _can_tile(sizes, cp, memo):
-        return None
     left = list(caps)
     parts: list[list[int]] = [[] for _ in caps]
-    for k, s in enumerate(sizes):
-        rest = sizes[k + 1 :]
-        # Capacities run descending, so a True successor comes before any
-        # capacity too small to hold s.
-        for i, c in enumerate(cp):
-            filled = (c - s,) if c > s else ()
-            after = tuple(sorted(cp[:i] + filled + cp[i + 1 :], reverse=True))
-            if memo.get((rest, after)) if rest else not after or after[0] == 0:
-                break
-        cp = after
-        j = left.index(c)
-        left[j] -= s
-        parts[j].append(s)
+    for (sz, cp), i in stack:
+        # The frame placed sz[0] into a capacity of value cp[i - 1].
+        j = left.index(cp[i - 1])
+        left[j] -= sz[0]
+        parts[j].append(sz[0])
     return [tuple(p) for p in parts]
 
 
@@ -274,7 +264,8 @@ def _search(
 ) -> tuple[SolveStatus, tuple[int, ...] | None]:
     """Backtracking search; returns the status and, if EMBEDDED, each node's point.
 
-    The clock is read in one place, before each candidate trial.
+    The clock is read before each candidate trial and, inside the tiling
+    check, once per new state.
     """
     n = tree.node_count
     # Flat coordinate arrays keep the inner loops free of attribute lookups.
@@ -296,7 +287,7 @@ def _search(
     used = bytearray(n)
     node_point = [-1] * n
     placed: list[tuple] = []  # boxed(...) + (parent node, child node) per edge
-    tile_memo: dict = {}
+    tile_failed: set = set()  # tiling states refuted so far in this solve
     # witness[d] is a tiling of the free points' components by the pending
     # sizes before order[d] is placed: each component's lowest free point
     # index maps to (its point count, the sizes that fill it). It is set by
@@ -352,12 +343,12 @@ def _search(
             local = list(touched[0])
             local.remove(size[node])
             local.extend(size[c] for c in children[node])
-            parts = _tiling(tuple(sorted(local, reverse=True)), caps, tile_memo)
+            parts = _tiling(tuple(sorted(local, reverse=True)), caps, tile_failed, deadline)
         if parts is None:
             keys.extend(kept)
             caps.extend(entry[0] for entry in kept.values())
             kept = {}
-            parts = _tiling(sizes, caps, tile_memo)
+            parts = _tiling(sizes, caps, tile_failed, deadline)
             if parts is None:
                 return False
         kept.update(zip(keys, zip(caps, parts)))
@@ -395,8 +386,11 @@ def _search(
         for q in row[bisect_left(row, lo) :]:
             if time.perf_counter() >= deadline:
                 return SolveStatus.TIMED_OUT, None
-            if not used[q] and admissible(par, pp, q) and completion_feasible(depth, q):
-                break
+            try:
+                if not used[q] and admissible(par, pp, q) and completion_feasible(depth, q):
+                    break
+            except _Expired:
+                return SolveStatus.TIMED_OUT, None
         else:
             depth -= 1
             if depth < 0:

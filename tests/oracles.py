@@ -6,6 +6,7 @@ the library cannot hide behind shared code. Keep this module free of imports
 from polyembed.
 """
 
+from functools import cache
 from itertools import permutations
 
 
@@ -123,3 +124,34 @@ def exhaustive_feasible(tree_edges, points, polygon):
         if brute_valid(tree_edges, points, perm, polygon):
             return True
     return False
+
+
+def can_tile(sizes, caps):
+    """Can the sizes be split into groups whose sums are exactly the caps?
+
+    Fills one capacity at a time with every sub-multiset of the sizes left
+    that sums to it; the sizes are held as counts per distinct value.
+    """
+    if sum(sizes) != sum(caps):
+        return False
+    values = sorted(set(sizes))
+
+    def picks(counts, t, need):
+        """Every count vector left after taking sizes from values[t:] that sum to need."""
+        if need == 0:
+            yield counts
+            return
+        if t == len(values):
+            return
+        for m in range(min(counts[t], need // values[t]) + 1):
+            left = counts[:t] + (counts[t] - m,) + counts[t + 1 :]
+            yield from picks(left, t + 1, need - m * values[t])
+
+    @cache
+    def fill(counts, k):
+        # The totals agree, so filling every capacity uses every size.
+        if k == len(caps):
+            return True
+        return any(fill(left, k + 1) for left in picks(counts, 0, caps[k]))
+
+    return fill(tuple(sizes.count(v) for v in values), 0)

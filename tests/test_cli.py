@@ -1,6 +1,8 @@
 import json
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from polyembed.cli import main
 from polyembed.geometry import Point
 from polyembed.model import FreeTree, PointSet, serialize_point_set, serialize_tree
@@ -178,6 +180,17 @@ class TestRender:
         run("render", "--in", str(inst), "--out", str(a))
         run("render", "--in", str(inst), "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("length", [3, 10])
+    def test_wrong_mapping_length_exits_2(self, tmp_path, capsys, length):
+        inst = tmp_path / "inst.json"
+        emb = tmp_path / "emb.json"
+        svg = tmp_path / "pic.svg"
+        run("gen", "--B", "7", "--a", "2,2,3", "--out", str(inst), "--meta", str(tmp_path / "m.json"))
+        emb.write_text(json.dumps({"mapping": list(range(length))}))
+        assert run("render", "--in", str(inst), "--embedding", str(emb), "--out", str(svg)) == 2
+        assert "MappingLengthMismatch" in capsys.readouterr().err
+        assert not svg.exists()
 
 
 class TestEmbedFree:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from oracles import exhaustive_feasible, first_collinear_triple, segments_share_point
+from oracles import can_tile, exhaustive_feasible, first_collinear_triple, segments_share_point
 from polyembed.errors import ValidationError
 from polyembed.geometry import Point, PointLocation, SimplePolygon, point_in_polygon
 from polyembed.model import FreeTree, PointSet, make_instance
@@ -11,7 +11,6 @@ from polyembed.reduction import build_instance, build_points, build_polygon, val
 from polyembed.solver import (
     SolveStatus,
     SolverConfig,
-    _can_tile,
     _tiling,
     build_visibility_graph,
     check_general_position,
@@ -153,6 +152,16 @@ class TestDecideEmbedding:
         assert outcome.status is SolveStatus.TIMED_OUT
         assert outcome.elapsed_ms >= 500
 
+    def test_deadline_expires_inside_tiling(self):
+        # Infeasible, 401 points: the root's first tiling check alone runs
+        # for about 11 s unless the tiling search reads the clock.
+        values = [11, 18, 13, 19, 12, 17, 11, 14, 14, 12, 13, 12, 12, 13, 11]
+        values += [11, 12, 15, 16, 12, 18, 17, 12, 13, 11, 11, 13, 14, 11, 12]
+        instance, _ = build_instance(validate_3p(40, values))
+        outcome = decide_embedding(instance, SolverConfig(time_limit_ms=1000))
+        assert outcome.status is SolveStatus.TIMED_OUT
+        assert outcome.elapsed_ms < 3000
+
     def test_star_on_grid_infeasible_within_deadline(self):
         # Every grid point has another point hidden behind a neighbour in its
         # 4-point column, so the hub has no clean sightline to some point.
@@ -181,14 +190,16 @@ class TestDecideEmbedding:
 
 
 def test_tiling_check_handles_long_size_lists():
-    assert _can_tile((1,) * 1200, (1200,), {})
+    # Two capacities, so the search runs (one would take the sum shortcut).
+    assert _tiling((1,) * 1200, [600, 600], set()) == [(1,) * 600, (1,) * 600]
 
 
 def test_tiling_witness_agrees_with_can_tile():
-    # One memo across all cases, as in a search: read-backs must stay
-    # correct however the memo was filled.
+    # One failed-state set across all cases, as in a search: answers and
+    # fills must not depend on what earlier calls refuted. Repeating a case
+    # revisits its states, so a state refuted in error shows there.
     rng = random.Random(8)
-    memo: dict = {}
+    failed: set = set()
     answers = {True: 0, False: 0}
     for case in range(2000):
         caps = [rng.randint(1, 12) for _ in range(rng.randint(0, 5))]
@@ -206,10 +217,11 @@ def test_tiling_witness_agrees_with_can_tile():
                 sizes.append(s)
                 total -= s
         sizes = tuple(sorted(sizes, reverse=True))
-        parts = _tiling(sizes, caps, memo)
-        want = _can_tile(sizes, tuple(sorted(caps, reverse=True)), {})
+        parts = _tiling(sizes, caps, failed)
+        want = can_tile(sizes, caps)
         assert (parts is not None) == want, (sizes, caps)
         answers[want] += 1
+        assert parts == _tiling(sizes, caps, set()) == _tiling(sizes, caps, failed), (sizes, caps)
         if parts is not None:
             assert [sum(p) for p in parts] == caps, (sizes, caps, parts)
             assert sorted(s for p in parts for s in p) == sorted(sizes), (sizes, caps, parts)
