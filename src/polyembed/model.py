@@ -251,13 +251,19 @@ class EmbeddingInstance:
                 )
 
 
+KIND_NOT_BIJECTION = "NotBijection"
+KIND_EDGE_CROSSES_EDGE = "EdgeCrossesEdge"
+KIND_EDGES_OVERLAP = "EdgesOverlapAtSegment"
+KIND_EDGE_HITS_BOUNDARY = "EdgeHitsBoundary"
+KIND_EDGE_THROUGH_POINT = "EdgeThroughMappedPoint"
+
 VIOLATION_KINDS = frozenset(
     {
-        "NotBijection",
-        "EdgeCrossesEdge",
-        "EdgesOverlapAtSegment",
-        "EdgeHitsBoundary",
-        "EdgeThroughMappedPoint",
+        KIND_NOT_BIJECTION,
+        KIND_EDGE_CROSSES_EDGE,
+        KIND_EDGES_OVERLAP,
+        KIND_EDGE_HITS_BOUNDARY,
+        KIND_EDGE_THROUGH_POINT,
     }
 )
 

@@ -14,11 +14,12 @@ additionally get ascending root images, which skips permutations of
 identical chains without ever skipping the first solution the plain order
 would find. A placement is also dropped when the pending subtree sizes
 cannot exactly tile the clean-sightline components of the free points. The
-tiling that accepted the previous placement is kept, so a placement
-re-tiles only the component it touched; a full tiling check runs only when
-that local check fails. A time limit is checked before every candidate
-trial and inside the tiling check, but not yet in the visibility and
-clean-sightline precompute.
+tiling that accepted the previous placement is kept per depth, so nothing
+is undone on backtrack: a placement searches only the component it splits,
+re-tiles that component's sizes into the pieces, and runs a full tiling
+only when that local check fails and other components exist. A time limit
+is checked before every candidate trial and inside the tiling check, but
+not yet in the visibility and clean-sightline precompute.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -152,7 +153,7 @@ def _rooted(tree: FreeTree, root: int):
 
 
 class _Expired(Exception):
-    """The deadline passed inside the tiling search.
+    """The deadline passed during the search.
 
     Not ``TimeoutError``: that is an ``OSError``, which ``cli.main`` reports
     as an input error (exit 2).
@@ -248,51 +249,44 @@ def decide_embedding(
                 clean_adj[i].append(j)
                 clean_adj[j].append(i)
 
-    status, mapping = _search(tree, root, index, clean_adj, deadline)
-    if status is SolveStatus.TIMED_OUT:
-        return SolveOutcome(status, elapsed_ms=int((time.perf_counter() - start) * 1000))
-    if status is SolveStatus.INFEASIBLE:
-        return SolveOutcome(status)
+    try:
+        mapping = _search(tree, root, index, clean_adj, deadline)
+    except _Expired:
+        elapsed_ms = int((time.perf_counter() - start) * 1000)
+        return SolveOutcome(SolveStatus.TIMED_OUT, elapsed_ms=elapsed_ms)
+    if mapping is None:
+        return SolveOutcome(SolveStatus.INFEASIBLE)
     embedding = Embedding(mapping)
     if not verify_embedding(instance, embedding).valid:
         raise RuntimeError("solver produced an embedding its verifier rejects")
-    return SolveOutcome(status, embedding=embedding)
+    return SolveOutcome(SolveStatus.EMBEDDED, embedding=embedding)
 
 
 def _search(
     tree: FreeTree, root: int, index: PointIndex, clean_adj: list[list[int]], deadline: float
-) -> tuple[SolveStatus, tuple[int, ...] | None]:
-    """Backtracking search; returns the status and, if EMBEDDED, each node's point.
+) -> tuple[int, ...] | None:
+    """Backtracking search; each node's point, or None if no embedding exists.
 
     The clock is read before each candidate trial and, inside the tiling
-    check, once per new state.
+    check, once per new state; past ``deadline`` :class:`_Expired` is raised.
     """
     n = tree.node_count
     # Flat coordinate arrays keep the inner loops free of attribute lookups.
     pxs, pys = index.xs, index.ys
     order, parent, children, size, prev_iso = _rooted(tree, root)
 
-    # Nodes are placed in the fixed order `order`, so the subtrees still to
-    # place once order[d] is placed depend on d alone: they are the unplaced
-    # nodes whose parent is placed. tile_sizes[d] holds their sizes, sorted
-    # descending for the tiling check.
-    tile_sizes: list[tuple[int, ...]] = []
-    pending: list[int] = []
-    for d, v in enumerate(order):
-        if d:
-            pending.remove(size[v])
-        pending.extend(size[c] for c in children[v])
-        tile_sizes.append(tuple(sorted(pending, reverse=True)))
-
     used = bytearray(n)
     node_point = [-1] * n
     placed: list[tuple] = []  # boxed(...) + (parent node, child node) per edge
     tile_failed: set = set()  # tiling states refuted so far in this solve
     # witness[d] is a tiling of the free points' components by the pending
-    # sizes before order[d] is placed: each component's lowest free point
-    # index maps to (its point count, the sizes that fill it). It is set by
-    # the check that accepted order[d - 1]'s current image; the root has none.
-    witness: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(n)]
+    # subtree sizes before order[d] is placed: each component's lowest free
+    # point index maps to (its point count, the sizes that fill it). It is
+    # set by the check that accepted order[d - 1]'s current image. Before the
+    # root, the whole tree fills all points, which is exact when the
+    # clean-sightline graph is connected; otherwise no embedding exists.
+    witness: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(n + 1)]
+    witness[0] = {0: (n, (n,))}
 
     def completion_feasible(depth: int, p: int) -> bool:
         """Could placing `order[depth]` at point `p` still extend to a full embedding?
@@ -302,57 +296,59 @@ def _search(
         points. Placements failing this can never complete, so skipping them
         changes neither the outcome nor which embedding is found first.
 
-        Only the component that held p changes. Its witness sizes, less the
-        placed subtree and plus its children's subtrees, are tiled into p's
-        leftover pieces; every other component keeps its witness sizes, so
-        a local tiling proves a global one. A full tiling of all components
-        runs only when that local check fails.
+        Only the component that held p changes. It splits into the pieces
+        reached from p's free neighbours, and its witness entry is keyed by
+        the lowest of p and those pieces' points. Its witness sizes, less the
+        placed subtree and plus its children's subtrees, are tiled into the
+        pieces; every other component keeps its entry, so a local tiling
+        proves a global one. All pending sizes are tiled into all components
+        only when the local tiling fails or cannot start and other
+        components exist. At the root, no entry means a disconnected graph.
         """
-        sizes = tile_sizes[depth]
-        if not sizes:
-            return True
         visited = bytearray(used)
         visited[p] = 1
-        old = witness[depth]
-        kept = {}  # the components old still tiles, with their entries
-        keys, caps = [], []  # every other component
-        # Ascending scan, so each component is found from its lowest index.
-        for q in range(n):
+        pieces = []  # (lowest point, point count) per piece of p's component
+        for q in clean_adj[p]:
             if visited[q]:
                 continue
             visited[q] = 1
-            comp = 1
-            stack = [q]
-            while stack:
-                for w in clean_adj[stack.pop()]:
+            piece = [q]
+            for v in piece:  # a breadth-first search: the loop reads what it appends
+                for w in clean_adj[v]:
                     if not visited[w]:
                         visited[w] = 1
-                        comp += 1
-                        stack.append(w)
-            entry = old.get(q)
-            if entry is not None and entry[0] == comp:
-                kept[q] = entry
-            else:
-                keys.append(q)
-                caps.append(comp)
-        parts = None
-        touched = [fill for q, (_, fill) in old.items() if q not in kept]
+                        piece.append(w)
+            pieces.append((min(piece), len(piece)))
+        pieces.sort()
+        keys = [low for low, _ in pieces]
+        caps = [comp for _, comp in pieces]
+        home = min(keys + [p])
+        old = witness[depth]
+        if home not in old:
+            return False
         node = order[depth]
-        # With no component kept, the local problem is the whole one.
-        if kept and len(touched) == 1 and size[node] in touched[0]:
-            local = list(touched[0])
-            local.remove(size[node])
-            local.extend(size[c] for c in children[node])
-            parts = _tiling(tuple(sorted(local, reverse=True)), caps, tile_failed, deadline)
+        kids = [size[c] for c in children[node]]
+        new = dict(old)
+        fill = list(new.pop(home)[1])
+        parts = None
+        if size[node] in fill:
+            fill.remove(size[node])
+            parts = _tiling(tuple(sorted(fill + kids, reverse=True)), caps, tile_failed, deadline)
         if parts is None:
-            keys.extend(kept)
-            caps.extend(entry[0] for entry in kept.values())
-            kept = {}
-            parts = _tiling(sizes, caps, tile_failed, deadline)
+            if not new:
+                return False
+            pending = [s for _, f in old.values() for s in f]
+            pending.remove(size[node])
+            pending += kids
+            others = sorted(new)
+            keys += others
+            caps += [new[q][0] for q in others]
+            parts = _tiling(tuple(sorted(pending, reverse=True)), caps, tile_failed, deadline)
             if parts is None:
                 return False
-        kept.update(zip(keys, zip(caps, parts)))
-        witness[depth + 1] = kept
+            new = {}
+        new.update(zip(keys, zip(caps, parts)))
+        witness[depth + 1] = new
         return True
 
     def admissible(par: int, pp: int, p: int) -> bool:
@@ -385,16 +381,13 @@ def _search(
         lo = max(resume, node_point[sib] + 1 if sib >= 0 else 0)
         for q in row[bisect_left(row, lo) :]:
             if time.perf_counter() >= deadline:
-                return SolveStatus.TIMED_OUT, None
-            try:
-                if not used[q] and admissible(par, pp, q) and completion_feasible(depth, q):
-                    break
-            except _Expired:
-                return SolveStatus.TIMED_OUT, None
+                raise _Expired
+            if not used[q] and admissible(par, pp, q) and completion_feasible(depth, q):
+                break
         else:
             depth -= 1
             if depth < 0:
-                return SolveStatus.INFEASIBLE, None
+                return None
             undo = order[depth]
             used[node_point[undo]] = 0
             resume = node_point[undo] + 1
@@ -407,7 +400,7 @@ def _search(
             placed.append(boxed(pxs[pp], pys[pp], pxs[q], pys[q]) + (par, node))
         depth += 1
         resume = 0
-    return SolveStatus.EMBEDDED, tuple(node_point)
+    return tuple(node_point)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,11 @@ from .geometry import (
     segment_relation,
 )
 from .model import (
+    KIND_EDGE_CROSSES_EDGE,
+    KIND_EDGE_HITS_BOUNDARY,
+    KIND_EDGE_THROUGH_POINT,
+    KIND_EDGES_OVERLAP,
+    KIND_NOT_BIJECTION,
     Embedding,
     EmbeddingInstance,
     FreeTree,
@@ -33,12 +38,6 @@ from .model import (
     VerificationReport,
     Violation,
 )
-
-KIND_NOT_BIJECTION = "NotBijection"
-KIND_EDGE_CROSSES_EDGE = "EdgeCrossesEdge"
-KIND_EDGES_OVERLAP = "EdgesOverlapAtSegment"
-KIND_EDGE_HITS_BOUNDARY = "EdgeHitsBoundary"
-KIND_EDGE_THROUGH_POINT = "EdgeThroughMappedPoint"
 
 
 def verify_embedding(

@@ -39,6 +39,7 @@ from polyembed.solver import (
     embed_tree_unconstrained,
 )
 from polyembed.verifier import verify_embedding, verify_planar_only
+from test_solver import POLYGON_CATALOG
 
 
 def _report(number, ok, detail):
@@ -166,14 +167,6 @@ def test_criterion_4_verifier_oracle_equivalence():
             mismatches += 1
         cases += 1
     _report(4, mismatches == 0, f"{cases} random cases, {mismatches} disagreements")
-
-
-POLYGON_CATALOG = [
-    [(0, 0), (9, 0), (0, 9)],
-    [(0, 0), (8, 0), (8, 8), (0, 8)],
-    [(0, 0), (8, 0), (8, 2), (10, 0), (18, 0), (0, 18)],  # notched
-    [(0, 0), (10, 0), (10, 4), (6, 4), (6, 8), (0, 8)],  # reflex L
-]
 
 
 def _interior_cells(polygon):
