@@ -8,7 +8,9 @@ sightlines to its parent's image: pairs of mutually visible points with no
 third point of the instance between them. One candidate loop serves both.
 Excluding edges that cover a point not yet placed is safe: every point must
 eventually be used, so such an edge can never extend to a valid embedding.
-A partial placement then survives only if the new edge meets the placed
+For the same reason a node of tree degree d is tried only at points with
+at least d clean sightlines (the degree filter of subgraph matching). A
+partial placement then survives only if the new edge meets the placed
 edges at the parent's image alone. Interchangeable sibling subtrees
 additionally get ascending root images, which skips permutations of
 identical chains without ever skipping the first solution the plain order
@@ -17,9 +19,12 @@ cannot exactly tile the clean-sightline components of the free points. The
 tiling that accepted the previous placement is kept per depth, so nothing
 is undone on backtrack: a placement searches only the component it splits,
 re-tiles that component's sizes into the pieces, and runs a full tiling
-only when that local check fails and other components exist. A time limit
-is checked before every candidate trial and inside the tiling check, but
-not yet in the visibility and clean-sightline precompute.
+only when that local check fails and other components exist. The tiling
+search refutes a state at once when some capacity is no subset sum of its
+sizes. Every prune drops only what cannot complete, so verdicts and
+first-found embeddings do not depend on them. A time limit is checked
+before every candidate trial and inside the tiling check, but not yet in
+the visibility and clean-sightline precompute.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -161,7 +166,7 @@ class _Expired(Exception):
 
 
 def _tiling(
-    sizes: tuple[int, ...], caps: list[int], failed: set, deadline: float = math.inf
+    sizes: tuple[int, ...], caps: list[int], deadline: float = math.inf
 ) -> list[tuple[int, ...]] | None:
     """The sizes that fill each capacity in an exact tiling, or None if none exists.
 
@@ -169,7 +174,9 @@ def _tiling(
     i of the result lists the sizes that fill ``caps[i]``. One capacity needs
     only a sum. Otherwise the first size goes into one capacity of each
     distinct value that can hold it, largest first, and the rest are tiled
-    into what remains; every refuted state is added to ``failed``. The
+    into what remains. A state is refuted at once when some capacity is no
+    subset sum of its sizes (the cheap test of bin completion); the refuted
+    states of this call are kept so that none is searched twice. The
     search keeps its own stack, one frame per size placed, so long size
     lists do not recurse, and on success the frames are the tiling. The
     clock is read once per new state; past ``deadline`` it raises
@@ -177,6 +184,7 @@ def _tiling(
     """
     if len(caps) == 1:
         return [sizes] if sum(sizes) == caps[0] else None
+    failed: set = set()
     stack: list[list] = []  # frames: [(sizes, caps), index of the next cap]
     state = (sizes, tuple(sorted(caps, reverse=True)))
     while True:
@@ -187,7 +195,13 @@ def _tiling(
         elif state not in failed:
             if time.perf_counter() >= deadline:
                 raise _Expired
-            stack.append([state, 0])
+            reach = 1  # bit s is set iff some sub-multiset of sz sums to s
+            for s in sz:
+                reach |= reach << s
+            if all(reach >> c & 1 for c in set(cp)):
+                stack.append([state, 0])
+            else:
+                failed.add(state)
         while stack:
             frame = stack[-1]
             (sz, cp), i = frame
@@ -278,7 +292,6 @@ def _search(
     used = bytearray(n)
     node_point = [-1] * n
     placed: list[tuple] = []  # boxed(...) + (parent node, child node) per edge
-    tile_failed: set = set()  # tiling states refuted so far in this solve
     # witness[d] is a tiling of the free points' components by the pending
     # subtree sizes before order[d] is placed: each component's lowest free
     # point index maps to (its point count, the sizes that fill it). It is
@@ -333,7 +346,7 @@ def _search(
         parts = None
         if size[node] in fill:
             fill.remove(size[node])
-            parts = _tiling(tuple(sorted(fill + kids, reverse=True)), caps, tile_failed, deadline)
+            parts = _tiling(tuple(sorted(fill + kids, reverse=True)), caps, deadline)
         if parts is None:
             if not new:
                 return False
@@ -343,7 +356,7 @@ def _search(
             others = sorted(new)
             keys += others
             caps += [new[q][0] for q in others]
-            parts = _tiling(tuple(sorted(pending, reverse=True)), caps, tile_failed, deadline)
+            parts = _tiling(tuple(sorted(pending, reverse=True)), caps, deadline)
             if parts is None:
                 return False
             new = {}
@@ -379,10 +392,17 @@ def _search(
             row = clean_adj[pp]
         sib = prev_iso[node]
         lo = max(resume, node_point[sib] + 1 if sib >= 0 else 0)
+        # Each of the node's edges is a clean sightline from its image.
+        need = tree.degree(node)
         for q in row[bisect_left(row, lo) :]:
             if time.perf_counter() >= deadline:
                 raise _Expired
-            if not used[q] and admissible(par, pp, q) and completion_feasible(depth, q):
+            if (
+                not used[q]
+                and len(clean_adj[q]) >= need
+                and admissible(par, pp, q)
+                and completion_feasible(depth, q)
+            ):
                 break
         else:
             depth -= 1

@@ -155,3 +155,31 @@ def can_tile(sizes, caps):
         return any(fill(left, k + 1) for left in picks(counts, 0, caps[k]))
 
     return fill(tuple(sizes.count(v) for v in values), 0)
+
+
+def three_partition(target, values):
+    """Can the values be split into triples that each sum to target?
+
+    Takes the largest value left and tries every pair of the others that
+    completes its triple; answers are memoised on the sorted remainder.
+    """
+    if len(values) % 3 or sum(values) != target * (len(values) // 3):
+        return False
+
+    @cache
+    def solvable(rest):
+        if not rest:
+            return True
+        *others, largest = rest
+        tried = set()
+        for i, a in enumerate(others):
+            for j in range(i + 1, len(others)):
+                pair = (a, others[j])
+                if largest + a + others[j] != target or pair in tried:
+                    continue
+                tried.add(pair)
+                if solvable(tuple(others[:i] + others[i + 1 : j] + others[j + 1 :])):
+                    return True
+        return False
+
+    return solvable(tuple(sorted(values)))

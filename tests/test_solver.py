@@ -3,14 +3,29 @@ import time
 
 import pytest
 
-from oracles import can_tile, exhaustive_feasible, first_collinear_triple, segments_share_point
+from oracles import (
+    can_tile,
+    exhaustive_feasible,
+    first_collinear_triple,
+    segments_share_point,
+    three_partition,
+)
+from polyembed import solver
 from polyembed.errors import ValidationError
 from polyembed.geometry import Point, PointLocation, SimplePolygon, point_in_polygon
 from polyembed.model import FreeTree, PointSet, make_instance
-from polyembed.reduction import build_instance, build_points, build_polygon, validate_3p
+from polyembed.reduction import (
+    build_instance,
+    build_points,
+    build_polygon,
+    extract_partition,
+    partition_solves,
+    validate_3p,
+)
 from polyembed.solver import (
     SolveStatus,
     SolverConfig,
+    _Expired,
     _tiling,
     build_visibility_graph,
     check_general_position,
@@ -36,6 +51,30 @@ def random_bounded_instance(rng, n_points, polygon_vertices):
         polygon,
     )
     return instance, edges, chosen, polygon_vertices
+
+
+L_POLYGON = [(0, 0), (40, 0), (40, 16), (24, 16), (24, 32), (0, 32)]
+
+
+def near_partition(rng, target, n):
+    """3n values in (target/4, target/2) summing to n * target.
+
+    Draws n triples that each sum to target, then makes 3n attempts at a
+    unit transfer between two values that keeps both in range, so most
+    draws are close to a 3-partition without being one.
+    """
+    lo, hi = target // 4 + 1, (target - 1) // 2
+    values: list[int] = []
+    while len(values) < 3 * n:
+        a, b = rng.randint(lo, hi), rng.randint(lo, hi)
+        if lo <= target - a - b <= hi:
+            values += [a, b, target - a - b]
+    for _ in range(3 * n):
+        i, j = rng.randrange(3 * n), rng.randrange(3 * n)
+        if i != j and values[i] > lo and values[j] < hi:
+            values[i] -= 1
+            values[j] += 1
+    return values
 
 
 POLYGON_CATALOG = [
@@ -145,28 +184,52 @@ class TestDecideEmbedding:
             assert verify_embedding(instance, outcome.embedding).valid
 
     def test_deadline_expires_mid_search(self):
-        # Infeasible, and about 1.5 s to refute unbounded: the limit runs out
-        # inside the candidate loop, long after the precompute.
-        instance, _ = build_instance(validate_3p(22, [7, 7, 7, 7, 7, 9] * 5))
+        # 20 random lattice points in an L and a random tree: the search
+        # still runs after 10 s, so the limit runs out inside the candidate
+        # loop, long after the precompute.
+        rng = random.Random(1)
+        polygon = SimplePolygon(tuple(Point(x, y) for x, y in L_POLYGON))
+        interior = [
+            (x, y)
+            for x in range(41)
+            for y in range(33)
+            if point_in_polygon(Point(x, y), polygon) is PointLocation.INSIDE
+        ]
+        chosen = rng.sample(interior, 20)
+        tree = FreeTree(20, tuple((rng.randrange(i), i) for i in range(1, 20)))
+        instance = make_instance(tree, PointSet(tuple(Point(x, y) for x, y in chosen)), polygon)
         outcome = decide_embedding(instance, SolverConfig(time_limit_ms=500))
         assert outcome.status is SolveStatus.TIMED_OUT
         assert outcome.elapsed_ms >= 500
 
     def test_deadline_expires_inside_tiling(self):
-        # Infeasible, 401 points: the root's first tiling check alone runs
-        # for about 11 s unless the tiling search reads the clock.
-        values = [11, 18, 13, 19, 12, 17, 11, 14, 14, 12, 13, 12, 12, 13, 11]
-        values += [11, 12, 15, 16, 12, 18, 17, 12, 13, 11, 11, 13, 14, 11, 12]
-        instance, _ = build_instance(validate_3p(40, values))
-        outcome = decide_embedding(instance, SolverConfig(time_limit_ms=1000))
-        assert outcome.status is SolveStatus.TIMED_OUT
-        assert outcome.elapsed_ms < 3000
+        # 60 sizes into 20 capacities of 1000: still searching after 15 s
+        # unless the tiling search reads the clock.
+        sizes = tuple(sorted(near_partition(random.Random(4), 1000, 20), reverse=True))
+        start = time.perf_counter()
+        with pytest.raises(_Expired):
+            _tiling(sizes, [1000] * 20, start + 1.0)
+        assert time.perf_counter() - start < 3.0
+
+    def test_degree_filter_refutes_infeasible_reduction(self, monkeypatch):
+        # No group point has the hub's 30 clean neighbours, so only the root
+        # at the anchor reaches a tiling check (6,641 checks without it).
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _tiling(*args)
+
+        monkeypatch.setattr(solver, "_tiling", counted)
+        instance, _ = build_instance(validate_3p(22, [7, 7, 7, 7, 7, 9] * 5))
+        outcome = decide_embedding(instance, SolverConfig(time_limit_ms=2000))
+        assert outcome.status is SolveStatus.INFEASIBLE
+        assert len(calls) == 1
 
     def test_star_on_grid_infeasible_within_deadline(self):
         # Every grid point has another point hidden behind a neighbour in its
-        # 4-point column, so the hub has no clean sightline to some point.
-        # Without the sibling-symmetry prune the search tries the
-        # interchangeable leaves in every order and runs out of time.
+        # 4-point column, so the hub has no clean sightline to some point:
+        # the degree filter refuses every root before any tiling check.
         square = SimplePolygon((Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10)))
         grid = PointSet(tuple(Point(x, y) for x in range(1, 4) for y in range(1, 5)))
         star = FreeTree(12, tuple((0, leaf) for leaf in range(1, 12)))
@@ -189,17 +252,24 @@ class TestDecideEmbedding:
         assert agree == 24
 
 
+def test_subset_sum_test_refutes_near_partition():
+    # No tiling exists. The subset-sum test refutes every branch after 16
+    # states; without it the search is still running after 3 s.
+    sizes = tuple(sorted(near_partition(random.Random(0), 1000, 20), reverse=True))
+    start = time.perf_counter()
+    assert _tiling(sizes, [1000] * 20, start + 1.0) is None
+    assert time.perf_counter() - start < 0.5
+
+
 def test_tiling_check_handles_long_size_lists():
     # Two capacities, so the search runs (one would take the sum shortcut).
-    assert _tiling((1,) * 1200, [600, 600], set()) == [(1,) * 600, (1,) * 600]
+    assert _tiling((1,) * 1200, [600, 600]) == [(1,) * 600, (1,) * 600]
 
 
 def test_tiling_witness_agrees_with_can_tile():
-    # One failed-state set across all cases, as in a search: answers and
-    # fills must not depend on what earlier calls refuted. Repeating a case
-    # revisits its states, so a state refuted in error shows there.
+    # Each call keeps its own refuted states, so a repeated case must give
+    # the same fill.
     rng = random.Random(8)
-    failed: set = set()
     answers = {True: 0, False: 0}
     for case in range(2000):
         caps = [rng.randint(1, 12) for _ in range(rng.randint(0, 5))]
@@ -217,11 +287,11 @@ def test_tiling_witness_agrees_with_can_tile():
                 sizes.append(s)
                 total -= s
         sizes = tuple(sorted(sizes, reverse=True))
-        parts = _tiling(sizes, caps, failed)
+        parts = _tiling(sizes, caps)
         want = can_tile(sizes, caps)
         assert (parts is not None) == want, (sizes, caps)
         answers[want] += 1
-        assert parts == _tiling(sizes, caps, set()) == _tiling(sizes, caps, failed), (sizes, caps)
+        assert parts == _tiling(sizes, caps), (sizes, caps)
         if parts is not None:
             assert [sum(p) for p in parts] == caps, (sizes, caps, parts)
             assert sorted(s for p in parts for s in p) == sorted(sizes), (sizes, caps, parts)
@@ -280,6 +350,37 @@ def test_feasible_reduction_solves_at_441_points():
     outcome = decide_embedding(instance, SolverConfig(time_limit_ms=10000))
     assert outcome.status is SolveStatus.EMBEDDED
     assert outcome.embedding.mapping == tuple(range(441))
+
+
+def test_verdicts_match_three_partition_oracle_at_scale():
+    # The paper's lemma: a reduction embeds iff its values 3-partition.
+    # Seeded orders of the benchmark's value lists and near-partitions, all
+    # at 133 to 265 points, against an oracle that shares no code with the
+    # solver's tiling search.
+    rng = random.Random(5)
+    cases = []
+    for k in (3, 6):
+        for base in ([6, 6, 10, 7, 7, 8], [7, 7, 7, 7, 7, 9]):
+            values = base * k
+            rng.shuffle(values)
+            cases.append((22, values))
+    for target in (22, 25, 28, 31, 34, 37, 40, 40):
+        n = rng.randint(-(-132 // target), 264 // target)  # n * target + 1 points
+        cases.append((target, near_partition(rng, target, n)))
+    verdicts = {True: 0, False: 0}
+    for target, values in cases:
+        inst = validate_3p(target, values)
+        instance, meta = build_instance(inst)
+        outcome = decide_embedding(instance, SolverConfig(time_limit_ms=20000))
+        want = three_partition(target, values)
+        assert outcome.status is (SolveStatus.EMBEDDED if want else SolveStatus.INFEASIBLE), (
+            target,
+            values,
+        )
+        if want:
+            assert partition_solves(inst, extract_partition(meta, outcome.embedding))
+        verdicts[want] += 1
+    assert verdicts == {True: 6, False: 6}
 
 
 class TestGeneralPosition:
