@@ -10,15 +10,17 @@ import itertools
 import json
 import random
 
+from polyembed.geometry import PointIndex
 from polyembed.model import VIOLATION_KINDS, Embedding, serialize_report
-from polyembed.reduction import build_instance, validate_3p
-from polyembed.solver import SolverConfig, decide_embedding
+from polyembed.reduction import build_instance, build_points, build_polygon, validate_3p
+from polyembed.solver import SolverConfig, build_visibility_graph, decide_embedding
 from polyembed.verifier import verify_embedding
 from test_acceptance import enumerate_3p_sweep
 from test_solver import POLYGON_CATALOG, random_bounded_instance
 
 SOLVER_DIGEST = "989cd51d368490842df1233906c541a126fab65adb03335c1b89aecd24b8b893"
 VERIFIER_DIGEST = "0fdaef420c23cae868d891c674b127c8e7dfbe6921a055b525a32704ddf51bdb"
+VISIBILITY_DIGEST = "a0210acf35a0fd1b711cd949545c5d8dc7cf85a9d55bc2890cf3a8c30f4a8dac"
 
 # Reductions beyond the sweep, solved with the default root.
 LARGER_REDUCTIONS = [
@@ -110,3 +112,45 @@ def test_verifier_parity_digest():
     assert len(records) == 1290
     assert kinds == VIOLATION_KINDS
     assert _digest(records) == VERIFIER_DIGEST
+
+
+def visibility_corpus():
+    """(label, points, polygon) for every case of the visibility family.
+
+    The criterion-2 instances (n <= 4, B in {7, 8, 10, 12}), 40 seeded
+    point sets in the catalogue polygons, and reductions up to 401 points:
+    ``[17,17,16]*k`` at B = 50 for k <= 8 and ``[6,6,10,7,7,8]*5`` at B = 22.
+    """
+    for n in range(1, 5):
+        for b in (7, 8, 10, 12):
+            points, _ = build_points(n, b)
+            yield ("criterion2", n, b), points, build_polygon(n, b)
+    rng = random.Random(97)
+    for case in range(40):
+        poly = POLYGON_CATALOG[case % len(POLYGON_CATALOG)]
+        instance, *_ = random_bounded_instance(rng, rng.randint(2, 20), poly)
+        yield ("catalog", case), instance.points, instance.polygon
+    reductions = [(50, [17, 17, 16] * k) for k in range(1, 9)] + [(22, [6, 6, 10, 7, 7, 8] * 5)]
+    for b, a in reductions:
+        instance, _ = build_instance(validate_3p(b, a))
+        yield ("reduction", b, len(a)), instance.points, instance.polygon
+
+
+def _clean_lists(points, matrix):
+    """Ascending clean-sightline lists: visible pairs with no point between."""
+    index = PointIndex(points.points)
+    n = len(matrix)
+    return [
+        [j for j in range(n) if j != i and matrix[i][j] and next(index.inside(i, j), None) is None]
+        for i in range(n)
+    ]
+
+
+def test_visibility_parity_digest():
+    records = []
+    for label, points, polygon in visibility_corpus():
+        matrix = build_visibility_graph(points, polygon).matrix
+        rows = ["".join("1" if v else "0" for v in row) for row in matrix]
+        records.append([label, rows, _clean_lists(points, matrix)])
+    assert len(records) == 65
+    assert _digest(records) == VISIBILITY_DIGEST
