@@ -15,7 +15,8 @@ verifier all go through it. :func:`boxed` is the one segment record and
 :meth:`SimplePolygon.blocks` the one segment-versus-boundary test. Public
 predicates validate their polygon; loops over an already-validated instance
 call these flat forms, which check nothing again. :class:`PointIndex` is
-the one scan for instance points covered by a segment between two others.
+the verifier's scan for instance points covered by a segment between two
+others; the solver finds clean sightlines by grouping points into rays.
 """
 
 from __future__ import annotations

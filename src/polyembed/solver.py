@@ -22,9 +22,11 @@ re-tiles that component's sizes into the pieces, and runs a full tiling
 only when that local check fails and other components exist. The tiling
 search refutes a state at once when some capacity is no subset sum of its
 sizes. Every prune drops only what cannot complete, so verdicts and
-first-found embeddings do not depend on them. A time limit is checked
-before every candidate trial and inside the tiling check, but not yet in
-the visibility and clean-sightline precompute.
+first-found embeddings do not depend on them. The clean sightlines come
+from the visibility pass, which walks the rays out of each point and tests
+each segment between neighbours on a line once. A time limit is checked in
+every phase: once per point located and once per row of that pass, before
+every candidate trial, and once per new state of the tiling search.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -45,7 +47,6 @@ from enum import Enum
 from .errors import ValidationError
 from .geometry import (
     DISJOINT,
-    PointIndex,
     PointLocation,
     SimplePolygon,
     boxed,
@@ -58,32 +59,99 @@ from .model import Embedding, EmbeddingInstance, FreeTree, PointSet
 from .verifier import verify_embedding
 
 
+class _Expired(Exception):
+    """A deadline passed during the decision.
+
+    Not ``TimeoutError``: that is an ``OSError``, which ``cli.main`` reports
+    as an input error (exit 2).
+    """
+
+
 @dataclass(frozen=True)
 class VisibilityGraph:
-    """Symmetric point-to-point visibility matrix; the diagonal is True."""
+    """Symmetric point-to-point visibility matrix; the diagonal is True.
+
+    ``clean[i]`` lists, ascending, the points i sees with no third point of
+    the set on the open segment between them: its clean sightlines.
+    """
 
     matrix: tuple[tuple[bool, ...], ...]
+    clean: tuple[tuple[int, ...], ...]
 
 
-def build_visibility_graph(points: PointSet, polygon: SimplePolygon) -> VisibilityGraph:
-    """Exact pairwise visibility of strictly interior points."""
+def build_visibility_graph(
+    points: PointSet, polygon: SimplePolygon, *, deadline: float = math.inf
+) -> VisibilityGraph:
+    """Exact pairwise visibility and clean sightlines of strictly interior points.
+
+    For each point i the others are grouped into rays by their exact signed
+    direction from i and walked outward. Point i sees the m-th point of a
+    ray iff it sees the (m-1)-th and the closed segment between those two
+    misses the boundary, because the closed segment from i to the m-th point
+    is the union of the two. Such a segment joins neighbours on a line, so
+    its test is shared: a row after the lower endpoint's reads it from the
+    matrix, and an earlier row keeps it until the lower endpoint's row. The
+    visible nearest point of each ray is a clean sightline. The clock is read
+    once per point located and once per row; past ``deadline`` (a
+    ``time.perf_counter`` value) :class:`_Expired` is raised.
+    """
     n = len(points)
     for i, p in enumerate(points):
+        if time.perf_counter() >= deadline:
+            raise _Expired
         if point_in_polygon(p, polygon) is not PointLocation.INSIDE:
             raise ValidationError(
                 "PointNotStrictlyInside",
                 f"point {i} at {p} is not strictly inside the polygon",
             )
     # point_in_polygon validated the polygon, so the loop calls its flat test.
-    xs, ys, blocks = [p.x for p in points], [p.y for p in points], polygon.blocks
+    xs, ys, blocks, gcd = [p.x for p in points], [p.y for p in points], polygon.blocks, math.gcd
     rows = [[False] * n for _ in range(n)]
+    clean: list[list[int]] = [[] for _ in range(n)]
+    # Tests of neighbour segments whose endpoints both lie past the row that
+    # made them, keyed on (lower, higher) endpoint.
+    ahead: dict[tuple[int, int], bool] = {}
     for i in range(n):
-        rows[i][i] = True
-        for j in range(i + 1, n):
-            vis = not blocks(boxed(xs[i], ys[i], xs[j], ys[j]))
-            rows[i][j] = vis
-            rows[j][i] = vis
-    return VisibilityGraph(matrix=tuple(tuple(r) for r in rows))
+        if time.perf_counter() >= deadline:
+            raise _Expired
+        xi, yi = xs[i], ys[i]
+        # (direction, distance) of every other point: sorted, each ray's
+        # points are adjacent and ordered outward.
+        rays = sorted(
+            [
+                (dx // (g := gcd(dx, dy)), dy // g, g, j)
+                for j, dx, dy in zip(range(n), [x - xi for x in xs], [y - yi for y in ys])
+                if j != i
+            ]
+        )
+        row, near = rows[i], clean[i]
+        row[i] = True
+        ux = uy = None  # the current ray's direction
+        for kx, ky, _, b in rays:
+            if kx != ux or ky != uy:
+                ux, uy, a = kx, ky, i  # a: the farthest point seen so far on the ray
+            elif a < 0:
+                continue  # blocked nearer
+            lo, hi = (a, b) if a < b else (b, a)
+            if lo < i:
+                clear = rows[lo][hi]  # lo's row is done; lo and hi are neighbours
+            else:
+                clear = ahead.get((lo, hi))
+                if clear is None:
+                    clear = not blocks(boxed(xs[a], ys[a], xs[b], ys[b]))
+                    if lo > i:
+                        ahead[lo, hi] = clear
+            if not clear:
+                a = -1
+                continue
+            row[b] = True
+            if a == i:
+                near.append(b)
+            a = b
+        near.sort()
+    return VisibilityGraph(
+        matrix=tuple(tuple(r) for r in rows), clean=tuple(tuple(c) for c in clean)
+    )
 
 
 class SolveStatus(Enum):
@@ -155,14 +223,6 @@ def _rooted(tree: FreeTree, root: int):
         key = tuple(sorted(code[c] for c in children[v]))
         code[v] = code_ids.setdefault(key, len(code_ids))
     return order, parent, children, size, prev_iso
-
-
-class _Expired(Exception):
-    """The deadline passed during the search.
-
-    Not ``TimeoutError``: that is an ``OSError``, which ``cli.main`` reports
-    as an input error (exit 2).
-    """
 
 
 def _tiling(
@@ -248,23 +308,13 @@ def decide_embedding(
     if root is None:
         root = max(range(n), key=lambda v: (tree.degree(v), -v))
 
-    index = PointIndex(points.points)
-    matrix = build_visibility_graph(points, polygon).matrix
-    # Static clean-sightline graph: the point pairs an edge image may ever
-    # join (mutually visible, no third point on the open segment). Rows come
-    # out ascending, as the candidate scan needs, because pairs are appended
-    # in (i, j) loop order. Every placed edge is one of these, so each
-    # pending subtree must land inside a single connected component of this
-    # graph restricted to free points.
-    clean_adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if matrix[i][j] and next(index.inside(i, j), None) is None:
-                clean_adj[i].append(j)
-                clean_adj[j].append(i)
-
     try:
-        mapping = _search(tree, root, index, clean_adj, deadline)
+        # Every placed edge is a clean sightline, so each pending subtree
+        # must land inside a single connected component of the clean graph
+        # restricted to free points.
+        graph = build_visibility_graph(points, polygon, deadline=deadline)
+        xs, ys = [p.x for p in points], [p.y for p in points]
+        mapping = _search(tree, root, xs, ys, graph.clean, deadline)
     except _Expired:
         elapsed_ms = int((time.perf_counter() - start) * 1000)
         return SolveOutcome(SolveStatus.TIMED_OUT, elapsed_ms=elapsed_ms)
@@ -277,16 +327,21 @@ def decide_embedding(
 
 
 def _search(
-    tree: FreeTree, root: int, index: PointIndex, clean_adj: list[list[int]], deadline: float
+    tree: FreeTree,
+    root: int,
+    pxs: list[int],
+    pys: list[int],
+    clean_adj: tuple[tuple[int, ...], ...],
+    deadline: float,
 ) -> tuple[int, ...] | None:
     """Backtracking search; each node's point, or None if no embedding exists.
 
-    The clock is read before each candidate trial and, inside the tiling
+    ``pxs`` and ``pys`` are the point coordinates in index order, flat so the
+    inner loops make no attribute lookups; ``clean_adj`` holds the ascending
+    clean-sightline lists. The clock is read before each candidate trial and, inside the tiling
     check, once per new state; past ``deadline`` :class:`_Expired` is raised.
     """
     n = tree.node_count
-    # Flat coordinate arrays keep the inner loops free of attribute lookups.
-    pxs, pys = index.xs, index.ys
     order, parent, children, size, prev_iso = _rooted(tree, root)
 
     used = bytearray(n)

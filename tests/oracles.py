@@ -183,3 +183,31 @@ def three_partition(target, values):
         return False
 
     return solvable(tuple(sorted(values)))
+
+
+def visibility(verts, points):
+    """Visibility matrix and ascending clean-sightline lists of (x, y) points
+    strictly inside the polygon with these vertices.
+
+    Two points see each other iff their closed segment shares no point with
+    any boundary edge; a clean sightline is a visible pair with no third
+    point on the segment between them.
+    """
+    k = len(verts)
+    edges = [(verts[t], verts[(t + 1) % k]) for t in range(k)]
+    n = len(points)
+    matrix = [[i == j for j in range(n)] for i in range(n)]
+    clean = [[] for _ in range(n)]
+    for i in range(n):
+        p = points[i]
+        for j in range(i + 1, n):
+            q = points[j]
+            if any(segments_share_point(p, q, a, b) for a, b in edges):
+                continue
+            matrix[i][j] = matrix[j][i] = True
+            if not any(
+                w != i and w != j and between(*p, *q, *points[w]) for w in range(n)
+            ):
+                clean[i].append(j)
+                clean[j].append(i)
+    return matrix, [sorted(c) for c in clean]

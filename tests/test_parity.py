@@ -10,7 +10,6 @@ import itertools
 import json
 import random
 
-from polyembed.geometry import PointIndex
 from polyembed.model import VIOLATION_KINDS, Embedding, serialize_report
 from polyembed.reduction import build_instance, build_points, build_polygon, validate_3p
 from polyembed.solver import SolverConfig, build_visibility_graph, decide_embedding
@@ -136,21 +135,11 @@ def visibility_corpus():
         yield ("reduction", b, len(a)), instance.points, instance.polygon
 
 
-def _clean_lists(points, matrix):
-    """Ascending clean-sightline lists: visible pairs with no point between."""
-    index = PointIndex(points.points)
-    n = len(matrix)
-    return [
-        [j for j in range(n) if j != i and matrix[i][j] and next(index.inside(i, j), None) is None]
-        for i in range(n)
-    ]
-
-
 def test_visibility_parity_digest():
     records = []
     for label, points, polygon in visibility_corpus():
-        matrix = build_visibility_graph(points, polygon).matrix
-        rows = ["".join("1" if v else "0" for v in row) for row in matrix]
-        records.append([label, rows, _clean_lists(points, matrix)])
+        graph = build_visibility_graph(points, polygon)
+        rows = ["".join("1" if v else "0" for v in row) for row in graph.matrix]
+        records.append([label, rows, [list(c) for c in graph.clean]])
     assert len(records) == 65
     assert _digest(records) == VISIBILITY_DIGEST

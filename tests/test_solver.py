@@ -7,8 +7,10 @@ from oracles import (
     can_tile,
     exhaustive_feasible,
     first_collinear_triple,
+    point_location,
     segments_share_point,
     three_partition,
+    visibility,
 )
 from polyembed import solver
 from polyembed.errors import ValidationError
@@ -123,6 +125,27 @@ class TestVisibilityGraph:
                         )
                         assert matrix[i][j] == want, (verts, p, q)
 
+    def test_matches_oracle_on_dense_lattice_points(self):
+        # Every interior lattice point, so rays from a point hold many points
+        # and visibility must follow the chain of neighbour segments.
+        rng = random.Random(7)
+        for verts in POLYGON_CATALOG:
+            xs, ys = [x for x, _ in verts], [y for _, y in verts]
+            lattice = [
+                (x, y)
+                for x in range(min(xs), max(xs) + 1)
+                for y in range(min(ys), max(ys) + 1)
+                if point_location(verts, (x, y)) == "inside"
+            ]
+            shuffled = rng.sample(lattice, len(lattice))
+            polygon = SimplePolygon(tuple(Point(x, y) for x, y in verts))
+            for chosen in (lattice, shuffled):
+                points = PointSet(tuple(Point(x, y) for x, y in chosen))
+                graph = build_visibility_graph(points, polygon)
+                matrix, clean = visibility(verts, chosen)
+                assert [list(r) for r in graph.matrix] == matrix, verts
+                assert [list(c) for c in graph.clean] == clean, verts
+
     def test_point_on_boundary_rejected(self):
         tri = SimplePolygon((Point(0, 0), Point(9, 0), Point(0, 9)))
         with pytest.raises(ValidationError):
@@ -201,6 +224,20 @@ class TestDecideEmbedding:
         outcome = decide_embedding(instance, SolverConfig(time_limit_ms=500))
         assert outcome.status is SolveStatus.TIMED_OUT
         assert outcome.elapsed_ms >= 500
+
+    def test_deadline_expires_inside_precompute(self):
+        # The criterion-6 instance (2501 points): locating its points takes
+        # about 0.1 s and its ray pass about 3 s, so the 50 ms limit runs out
+        # while points are located and the 0.5 s one in the ray pass.
+        instance, _ = build_instance(validate_3p(50, [17, 17, 16] * 50))
+        start = time.perf_counter()
+        outcome = decide_embedding(instance, SolverConfig(time_limit_ms=50))
+        assert outcome.status is SolveStatus.TIMED_OUT
+        assert time.perf_counter() - start < 0.5
+        start = time.perf_counter()
+        with pytest.raises(_Expired):
+            build_visibility_graph(instance.points, instance.polygon, deadline=start + 0.5)
+        assert time.perf_counter() - start < 1.5
 
     def test_deadline_expires_inside_tiling(self):
         # 60 sizes into 20 capacities of 1000: still searching after 15 s
