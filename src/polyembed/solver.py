@@ -89,8 +89,8 @@ def build_visibility_graph(
     ray iff it sees the (m-1)-th and the closed segment between those two
     misses the boundary, because the closed segment from i to the m-th point
     is the union of the two. Such a segment joins neighbours on a line, so
-    its test is shared: a row after the lower endpoint's reads it from the
-    matrix, and an earlier row keeps it until the lower endpoint's row. The
+    it is tested once: neighbours see each other iff it misses the boundary,
+    so after the lower endpoint's row the matrix holds the answer. The
     visible nearest point of each ray is a clean sightline. The clock is read
     once per point located and once per row; past ``deadline`` (a
     ``time.perf_counter`` value) :class:`_Expired` is raised.
@@ -108,8 +108,8 @@ def build_visibility_graph(
     xs, ys, blocks, gcd = [p.x for p in points], [p.y for p in points], polygon.blocks, math.gcd
     rows = [[False] * n for _ in range(n)]
     clean: list[list[int]] = [[] for _ in range(n)]
-    # Tests of neighbour segments whose endpoints both lie past the row that
-    # made them, keyed on (lower, higher) endpoint.
+    # Neighbour segments tested in a row before either endpoint's, keyed on
+    # (lower, higher) endpoint.
     ahead: dict[tuple[int, int], bool] = {}
     for i in range(n):
         if time.perf_counter() >= deadline:
@@ -309,9 +309,6 @@ def decide_embedding(
         root = max(range(n), key=lambda v: (tree.degree(v), -v))
 
     try:
-        # Every placed edge is a clean sightline, so each pending subtree
-        # must land inside a single connected component of the clean graph
-        # restricted to free points.
         graph = build_visibility_graph(points, polygon, deadline=deadline)
         xs, ys = [p.x for p in points], [p.y for p in points]
         mapping = _search(tree, root, xs, ys, graph.clean, deadline)

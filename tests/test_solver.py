@@ -8,7 +8,6 @@ from oracles import (
     exhaustive_feasible,
     first_collinear_triple,
     point_location,
-    segments_share_point,
     three_partition,
     visibility,
 )
@@ -114,16 +113,12 @@ class TestVisibilityGraph:
     def test_matches_oracle_on_catalog_polygons(self):
         rng = random.Random(41)
         for verts in POLYGON_CATALOG:
-            edges = list(zip(verts, verts[1:] + verts[:1]))
             for _ in range(3):
                 instance, _, chosen, _ = random_bounded_instance(rng, 12, verts)
-                matrix = build_visibility_graph(instance.points, instance.polygon).matrix
-                for i, p in enumerate(chosen):
-                    for j, q in enumerate(chosen):
-                        want = i == j or not any(
-                            segments_share_point(p, q, a, b) for a, b in edges
-                        )
-                        assert matrix[i][j] == want, (verts, p, q)
+                graph = build_visibility_graph(instance.points, instance.polygon)
+                matrix, clean = visibility(verts, chosen)
+                assert [list(r) for r in graph.matrix] == matrix, (verts, chosen)
+                assert [list(c) for c in graph.clean] == clean, (verts, chosen)
 
     def test_matches_oracle_on_dense_lattice_points(self):
         # Every interior lattice point, so rays from a point hold many points
