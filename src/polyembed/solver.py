@@ -43,6 +43,8 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import ValidationError
 from .geometry import (
@@ -84,16 +86,19 @@ def build_visibility_graph(
 ) -> VisibilityGraph:
     """Exact pairwise visibility and clean sightlines of strictly interior points.
 
-    For each point i the others are grouped into rays by their exact signed
-    direction from i and walked outward. Point i sees the m-th point of a
-    ray iff it sees the (m-1)-th and the closed segment between those two
-    misses the boundary, because the closed segment from i to the m-th point
-    is the union of the two. Such a segment joins neighbours on a line, so
-    it is tested once: neighbours see each other iff it misses the boundary,
-    so after the lower endpoint's row the matrix holds the answer. The
-    visible nearest point of each ray is a clean sightline. The clock is read
-    once per point located and once per row; past ``deadline`` (a
-    ``time.perf_counter`` value) :class:`_Expired` is raised.
+    Points are taken in (x, y) order. Every point after i lies ahead of it
+    (greater x, or equal x and greater y), so the reduced offset
+    ``(dx // g, dy // g)`` with ``g = gcd(dx, dy)`` names the line through
+    both, and g orders that line's later points outward from i. A line is
+    walked once, from its first point: two of its points see each other iff
+    every segment between neighbours from one to the other misses the
+    boundary, because the closed segment between them is the union of those.
+    So each neighbour segment is tested once, a run of clear ones is a set
+    of mutually visible points, and the clear neighbour pairs are the clean
+    sightlines. A walk marks its line at every point but the last, so that no
+    later row walks it again. The clock is read once per point located and
+    once per row; past ``deadline`` (a ``time.perf_counter`` value)
+    :class:`_Expired` is raised.
     """
     n = len(points)
     for i, p in enumerate(points):
@@ -108,49 +113,42 @@ def build_visibility_graph(
     xs, ys, blocks, gcd = [p.x for p in points], [p.y for p in points], polygon.blocks, math.gcd
     rows = [[False] * n for _ in range(n)]
     clean: list[list[int]] = [[] for _ in range(n)]
-    # Neighbour segments tested in a row before either endpoint's, keyed on
-    # (lower, higher) endpoint.
-    ahead: dict[tuple[int, int], bool] = {}
-    for i in range(n):
+    walked: list[set[tuple[int, int]]] = [set() for _ in range(n)]  # lines done, per point
+    order = sorted(range(n), key=lambda k: (xs[k], ys[k]))
+    line_of = itemgetter(0, 1)
+    for t, i in enumerate(order):
         if time.perf_counter() >= deadline:
             raise _Expired
         xi, yi = xs[i], ys[i]
-        # (direction, distance) of every other point: sorted, each ray's
-        # points are adjacent and ordered outward.
+        rows[i][i] = True
+        later = order[t + 1 :]
+        # (line, distance) of every later point; sorted, each line's points
+        # are adjacent and ordered outward.
         rays = sorted(
             [
                 (dx // (g := gcd(dx, dy)), dy // g, g, j)
-                for j, dx, dy in zip(range(n), [x - xi for x in xs], [y - yi for y in ys])
-                if j != i
+                for j, dx, dy in zip(later, [xs[j] - xi for j in later], [ys[j] - yi for j in later])
             ]
         )
-        row, near = rows[i], clean[i]
-        row[i] = True
-        ux = uy = None  # the current ray's direction
-        for kx, ky, _, b in rays:
-            if kx != ux or ky != uy:
-                ux, uy, a = kx, ky, i  # a: the farthest point seen so far on the ray
-            elif a < 0:
-                continue  # blocked nearer
-            lo, hi = (a, b) if a < b else (b, a)
-            if lo < i:
-                clear = rows[lo][hi]  # lo's row is done; lo and hi are neighbours
-            else:
-                clear = ahead.get((lo, hi))
-                if clear is None:
-                    clear = not blocks(boxed(xs[a], ys[a], xs[b], ys[b]))
-                    if lo > i:
-                        ahead[lo, hi] = clear
-            if not clear:
-                a = -1
+        done = walked[i]
+        for line, ray in groupby(rays, line_of):
+            if line in done:
                 continue
-            row[b] = True
-            if a == i:
-                near.append(b)
-            a = b
-        near.sort()
+            run = [i]  # the points that see the previous point of the line
+            for *_, b in ray:
+                a = run[-1]
+                if a != i:
+                    walked[a].add(line)
+                if blocks(boxed(xs[a], ys[a], xs[b], ys[b])):
+                    run = [b]
+                    continue
+                for c in run:
+                    rows[c][b] = rows[b][c] = True
+                clean[a].append(b)
+                clean[b].append(a)
+                run.append(b)
     return VisibilityGraph(
-        matrix=tuple(tuple(r) for r in rows), clean=tuple(tuple(c) for c in clean)
+        matrix=tuple(tuple(r) for r in rows), clean=tuple(tuple(sorted(c)) for c in clean)
     )
 
 
