@@ -23,10 +23,11 @@ only when that local check fails and other components exist. The tiling
 search refutes a state at once when some capacity is no subset sum of its
 sizes. Every prune drops only what cannot complete, so verdicts and
 first-found embeddings do not depend on them. The clean sightlines come
-from the visibility pass, which walks the rays out of each point and tests
-each segment between neighbours on a line once. A time limit is checked in
-every phase: once per point located and once per row of that pass, before
-every candidate trial, and once per new state of the tiling search.
+from the visibility pass, which walks every line through two or more points
+once and tests each segment between neighbours on it once. A time limit is
+checked in every phase: once per point located and once per row of that
+pass, before every candidate trial, and once per new state of the tiling
+search.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
