@@ -16,7 +16,8 @@ verifier all go through it. :func:`boxed` is the one segment record and
 predicates validate their polygon; loops over an already-validated instance
 call these flat forms, which check nothing again. :class:`PointIndex` is
 the verifier's scan for instance points covered by a segment between two
-others; the solver finds clean sightlines by grouping points into rays.
+others; the solver's visibility pass walks each line through two or more
+points instead, and its clear neighbour pairs are the clean sightlines.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from itertools import groupby, product
 from operator import itemgetter
 
 from .errors import ValidationError
@@ -72,20 +72,32 @@ class _Expired(Exception):
 
 @dataclass(frozen=True)
 class VisibilityGraph:
-    """Symmetric point-to-point visibility matrix; the diagonal is True.
+    """Visibility among points, kept as the maximal runs of mutually visible points.
 
+    A run is two or more collinear points that all see each other, in order
+    along their line; two distinct points see each other iff they share one.
     ``clean[i]`` lists, ascending, the points i sees with no third point of
-    the set on the open segment between them: its clean sightlines.
+    the set on the open segment between them: its neighbours in its runs.
     """
 
-    matrix: tuple[tuple[bool, ...], ...]
+    runs: tuple[tuple[int, ...], ...]
     clean: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def matrix(self) -> tuple[tuple[bool, ...], ...]:
+        """Symmetric visibility matrix, diagonal True, built from ``runs`` on first read."""
+        n = len(self.clean)
+        rows = [[False] * i + [True] + [False] * (n - 1 - i) for i in range(n)]
+        for run in self.runs:
+            for a, b in product(run, run):
+                rows[a][b] = True
+        return tuple(map(tuple, rows))
 
 
 def build_visibility_graph(
     points: PointSet, polygon: SimplePolygon, *, deadline: float = math.inf
 ) -> VisibilityGraph:
-    """Exact pairwise visibility and clean sightlines of strictly interior points.
+    """Exact visible runs and clean sightlines of strictly interior points.
 
     Points are taken in (x, y) order. Every point after i lies ahead of it
     (greater x, or equal x and greater y), so the reduced offset
@@ -94,12 +106,12 @@ def build_visibility_graph(
     walked once, from its first point: two of its points see each other iff
     every segment between neighbours from one to the other misses the
     boundary, because the closed segment between them is the union of those.
-    So each neighbour segment is tested once, a run of clear ones is a set
-    of mutually visible points, and the clear neighbour pairs are the clean
-    sightlines. A walk marks its line at every point but the last, so that no
-    later row walks it again. The clock is read once per point located and
-    once per row; past ``deadline`` (a ``time.perf_counter`` value)
-    :class:`_Expired` is raised.
+    So each neighbour segment is tested once, each maximal run of clear ones
+    joins mutually visible points and is kept, and the clear neighbour pairs
+    are the clean sightlines. A walk marks its line at every point but the
+    last, so that no later row walks it again. The clock is read once per
+    point located and once per row; past ``deadline`` (a
+    ``time.perf_counter`` value) :class:`_Expired` is raised.
     """
     n = len(points)
     for i, p in enumerate(points):
@@ -112,7 +124,7 @@ def build_visibility_graph(
             )
     # point_in_polygon validated the polygon, so the loop calls its flat test.
     xs, ys, blocks, gcd = [p.x for p in points], [p.y for p in points], polygon.blocks, math.gcd
-    rows = [[False] * n for _ in range(n)]
+    runs: list[list[int]] = []
     clean: list[list[int]] = [[] for _ in range(n)]
     walked: list[set[tuple[int, int]]] = [set() for _ in range(n)]  # lines done, per point
     order = sorted(range(n), key=lambda k: (xs[k], ys[k]))
@@ -121,7 +133,6 @@ def build_visibility_graph(
         if time.perf_counter() >= deadline:
             raise _Expired
         xi, yi = xs[i], ys[i]
-        rows[i][i] = True
         later = order[t + 1 :]
         # (line, distance) of every later point; sorted, each line's points
         # are adjacent and ordered outward.
@@ -143,13 +154,13 @@ def build_visibility_graph(
                 if blocks(boxed(xs[a], ys[a], xs[b], ys[b])):
                     run = [b]
                     continue
-                for c in run:
-                    rows[c][b] = rows[b][c] = True
+                if len(run) == 1:
+                    runs.append(run)  # it grows in place from here on
                 clean[a].append(b)
                 clean[b].append(a)
                 run.append(b)
     return VisibilityGraph(
-        matrix=tuple(tuple(r) for r in rows), clean=tuple(tuple(sorted(c)) for c in clean)
+        runs=tuple(map(tuple, runs)), clean=tuple(tuple(sorted(c)) for c in clean)
     )
 
 
@@ -224,6 +235,11 @@ def _rooted(tree: FreeTree, root: int):
     return order, parent, children, size, prev_iso
 
 
+# _tiling forgets its refuted states once it holds this many, about 35 MB at
+# 60 sizes into 20 capacities. They are only a memo, so no verdict changes.
+_REFUTED_LIMIT = 1 << 16
+
+
 def _tiling(
     sizes: tuple[int, ...], caps: list[int], deadline: float = math.inf
 ) -> list[tuple[int, ...]] | None:
@@ -234,12 +250,12 @@ def _tiling(
     only a sum. Otherwise the first size goes into one capacity of each
     distinct value that can hold it, largest first, and the rest are tiled
     into what remains. A state is refuted at once when some capacity is no
-    subset sum of its sizes (the cheap test of bin completion); the refuted
-    states of this call are kept so that none is searched twice. The
-    search keeps its own stack, one frame per size placed, so long size
-    lists do not recurse, and on success the frames are the tiling. The
-    clock is read once per new state; past ``deadline`` it raises
-    :class:`_Expired`.
+    subset sum of its sizes (the cheap test of bin completion); up to
+    ``_REFUTED_LIMIT`` refuted states of this call are kept so that none is
+    searched twice. The search keeps its own stack, one frame per size
+    placed, so long size lists do not recurse, and on success the frames are
+    the tiling. The clock is read once per new state; past ``deadline`` it
+    raises :class:`_Expired`.
     """
     if len(caps) == 1:
         return [sizes] if sum(sizes) == caps[0] else None
@@ -254,6 +270,8 @@ def _tiling(
         elif state not in failed:
             if time.perf_counter() >= deadline:
                 raise _Expired
+            if len(failed) >= _REFUTED_LIMIT:
+                failed.clear()
             reach = 1  # bit s is set iff some sub-multiset of sz sums to s
             for s in sz:
                 reach |= reach << s

@@ -140,6 +140,22 @@ class TestVisibilityGraph:
                 matrix, clean = visibility(verts, chosen)
                 assert [list(r) for r in graph.matrix] == matrix, verts
                 assert [list(c) for c in graph.clean] == clean, verts
+                # Each run is two or more points, each a step further the
+                # same way along one line, and the runs' neighbour pairs are
+                # the clean sightlines, each once.
+                pairs = []
+                for run in graph.runs:
+                    assert len(run) >= 2, (verts, run)
+                    steps = [
+                        (chosen[b][0] - chosen[a][0], chosen[b][1] - chosen[a][1])
+                        for a, b in zip(run, run[1:])
+                    ]
+                    dx, dy = steps[0]
+                    for ex, ey in steps:
+                        assert ex * dy == ey * dx and ex * dx + ey * dy > 0, (verts, run)
+                    pairs += [(min(a, b), max(a, b)) for a, b in zip(run, run[1:])]
+                edges = [(i, j) for i, c in enumerate(clean) for j in c if i < j]
+                assert sorted(pairs) == edges, verts
 
     def test_point_on_boundary_rejected(self):
         tri = SimplePolygon((Point(0, 0), Point(9, 0), Point(0, 9)))
@@ -181,6 +197,19 @@ class TestDecideEmbedding:
         instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
         with pytest.raises(ValidationError):
             decide_embedding(instance, SolverConfig(root_node=99))
+
+    def test_solve_never_builds_visibility_matrix(self, monkeypatch):
+        graphs = []
+
+        def kept(*args, **kwargs):
+            graphs.append(build_visibility_graph(*args, **kwargs))
+            return graphs[-1]
+
+        monkeypatch.setattr(solver, "build_visibility_graph", kept)
+        instance, _ = build_instance(validate_3p(7, [2, 2, 3, 2, 2, 3]))
+        assert decide_embedding(instance).status is SolveStatus.EMBEDDED
+        assert len(graphs) == 1
+        assert "matrix" not in vars(graphs[0])
 
     def test_negative_time_limit_rejected(self):
         instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
@@ -299,9 +328,10 @@ def test_tiling_check_handles_long_size_lists():
     assert _tiling((1,) * 1200, [600, 600]) == [(1,) * 600, (1,) * 600]
 
 
-def test_tiling_witness_agrees_with_can_tile():
+def test_tiling_witness_agrees_with_can_tile(monkeypatch):
     # Each call keeps its own refuted states, so a repeated case must give
-    # the same fill.
+    # the same fill, also when about 200 of the calls clear them at a limit
+    # of 2.
     rng = random.Random(8)
     answers = {True: 0, False: 0}
     for case in range(2000):
@@ -325,6 +355,9 @@ def test_tiling_witness_agrees_with_can_tile():
         assert (parts is not None) == want, (sizes, caps)
         answers[want] += 1
         assert parts == _tiling(sizes, caps), (sizes, caps)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_REFUTED_LIMIT", 2)
+            assert parts == _tiling(sizes, caps), (sizes, caps)
         if parts is not None:
             assert [sum(p) for p in parts] == caps, (sizes, caps, parts)
             assert sorted(s for p in parts for s in p) == sorted(sizes), (sizes, caps, parts)
