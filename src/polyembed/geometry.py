@@ -1,23 +1,31 @@
 """Exact integer-arithmetic planar geometry.
 
-Orientation, exact direction keys, segment-pair classification,
-point-in-polygon, pairwise visibility inside a simple polygon, and the
-points that lie on a segment between two points of a set. Every predicate
-works on integer coordinates only; no floating point appears anywhere in
-this module, so all answers are exact. Touching counts as intersecting
-throughout: a segment that merely grazes the polygon boundary "hits" it.
+Orientation, exact direction keys, segment-pair classification, a plane
+sweep for contacts among labelled segments, point location, pairwise
+visibility inside a simple polygon, and the points that lie on a segment
+between two points of a set. Every predicate works on integer coordinates
+only; no floating point appears anywhere in this module, so all answers are
+exact. Touching counts as intersecting throughout: a segment that merely
+grazes the polygon boundary "hits" it.
 
 :func:`segment_relation` is the one place that decides how two closed
 segments meet. It takes flat integer coordinates so hot loops can call it
 without building objects; :func:`classify_segments`,
-:func:`segment_hits_boundary`, polygon simplicity, the solver and the
-verifier all go through it. :func:`boxed` is the one segment record and
-:meth:`SimplePolygon.blocks` the one segment-versus-boundary test. Public
-predicates validate their polygon; loops over an already-validated instance
-call these flat forms, which check nothing again. :class:`PointIndex` is
-the verifier's scan for instance points covered by a segment between two
-others; the solver's visibility pass walks each line through two or more
-points instead, and its clear neighbour pairs are the clean sightlines.
+:func:`segment_hits_boundary`, :func:`plane_contact`, the solver and the
+verifier all go through it. :func:`plane_contact` is a Shamos–Hoey sweep
+that finds whether any two segments meet where they should not; polygon
+simplicity and the verifier's valid case are one call of it.
+:func:`locate_points` is the one point-location pass: one pass over the
+edges per distinct y among the points, so a row of collinear points costs
+one pass; :func:`point_in_polygon` is its one-point call, and an instance
+and the visibility pass each locate all their points in one call.
+:func:`boxed` is the one segment record and :meth:`SimplePolygon.blocks`
+the one segment-versus-boundary test. Public predicates validate their
+polygon; loops over an already-validated instance call these flat forms,
+which check nothing again. :class:`PointIndex` is the verifier's scan for
+instance points covered by a segment between two others; the solver's
+visibility pass walks each line through two or more points instead, and
+its clear neighbour pairs are the clean sightlines.
 """
 
 from __future__ import annotations
@@ -203,6 +211,74 @@ def classify_segments(s: Segment, t: Segment) -> SegmentRelation:
     return SegmentRelation(_KINDS[code], point)
 
 
+def plane_contact(segments: Sequence[tuple[int, int, int, int, int, int]]) -> tuple[int, int] | None:
+    """Two segments that meet other than at one common, equally labelled
+    endpoint, as an ascending index pair; None iff there are none.
+
+    Each segment is ``(ax, ay, bx, by, label_a, label_b)`` with a != b; the
+    labels name what its endpoints stand for, so two segments may share an
+    endpoint only where both give it the same label. A Shamos–Hoey sweep
+    (1976): event points are visited in (x, y) order, and the status lists
+    the segments that started before the event and end at or after it, from
+    bottom to top. At an event p, the status segments that contain p must be
+    exactly those that end at p; the segments that start at p replace them,
+    ordered by direction (two with one direction overlap), and each pair
+    this makes adjacent is tested with :func:`segment_relation`. The first
+    contact in (x, y) order is found by the time the sweep reaches it.
+    """
+    segs: list[tuple[int, int, int, int]] = []  # (ax, ay, bx, by), a before b in (x, y) order
+    starts: dict[tuple[int, int], list[int]] = {}
+    ends: dict[tuple[int, int], list[int]] = {}
+    owner: dict[tuple[int, int], tuple[int, int]] = {}  # point -> (label, first segment)
+    for i, (ax, ay, bx, by, la, lb) in enumerate(segments):
+        if (bx, by) < (ax, ay):
+            ax, ay, bx, by, la, lb = bx, by, ax, ay, lb, la
+        segs.append((ax, ay, bx, by))
+        starts.setdefault((ax, ay), []).append(i)
+        ends.setdefault((bx, by), []).append(i)
+        for point, label in (((ax, ay), la), ((bx, by), lb)):
+            first, j = owner.setdefault(point, (label, i))
+            if first != label:
+                return (j, i)
+
+    def lower(s: int, t: int) -> int:
+        # Directions that point right or straight up, from lowest to highest.
+        ax, ay, bx, by = segs[s]
+        cx, cy, dx, dy = segs[t]
+        return (dx - cx) * (by - ay) - (dy - cy) * (bx - ax)
+
+    by_direction = functools.cmp_to_key(lower)
+    status: list[int] = []
+    for p in sorted(owner):
+        px, py = p
+
+        def side(s: int) -> int:
+            # -1 if s passes below p, 0 if it contains p, 1 if above. A
+            # vertical segment in the status always contains p.
+            ax, ay, bx, by = segs[s]
+            c = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+            return -1 if c > 0 else 1 if c < 0 else 0
+
+        lo = bisect_left(status, 0, key=side)
+        hi = bisect_right(status, 0, lo=lo, key=side)
+        for s in status[lo:hi]:
+            if segs[s][2:] != p:  # p is inside s, and some segment ends or starts at p
+                t = (ends.get(p) or starts[p])[0]
+                return (s, t) if s < t else (t, s)
+        new = sorted(starts.get(p, ()), key=by_direction)
+        for s, t in zip(new, new[1:]):
+            if lower(s, t) == 0:  # one direction: they overlap
+                return (s, t) if s < t else (t, s)
+        status[lo:hi] = new
+        for b in {lo, lo + len(new)}:  # the new adjacencies below and above
+            if 0 < b < len(status):
+                s, t = status[b - 1], status[b]
+                # Segments that touch share an endpoint, whose labels agree.
+                if segment_relation(*segs[s], *segs[t]) not in (DISJOINT, TOUCH):
+                    return (s, t) if s < t else (t, s)
+    return None
+
+
 @dataclass(frozen=True)
 class SimplePolygon:
     """A closed polygonal cycle; simplicity is checked by :func:`is_simple`.
@@ -250,15 +326,7 @@ class SimplePolygon:
     def _simple(self) -> bool:
         edges = self.edge_boxes
         k = len(edges)
-        for i in range(k):
-            for j in range(i + 1, k):
-                rel = segment_relation(*edges[i][:4], *edges[j][:4])
-                if j == i + 1 or (i == 0 and j == k - 1):
-                    if rel != TOUCH:
-                        return False
-                elif rel != DISJOINT:
-                    return False
-        return True
+        return plane_contact([e[:4] + (t, (t + 1) % k) for t, e in enumerate(edges)]) is None
 
 
 def signed_area2(polygon: SimplePolygon) -> int:
@@ -273,7 +341,8 @@ def signed_area2(polygon: SimplePolygon) -> int:
 
 def is_simple(polygon: SimplePolygon) -> bool:
     """True iff no two non-adjacent edges intersect and adjacent edges meet
-    only at their shared vertex."""
+    only at their shared vertex: one :func:`plane_contact` sweep over the
+    edges, their ends labelled by vertex number, O(k log k) for k edges."""
     return polygon._simple
 
 
@@ -300,26 +369,59 @@ class PointLocation(Enum):
     OUTSIDE = "outside"
 
 
-def point_in_polygon(p: Point, polygon: SimplePolygon) -> PointLocation:
-    """Exact location of p relative to a simple polygon.
+def locate_points(points: Sequence[Point], polygon: SimplePolygon) -> list[PointLocation]:
+    """Exact location of each point relative to a simple polygon, in order.
 
-    One pass over the edges: a zero cross product with p inside the edge's
-    box puts p on the boundary; otherwise the crossing number of a rightward
-    ray decides interiority, computed without any division.
+    The points are grouped by y, and each row makes one pass over the
+    edges. A horizontal edge on the row is an interval of boundary; every
+    other edge that meets the row does so at one x, kept as an exact key:
+    2x when x is an integer, 2⌊x⌋ + 1 otherwise. An edge with its lower end
+    on or below the row and its upper end above it (the half-open rule)
+    crosses the rightward ray of every point left of its key, so a point
+    off the boundary is inside iff an odd number of keys lie right of it.
+    Each point is then placed by bisection, so a row of m points costs one
+    pass and m lookups.
     """
     ensure_simple(polygon)
-    px, py = p.x, p.y
-    inside = False
-    for ax, ay, bx, by, minx, maxx, miny, maxy in polygon.edge_boxes:
-        c = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        if c == 0 and minx <= px <= maxx and miny <= py <= maxy:
-            return PointLocation.ON_BOUNDARY
-        # An edge straddling the horizontal through p is crossed by the
-        # rightward ray iff the intersection lies right of p, which reduces
-        # to a sign test on the cross product.
-        if (ay > py) != (by > py) and (c > 0) == (by > ay):
-            inside = not inside
-    return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for i, p in enumerate(points):
+        rows.setdefault(p.y, []).append((i, p.x))
+    out = [PointLocation.OUTSIDE] * len(points)
+    for py, row in rows.items():
+        crossings: list[int] = []
+        on_row: set[int] = set()  # integer x where a non-horizontal edge meets the row
+        flats: list[tuple[int, int]] = []  # horizontal edges on the row
+        for ax, ay, bx, by, minx, maxx, miny, maxy in polygon.edge_boxes:
+            if miny > py or maxy < py:
+                continue
+            if ay == by:
+                flats.append((minx, maxx))
+                continue
+            # The edge meets the row at x = num / (by - ay).
+            num = ax * (by - ay) + (py - ay) * (bx - ax)
+            q, r = divmod(num, by - ay)
+            if r == 0:
+                on_row.add(q)
+            if (ay > py) != (by > py):
+                crossings.append(2 * q + (r != 0))
+        crossings.sort()
+        # Edges of a simple polygon do not overlap, so sorted flats are
+        # disjoint but for shared ends; the last one starting at or left of
+        # x is the only one that can hold it.
+        flats.sort()
+        for i, px in row:
+            t = bisect_right(flats, px, key=lambda flat: flat[0]) - 1
+            if px in on_row or (t >= 0 and flats[t][1] >= px):
+                out[i] = PointLocation.ON_BOUNDARY
+            elif (len(crossings) - bisect_right(crossings, 2 * px)) % 2:
+                out[i] = PointLocation.INSIDE
+    return out
+
+
+def point_in_polygon(p: Point, polygon: SimplePolygon) -> PointLocation:
+    """Exact location of p relative to a simple polygon: :func:`locate_points`
+    on one point."""
+    return locate_points((p,), polygon)[0]
 
 
 def segment_hits_boundary(s: Segment, polygon: SimplePolygon) -> bool:

@@ -19,8 +19,8 @@ from .geometry import (
     Point,
     PointLocation,
     SimplePolygon,
+    locate_points,
     normalize_ccw,
-    point_in_polygon,
 )
 
 # ---------------------------------------------------------------------------
@@ -243,8 +243,8 @@ class EmbeddingInstance:
                 "NodeCountMismatch",
                 f"tree has {tree.node_count} nodes but there are {len(points)} points",
             )
-        for i, p in enumerate(points):
-            if point_in_polygon(p, polygon) is not PointLocation.INSIDE:
+        for i, (p, where) in enumerate(zip(points, locate_points(points.points, polygon))):
+            if where is not PointLocation.INSIDE:
                 raise ValidationError(
                     "PointOnOrOutsideBoundary",
                     f"point {i} at {p} is not strictly inside the polygon",

@@ -25,9 +25,10 @@ sizes. Every prune drops only what cannot complete, so verdicts and
 first-found embeddings do not depend on them. The clean sightlines come
 from the visibility pass, which walks every line through two or more points
 once and tests each segment between neighbours on it once. A time limit is
-checked in every phase: once per point located and once per row of that
-pass, before every candidate trial, and once per new state of the tiling
-search.
+checked in every phase: once before the points are located (one call of
+``locate_points``, which takes milliseconds), once per row of that pass and
+before each of its boundary tests, before every candidate trial, and once
+per new state of the tiling search.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -55,7 +56,7 @@ from .geometry import (
     boxed,
     cross,
     direction_key,
-    point_in_polygon,
+    locate_points,
     segment_relation,
 )
 from .model import Embedding, EmbeddingInstance, FreeTree, PointSet
@@ -109,28 +110,31 @@ def build_visibility_graph(
     So each neighbour segment is tested once, each maximal run of clear ones
     joins mutually visible points and is kept, and the clear neighbour pairs
     are the clean sightlines. A walk marks its line at every point but the
-    last, so that no later row walks it again. The clock is read once per
-    point located and once per row; past ``deadline`` (a
-    ``time.perf_counter`` value) :class:`_Expired` is raised.
+    last, so that no later row walks it again. The points are located in
+    one call of :func:`locate_points`. The clock is read once before that,
+    once per row and before each boundary test, since one line can hold
+    thousands of points; past ``deadline`` (a ``time.perf_counter`` value)
+    :class:`_Expired` is raised.
     """
     n = len(points)
-    for i, p in enumerate(points):
-        if time.perf_counter() >= deadline:
-            raise _Expired
-        if point_in_polygon(p, polygon) is not PointLocation.INSIDE:
+    if time.perf_counter() >= deadline:
+        raise _Expired
+    for i, (p, where) in enumerate(zip(points, locate_points(points.points, polygon))):
+        if where is not PointLocation.INSIDE:
             raise ValidationError(
                 "PointNotStrictlyInside",
                 f"point {i} at {p} is not strictly inside the polygon",
             )
-    # point_in_polygon validated the polygon, so the loop calls its flat test.
+    # locate_points validated the polygon, so the loop calls its flat test.
     xs, ys, blocks, gcd = [p.x for p in points], [p.y for p in points], polygon.blocks, math.gcd
+    clock = time.perf_counter
     runs: list[list[int]] = []
     clean: list[list[int]] = [[] for _ in range(n)]
     walked: list[set[tuple[int, int]]] = [set() for _ in range(n)]  # lines done, per point
     order = sorted(range(n), key=lambda k: (xs[k], ys[k]))
     line_of = itemgetter(0, 1)
     for t, i in enumerate(order):
-        if time.perf_counter() >= deadline:
+        if clock() >= deadline:
             raise _Expired
         xi, yi = xs[i], ys[i]
         later = order[t + 1 :]
@@ -151,6 +155,8 @@ def build_visibility_graph(
                 a = run[-1]
                 if a != i:
                     walked[a].add(line)
+                if clock() >= deadline:
+                    raise _Expired
                 if blocks(boxed(xs[a], ys[a], xs[b], ys[b])):
                     run = [b]
                     continue

@@ -5,10 +5,12 @@ touch only at that node's image, edge images that share no node are fully
 disjoint, no edge passes through any other mapped point, and (in the
 polygon-bounded variant) no edge touches the polygon boundary.
 
-Reports list every violation in a canonical order instead of stopping at the
-first, so callers can assert on specific failure kinds. The pairwise pass
-runs behind an interval sweep over x so large instances stay polynomial with
-small constants; every surviving candidate pair is decided exactly.
+Validity is decided first by one Shamos–Hoey sweep, :func:`plane_contact`,
+over the edge images and the boundary edges. Only when it finds a contact
+does the reporter run. Reports list every violation in a canonical order
+instead of stopping at the first, so callers can assert on specific failure
+kinds; the reporter's pairwise pass runs behind an interval sweep over x,
+and every surviving candidate pair is decided exactly.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .geometry import (
     TOUCH,
     PointIndex,
     boxed,
+    plane_contact,
     segment_relation,
 )
 from .model import (
@@ -50,7 +53,12 @@ def verify_embedding(
 def verify_planar_only(
     tree: FreeTree, points: PointSet, embedding: Embedding | Sequence[int]
 ) -> VerificationReport:
-    """Planarity check without any bounding polygon."""
+    """Planarity check without any bounding polygon; one point per tree node."""
+    if len(points) != tree.node_count:
+        raise ValidationError(
+            "NodeCountMismatch",
+            f"tree has {tree.node_count} nodes but there are {len(points)} points",
+        )
     return _verify(tree, points, embedding, None)
 
 
@@ -82,8 +90,21 @@ def _verify(tree, points, embedding, polygon) -> VerificationReport:
             [Violation(KIND_NOT_BIJECTION, points=tuple(offenders))]
         )
 
+    # Every point is an edge's endpoint (or the tree is one node), so the
+    # embedding is valid iff its edges, labelled by point, and the boundary
+    # edges, labelled by negative vertex numbers, meet only at shared points.
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    labelled = [
+        (xs[a], ys[a], xs[b], ys[b], a, b)
+        for a, b in ((mapping[u], mapping[v]) for u, v in tree.edges)
+    ]
+    if polygon is not None:
+        k = len(polygon.vertices)
+        labelled += [e[:4] + (~t, ~((t + 1) % k)) for t, e in enumerate(polygon.edge_boxes)]
+    if plane_contact(labelled) is None:
+        return VerificationReport(valid=True)
+
     index = PointIndex(points.points)
-    xs, ys = index.xs, index.ys
     violations: set[Violation] = set()
 
     # boxed(...) + (edge_index, node_u, node_v)

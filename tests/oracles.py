@@ -71,6 +71,54 @@ def segments_share_point(a, b, c, d):
     return False
 
 
+def simple_polygon(verts):
+    """Is the closed cycle through these (x, y) vertices simple?
+
+    The pairwise reference for the library's sweep: every pair of edges is
+    tested. Adjacent ones may meet only at their shared vertex (neither far
+    end on the other edge), all others not at all.
+    """
+    k = len(verts)
+    edges = [(verts[t], verts[(t + 1) % k]) for t in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            (a, b), (c, d) = edges[i], edges[j]
+            if j == i + 1 or (i == 0 and j == k - 1):
+                far_i, far_j = (a, d) if j == i + 1 else (b, c)
+                if between(*c, *d, *far_i) or between(*a, *b, *far_j):
+                    return False
+            elif segments_share_point(a, b, c, d):
+                return False
+    return True
+
+
+def plane_contacts(segments):
+    """Every index pair (i, j), i < j, of segments (ax, ay, bx, by, la, lb)
+    that meet other than at one common endpoint carrying one label on both."""
+    out = set()
+    for i, s in enumerate(segments):
+        for j in range(i + 1, len(segments)):
+            t = segments[j]
+            a, b, c, d = s[0:2], s[2:4], t[0:2], t[2:4]
+            if not segments_share_point(a, b, c, d):
+                continue
+            labels = {a: s[4], b: s[5]}
+            common = [q for q in (c, d) if q in labels]
+            if len(common) == 1:
+                q = common[0]
+                far_s = b if q == a else a
+                far_t = d if q == c else c
+                label_t = t[4] if q == c else t[5]
+                if (
+                    labels[q] == label_t
+                    and not between(*c, *d, *far_s)
+                    and not between(*a, *b, *far_t)
+                ):
+                    continue
+            out.add((i, j))
+    return out
+
+
 def brute_valid(tree_edges, points, mapping, polygon=None):
     """Short-circuit validity of a node-to-point mapping.
 

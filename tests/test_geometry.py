@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,9 +23,11 @@ from polyembed.geometry import (
     classify_segments,
     direction_key,
     is_simple,
+    locate_points,
     normalize_ccw,
     on_segment,
     orient2d,
+    plane_contact,
     point_in_polygon,
     segment_hits_boundary,
     segment_relation,
@@ -34,6 +37,7 @@ from polyembed.geometry import (
 from polyembed.model import Embedding, EmbeddingInstance, FreeTree, PointSet, make_instance
 from polyembed.reduction import build_points, build_polygon
 from polyembed.verifier import verify_embedding
+from test_solver import POLYGON_CATALOG
 
 TRIANGLE = SimplePolygon((Point(0, 0), Point(9, 0), Point(0, 9)))
 # build_polygon(2, 7), hardcoded to keep this module self-contained
@@ -42,6 +46,14 @@ NOTCHED = SimplePolygon(
 )
 
 coords = st.integers(min_value=-60, max_value=60)
+
+
+def random_cycle(rng, size, count):
+    """count vertices on a size x size grid, no two consecutive ones equal."""
+    while True:
+        verts = [(rng.randrange(size), rng.randrange(size)) for _ in range(count)]
+        if all(verts[t] != verts[t - 1] for t in range(count)):
+            return verts
 points = st.builds(Point, coords, coords)
 
 
@@ -265,11 +277,50 @@ class TestPointInPolygon:
                     got = point_in_polygon(Point(x, y), poly).value
                     assert got == oracles.point_location(verts, (x, y)), (verts, x, y)
 
+    def test_locate_points_matches_oracle_on_catalog_lattice(self):
+        # Every lattice point of a box around each polygon, in one shuffled
+        # call, so rows mix inside, outside and boundary points.
+        rng = random.Random(13)
+        for verts in POLYGON_CATALOG:
+            xs, ys = [x for x, _ in verts], [y for _, y in verts]
+            lattice = [
+                (x, y)
+                for x in range(min(xs) - 2, max(xs) + 3)
+                for y in range(min(ys) - 2, max(ys) + 3)
+            ]
+            rng.shuffle(lattice)
+            poly = SimplePolygon(tuple(Point(*v) for v in verts))
+            got = locate_points([Point(*p) for p in lattice], poly)
+            assert [g.value for g in got] == [
+                oracles.point_location(verts, p) for p in lattice
+            ], verts
+
+    def test_locate_points_matches_oracle_on_random_simple_polygons(self):
+        # The lattice of each box holds every vertex and every lattice point
+        # of every horizontal edge; small grids make both frequent.
+        rng = random.Random(17)
+        polygons = horizontal = 0
+        while polygons < 300:
+            verts = random_cycle(rng, rng.randint(3, 7), rng.randint(3, 8))
+            if not oracles.simple_polygon(verts):
+                continue
+            polygons += 1
+            horizontal += any(a[1] == b[1] for a, b in zip(verts, verts[1:] + verts[:1]))
+            size = max(max(v) for v in verts)
+            lattice = [(x, y) for x in range(-1, size + 2) for y in range(-1, size + 2)]
+            poly = SimplePolygon(tuple(Point(*v) for v in verts))
+            got = locate_points([Point(*p) for p in lattice], poly)
+            assert [g.value for g in got] == [
+                oracles.point_location(verts, p) for p in lattice
+            ], verts
+        assert horizontal > 100
+
     def test_nonsimple_polygon_rejected(self):
         # Every public entry rejects the bowtie, also once its simplicity
         # verdict is cached on the polygon object.
         entries = {
             "point_in_polygon": lambda poly: point_in_polygon(Point(1, 1), poly),
+            "locate_points": lambda poly: locate_points([Point(1, 1)], poly),
             "segment_hits_boundary": lambda poly: segment_hits_boundary(
                 Segment(Point(1, 0), Point(1, 2)), poly
             ),
@@ -372,6 +423,18 @@ class TestSimplePolygon:
         )
         assert is_simple(poly)
 
+    def test_is_simple_matches_pairwise_oracle(self):
+        # Small grids give repeated non-consecutive vertices, collinear
+        # folds and zero-area triangles.
+        rng = random.Random(19)
+        verdicts = []
+        for case in range(3000):
+            verts = random_cycle(rng, rng.randint(2, 6), rng.randint(3, 8))
+            want = oracles.simple_polygon(verts)
+            assert is_simple(SimplePolygon(tuple(Point(*v) for v in verts))) == want, verts
+            verdicts.append(want)
+        assert 500 < sum(verdicts) < 2500
+
     def test_too_few_vertices(self):
         with pytest.raises(ValidationError) as err:
             SimplePolygon((Point(0, 0), Point(1, 0)))
@@ -380,6 +443,44 @@ class TestSimplePolygon:
     def test_consecutive_duplicates_rejected(self):
         with pytest.raises(ValidationError):
             SimplePolygon((Point(0, 0), Point(0, 0), Point(1, 1), Point(0, 1)))
+
+
+class TestPlaneContact:
+    def test_shared_endpoint_needs_one_label(self):
+        assert plane_contact([(0, 0, 2, 1, 7, 8), (2, 1, 4, 0, 8, 9)]) is None
+        assert plane_contact([(0, 0, 2, 1, 7, 8), (2, 1, 4, 0, 5, 9)]) == (0, 1)
+
+    def test_endpoint_on_vertical_interior(self):
+        # (0, 1) lies inside the vertical segment, which does not end there.
+        assert plane_contact([(0, 0, 0, 2, 0, 1), (0, 1, 3, 1, 2, 3)]) == (0, 1)
+
+    def test_vertical_crossing(self):
+        assert plane_contact([(-1, 0, 1, 0, 0, 1), (0, -1, 0, 1, 2, 3)]) == (0, 1)
+
+    def test_same_direction_from_one_point_overlaps(self):
+        segs = [(0, 0, 2, 2, 0, 1), (0, 0, 1, 1, 0, 2), (0, 0, 2, -1, 0, 3)]
+        assert plane_contact(segs) == (0, 1)
+
+    def test_matches_pairwise_oracle(self):
+        # Endpoints on small grids, mostly labelled by their position, so
+        # crossings, overlaps, vertical segments and label clashes all occur.
+        rng = random.Random(23)
+        found = 0
+        for case in range(4000):
+            size = rng.randint(2, 6)
+            segs = []
+            while len(segs) < 1 + case % 7:
+                a = (rng.randrange(size), rng.randrange(size))
+                b = (rng.randrange(size), rng.randrange(size))
+                if a != b:
+                    la = a[0] * size + a[1] if rng.random() < 0.9 else -1
+                    lb = b[0] * size + b[1] if rng.random() < 0.9 else -1
+                    segs.append(a + b + (la, lb))
+            want = oracles.plane_contacts(segs)
+            got = plane_contact(segs)
+            assert (got is None) == (not want) and (got is None or got in want), segs
+            found += got is not None
+        assert 1000 < found < 3000
 
 
 class TestNormalizeCcw:

@@ -251,9 +251,8 @@ class TestDecideEmbedding:
 
     def test_deadline_expires_inside_precompute(self):
         # The criterion-6 instance (2501 points): locating its points takes
-        # about 0.1 s and the visibility pass after it about 1.7 s, so the
-        # 50 ms limit runs out while points are located and the 0.5 s one in
-        # the pass.
+        # a few milliseconds and the visibility pass after it about 1.7 s, so
+        # both the 50 ms and the 0.5 s limit run out in the pass.
         instance, _ = build_instance(validate_3p(50, [17, 17, 16] * 50))
         start = time.perf_counter()
         outcome = decide_embedding(instance, SolverConfig(time_limit_ms=50))

@@ -7,9 +7,11 @@ from oracles import brute_valid
 from polyembed.errors import ValidationError
 from polyembed.geometry import Point, SimplePolygon
 from polyembed.model import Embedding, FreeTree, PointSet, Violation, make_instance
+from polyembed import verifier
 from polyembed.reduction import build_instance, validate_3p
 from polyembed.solver import decide_embedding
 from polyembed.verifier import verify_embedding, verify_planar_only
+from test_solver import POLYGON_CATALOG, random_bounded_instance
 
 TRIANGLE = SimplePolygon((Point(0, 0), Point(20, 0), Point(0, 20)))
 
@@ -42,6 +44,18 @@ class TestBasics:
         assert not report.valid
         assert [v.kind for v in report.violations] == ["NotBijection"]
         assert report.violations[0].points == (0,)
+
+    def test_point_count_must_match_node_count(self):
+        # More points than nodes once reported unmapped point 3 as a point
+        # an edge passes through, or a bijection failure with no offender;
+        # fewer raised IndexError.
+        tree = FreeTree(3, ((0, 1), (1, 2)))
+        five = PointSet(tuple(Point(x, 0) for x in range(5)))
+        two = PointSet((Point(0, 0), Point(1, 1)))
+        for points, mapping in ((five, [0, 1, 2]), (five, [0, 1, 4]), (two, [0, 1, 0])):
+            with pytest.raises(ValidationError) as err:
+                verify_planar_only(tree, points, mapping)
+            assert err.value.code == "NodeCountMismatch", mapping
 
 
 class TestViolationKinds:
@@ -180,11 +194,42 @@ class TestMutationOnTwoGroups:
         assert kinds & {"EdgeHitsBoundary", "EdgeCrossesEdge"}
 
 
+class TestSweepAndReporter:
+    def test_valid_reduction_never_runs_the_pairwise_reporter(self, monkeypatch):
+        instance, _ = build_instance(validate_3p(22, [6, 6, 10, 7, 7, 8] * 2))
+        embedding = decide_embedding(instance).embedding
+
+        def refuse(*args):
+            raise AssertionError("the pairwise reporter ran on a valid embedding")
+
+        monkeypatch.setattr(verifier, "_check_edge_pairs", refuse)
+        assert verify_embedding(instance, embedding).valid
+        assert verify_planar_only(instance.tree, instance.points, embedding).valid
+
+    def test_swapped_mapping_reports_through_the_reporter(self, monkeypatch):
+        instance, meta = build_instance(validate_3p(22, [6, 6, 10, 7, 7, 8] * 2))
+        mapping = list(decide_embedding(instance).embedding.mapping)
+        u, w = (mapping.index(group[0]) for group in meta.group_points[:2])
+        mapping[u], mapping[w] = mapping[w], mapping[u]
+        calls = []
+        real = verifier._check_edge_pairs
+
+        def counted(segs, violations):
+            calls.append(len(segs))
+            real(segs, violations)
+
+        monkeypatch.setattr(verifier, "_check_edge_pairs", counted)
+        report = verify_embedding(instance, Embedding(tuple(mapping)))
+        assert calls == [instance.tree.node_count - 1]
+        assert not report.valid
+        assert {v.kind for v in report.violations} & {"EdgeHitsBoundary", "EdgeCrossesEdge"}
+
+
 class TestOracleAgreement:
     def test_against_independent_checker(self):
         rng = random.Random(11)
         cases = 0
-        while cases < 120:
+        while cases < 600:
             n = rng.randint(1, 7)
             cells = [(x, y) for x in range(9) for y in range(9)]
             pts = rng.sample(cells, n)
@@ -197,3 +242,27 @@ class TestOracleAgreement:
             want = brute_valid(edges, pts, mapping)
             assert got == want, (n, pts, edges, mapping)
             cases += 1
+
+    def test_bounded_against_independent_checker(self):
+        # Random and solved mappings in the catalogue polygons, with the
+        # boundary in play; a swap of two images of a solved mapping gives
+        # near misses.
+        rng = random.Random(29)
+        verdicts = []
+        for case in range(400):
+            verts = POLYGON_CATALOG[case % len(POLYGON_CATALOG)]
+            n = rng.randint(1, 8)
+            instance, edges, chosen, _ = random_bounded_instance(rng, n, verts)
+            if case % 2:
+                mapping = list(range(n))
+                rng.shuffle(mapping)
+            else:
+                outcome = decide_embedding(instance)
+                mapping = list(outcome.embedding.mapping) if outcome.embedding else list(range(n))
+                if n > 1 and case % 4:
+                    i, j = rng.sample(range(n), 2)
+                    mapping[i], mapping[j] = mapping[j], mapping[i]
+            got = verify_embedding(instance, Embedding(tuple(mapping))).valid
+            assert got == brute_valid(edges, chosen, mapping, verts), (verts, chosen, edges, mapping)
+            verdicts.append(got)
+        assert 100 < sum(verdicts) < 300
