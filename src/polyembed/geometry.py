@@ -1,31 +1,32 @@
 """Exact integer-arithmetic planar geometry.
 
 Orientation, exact direction keys, segment-pair classification, a plane
-sweep for contacts among labelled segments, point location, pairwise
-visibility inside a simple polygon, and the points that lie on a segment
-between two points of a set. Every predicate works on integer coordinates
-only; no floating point appears anywhere in this module, so all answers are
-exact. Touching counts as intersecting throughout: a segment that merely
-grazes the polygon boundary "hits" it.
+sweep for contacts among labelled segments, point location and pairwise
+visibility inside a simple polygon. Every predicate works on integer
+coordinates, and crossing points are exact rationals; no floating point
+appears anywhere in this module, so all answers are exact. Touching counts
+as intersecting throughout: a segment that merely grazes the polygon
+boundary "hits" it.
 
 :func:`segment_relation` is the one place that decides how two closed
 segments meet. It takes flat integer coordinates so hot loops can call it
 without building objects; :func:`classify_segments`,
-:func:`segment_hits_boundary`, :func:`plane_contact`, the solver and the
-verifier all go through it. :func:`plane_contact` is a Shamos–Hoey sweep
-that finds whether any two segments meet where they should not; polygon
-simplicity and the verifier's valid case are one call of it.
-:func:`locate_points` is the one point-location pass: one pass over the
-edges per distinct y among the points, so a row of collinear points costs
-one pass; :func:`point_in_polygon` is its one-point call, and an instance
-and the visibility pass each locate all their points in one call.
+:func:`segment_hits_boundary`, :func:`plane_contacts`, the solver and the
+verifier all go through it. :func:`plane_contacts` is the one sweep: a
+Bentley–Ottmann sweep that reports, in (x, y) order, every point where
+labelled segments meet where they should not, with the segments that start,
+end and pass there. The verifier builds its whole report from it, and
+:func:`plane_contact`, its first contact as a pair, decides polygon
+simplicity. :func:`locate_points` is the one point-location pass: one pass
+over the edges per distinct y among the points, so a row of collinear points
+costs one pass; :func:`point_in_polygon` is its one-point call, and an
+instance and the visibility pass each locate all their points in one call.
 :func:`boxed` is the one segment record and :meth:`SimplePolygon.blocks`
 the one segment-versus-boundary test. Public predicates validate their
 polygon; loops over an already-validated instance call these flat forms,
-which check nothing again. :class:`PointIndex` is the verifier's scan for
-instance points covered by a segment between two others; the solver's
-visibility pass walks each line through two or more points instead, and
-its clear neighbour pairs are the clean sightlines.
+which check nothing again. The solver's visibility pass walks each line
+through two or more points, and its clear neighbour pairs are the clean
+sightlines.
 """
 
 from __future__ import annotations
@@ -211,25 +212,39 @@ def classify_segments(s: Segment, t: Segment) -> SegmentRelation:
     return SegmentRelation(_KINDS[code], point)
 
 
-def plane_contact(segments: Sequence[tuple[int, int, int, int, int, int]]) -> tuple[int, int] | None:
-    """Two segments that meet other than at one common, equally labelled
-    endpoint, as an ascending index pair; None iff there are none.
+def plane_contacts(
+    segments: Sequence[tuple[int, int, int, int, int, int]],
+) -> Iterator[tuple[tuple, tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """Every point where segments meet other than at one common, equally
+    labelled endpoint, in (x, y) order, as ``(p, U, L, C)``.
 
     Each segment is ``(ax, ay, bx, by, label_a, label_b)`` with a != b; the
     labels name what its endpoints stand for, so two segments may share an
-    endpoint only where both give it the same label. A Shamos–Hoey sweep
-    (1976): event points are visited in (x, y) order, and the status lists
-    the segments that started before the event and end at or after it, from
-    bottom to top. At an event p, the status segments that contain p must be
-    exactly those that end at p; the segments that start at p replace them,
-    ordered by direction (two with one direction overlap), and each pair
-    this makes adjacent is tested with :func:`segment_relation`. The first
-    contact in (x, y) order is found by the time the sweep reaches it.
+    endpoint only where both give it the same label. U, L and C hold the
+    indices of the segments that start at p, end at p, and hold p inside
+    them; a segment starts at the lesser of its ends in (x, y) order. p is
+    ``(x, y)``, as ints at an endpoint and as exact ``Fraction`` values at
+    a crossing of two interiors. A point is yielded iff C is not empty, the
+    labels at p disagree, or two segments of U ∪ C have one direction, so
+    that they overlap from p on; each overlapping pair is in U ∪ C together
+    only at the later of their two starts.
+
+    A Bentley–Ottmann sweep (1979) over the Shamos–Hoey status (1976).
+    Events are the endpoints, in (x, y) order, merged with a heap of the
+    crossings found so far. The status lists the segments that started
+    before the event and end at or after it, from bottom to top; a vertical
+    one is the highest of those through a point. At an event p, L ∪ C is
+    the run of status segments through p; U ∪ C replaces it, ordered by
+    direction (de Berg et al., Computational Geometry, HandleEventPoint),
+    and each pair this makes adjacent is tested with
+    :func:`segment_relation`. Only a proper crossing ahead of p becomes an
+    event; every other contact is at an endpoint, which already is one.
     """
     segs: list[tuple[int, int, int, int]] = []  # (ax, ay, bx, by), a before b in (x, y) order
     starts: dict[tuple[int, int], list[int]] = {}
     ends: dict[tuple[int, int], list[int]] = {}
-    owner: dict[tuple[int, int], tuple[int, int]] = {}  # point -> (label, first segment)
+    owner: dict[tuple[int, int], int] = {}  # point -> its first label
+    clash: set[tuple[int, int]] = set()  # points given two labels
     for i, (ax, ay, bx, by, la, lb) in enumerate(segments):
         if (bx, by) < (ax, ay):
             ax, ay, bx, by, la, lb = bx, by, ax, ay, lb, la
@@ -237,9 +252,23 @@ def plane_contact(segments: Sequence[tuple[int, int, int, int, int, int]]) -> tu
         starts.setdefault((ax, ay), []).append(i)
         ends.setdefault((bx, by), []).append(i)
         for point, label in (((ax, ay), la), ((bx, by), lb)):
-            first, j = owner.setdefault(point, (label, i))
-            if first != label:
-                return (j, i)
+            if owner.setdefault(point, label) != label:
+                clash.add(point)
+
+    # Crossings ahead of the sweep, as (x, y, X, Y, D): the point
+    # (X / D, Y / D) with D > 0, and x, y its exact coordinates.
+    crossings: list[tuple] = []
+    pending: set[tuple] = set()
+
+    def events() -> Iterator[tuple]:
+        for p in sorted(owner):
+            while crossings and crossings[0][:2] <= p:
+                q = _pop_crossing(crossings)
+                if q[:2] != p:  # one at an endpoint is that endpoint's event
+                    yield q
+            yield p
+        while crossings:
+            yield _pop_crossing(crossings)
 
     def lower(s: int, t: int) -> int:
         # Directions that point right or straight up, from lowest to highest.
@@ -249,33 +278,92 @@ def plane_contact(segments: Sequence[tuple[int, int, int, int, int, int]]) -> tu
 
     by_direction = functools.cmp_to_key(lower)
     status: list[int] = []
-    for p in sorted(owner):
-        px, py = p
+    for event in events():
+        if len(event) == 2:
+            p = event
+            px, py = p
 
-        def side(s: int) -> int:
-            # -1 if s passes below p, 0 if it contains p, 1 if above. A
-            # vertical segment in the status always contains p.
-            ax, ay, bx, by = segs[s]
-            c = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-            return -1 if c > 0 else 1 if c < 0 else 0
+            def side(s: int) -> int:
+                # -1 if s passes below p, 0 if it contains p, 1 if above. A
+                # vertical segment in the status always contains p.
+                ax, ay, bx, by = segs[s]
+                c = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+                return -1 if c > 0 else 1 if c < 0 else 0
+        else:
+            p = event[:2]
+            X, Y, D = event[2:]
+
+            def side(s: int) -> int:
+                ax, ay, bx, by = segs[s]
+                c = (bx - ax) * (Y - ay * D) - (by - ay) * (X - ax * D)
+                return -1 if c > 0 else 1 if c < 0 else 0
 
         lo = bisect_left(status, 0, key=side)
         hi = bisect_right(status, 0, lo=lo, key=side)
-        for s in status[lo:hi]:
-            if segs[s][2:] != p:  # p is inside s, and some segment ends or starts at p
-                t = (ends.get(p) or starts[p])[0]
-                return (s, t) if s < t else (t, s)
-        new = sorted(starts.get(p, ()), key=by_direction)
-        for s, t in zip(new, new[1:]):
-            if lower(s, t) == 0:  # one direction: they overlap
-                return (s, t) if s < t else (t, s)
+        inside = [s for s in status[lo:hi] if segs[s][2:] != p]
+        begin = starts.get(p, ())
+        new = sorted([*begin, *inside], key=by_direction)
+        overlap = len(new) > 1 and any(lower(s, t) == 0 for s, t in zip(new, new[1:]))
+        if inside or overlap or (clash and p in clash):
+            yield p, tuple(begin), tuple(ends.get(p, ())), tuple(inside)
         status[lo:hi] = new
         for b in {lo, lo + len(new)}:  # the new adjacencies below and above
             if 0 < b < len(status):
                 s, t = status[b - 1], status[b]
-                # Segments that touch share an endpoint, whose labels agree.
-                if segment_relation(*segs[s], *segs[t]) not in (DISJOINT, TOUCH):
-                    return (s, t) if s < t else (t, s)
+                if segment_relation(*segs[s], *segs[t]) == CROSSING:
+                    _push_crossing(segs[s], segs[t], p, crossings, pending)
+
+
+def _push_crossing(s, t, p, crossings, pending) -> None:
+    """Queue the proper crossing of segments s and t if it lies past p."""
+    # Imported here, as only inputs with a crossing need them: importing
+    # fractions alone costs milliseconds, which every CLI call would pay.
+    from fractions import Fraction
+    from heapq import heappush
+
+    ax, ay, bx, by = s
+    cx, cy, dx, dy = t
+    ux, uy, vx, vy = bx - ax, by - ay, dx - cx, dy - cy
+    # s and t meet at a + (num / den) u.
+    den = ux * vy - uy * vx
+    num = (cx - ax) * vy - (cy - ay) * vx
+    if den < 0:
+        den, num = -den, -num
+    X, Y = ax * den + ux * num, ay * den + uy * num
+    q = (Fraction(X, den), Fraction(Y, den))
+    if q > p and q not in pending:
+        pending.add(q)
+        heappush(crossings, q + (X, Y, den))
+
+
+def _pop_crossing(crossings):
+    """The least queued crossing; heapq was loaded when it was queued."""
+    from heapq import heappop
+
+    return heappop(crossings)
+
+
+def plane_contact(segments: Sequence[tuple[int, int, int, int, int, int]]) -> tuple[int, int] | None:
+    """Two segments that meet other than at one common, equally labelled
+    endpoint, as an ascending index pair; None iff there are none.
+
+    The segments are those of :func:`plane_contacts`, whose sweep stops at
+    its first contact; the pair is the least one there that crosses,
+    overlaps, puts an endpoint inside the other, or touches at an endpoint
+    the two label differently.
+    """
+    for p, begin, end, inside in plane_contacts(segments):
+        at_p = sorted({*begin, *end, *inside})
+        for k, i in enumerate(at_p):
+            ax, ay, bx, by, la, lb = segments[i]
+            for j in at_p[k + 1 :]:
+                cx, cy, dx, dy, lc, ld = segments[j]
+                code = segment_relation(ax, ay, bx, by, cx, cy, dx, dy)
+                if code == TOUCH:  # at p, which both end at
+                    if (la if (ax, ay) == p else lb) == (lc if (cx, cy) == p else ld):
+                        continue
+                if code != DISJOINT:
+                    return (i, j)
     return None
 
 
@@ -445,29 +533,3 @@ def visible(p: Point, q: Point, polygon: SimplePolygon) -> bool:
                 f"visibility endpoint {name}={pt} is not strictly inside the polygon",
             )
     return not segment_hits_boundary(Segment(p, q), polygon)
-
-
-class PointIndex:
-    """A point set sorted by x, for finding points covered by a segment.
-
-    ``xs`` and ``ys`` are the flat coordinates in point-index order.
-    """
-
-    def __init__(self, points: Sequence[Point]):
-        self.xs = [p.x for p in points]
-        self.ys = [p.y for p in points]
-        self._by_x = sorted(range(len(self.xs)), key=self.xs.__getitem__)
-        self._x_keys = [self.xs[r] for r in self._by_x]
-
-    def inside(self, i: int, j: int) -> Iterator[int]:
-        """Yield every point index other than i and j on the segment from
-        point i to point j."""
-        xs, ys, by_x, keys = self.xs, self.ys, self._by_x, self._x_keys
-        ax, ay, bx, by, minx, maxx, miny, maxy = boxed(xs[i], ys[i], xs[j], ys[j])
-        for t in range(bisect_left(keys, minx), bisect_right(keys, maxx)):
-            r = by_x[t]
-            if r == i or r == j:
-                continue
-            ry = ys[r]
-            if miny <= ry <= maxy and (bx - ax) * (ry - ay) == (by - ay) * (xs[r] - ax):
-                yield r

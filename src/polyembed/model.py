@@ -204,6 +204,20 @@ class PointSet:
         return self.points[i]
 
 
+def node_images(values) -> tuple[int, ...]:
+    """A mapping's point indices as a tuple; each must be an int, not a bool.
+
+    Truncating ``1.7`` to 1 would verify a drawing nobody gave.
+    """
+    images = tuple(values)
+    for node, v in enumerate(images):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValidationError(
+                "NonIntegerImage", f"node {node} maps to {v!r}, not a point index"
+            )
+    return images
+
+
 @dataclass(frozen=True)
 class Embedding:
     """A bijection from tree nodes to point indices: mapping[node] = point."""
@@ -211,7 +225,7 @@ class Embedding:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
+        object.__setattr__(self, "mapping", node_images(self.mapping))
         if sorted(self.mapping) != list(range(len(self.mapping))):
             raise ValidationError(
                 "NotBijection",

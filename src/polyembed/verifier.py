@@ -5,12 +5,13 @@ touch only at that node's image, edge images that share no node are fully
 disjoint, no edge passes through any other mapped point, and (in the
 polygon-bounded variant) no edge touches the polygon boundary.
 
-Validity is decided first by one Shamos–Hoey sweep, :func:`plane_contact`,
-over the edge images and the boundary edges. Only when it finds a contact
-does the reporter run. Reports list every violation in a canonical order
-instead of stopping at the first, so callers can assert on specific failure
-kinds; the reporter's pairwise pass runs behind an interval sweep over x,
-and every surviving candidate pair is decided exactly.
+Validity and the report both come from one Bentley–Ottmann sweep,
+:func:`plane_contacts`, over the edge images, each end labelled by its point,
+and the boundary edges, labelled by negative vertex numbers. A valid
+embedding gives no contact. Every contact the sweep yields is turned into
+violations where it happens, and the report lists them all, in a canonical
+order, instead of stopping at the first, so callers can assert on specific
+failure kinds. All of it is exact integer and rational arithmetic.
 """
 
 from __future__ import annotations
@@ -18,16 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import ValidationError
-from .geometry import (
-    CROSSING,
-    DISJOINT,
-    OVERLAP,
-    TOUCH,
-    PointIndex,
-    boxed,
-    plane_contact,
-    segment_relation,
-)
+from .geometry import direction_key, plane_contacts
 from .model import (
     KIND_EDGE_CROSSES_EDGE,
     KIND_EDGE_HITS_BOUNDARY,
@@ -40,6 +32,7 @@ from .model import (
     PointSet,
     VerificationReport,
     Violation,
+    node_images,
 )
 
 
@@ -67,7 +60,7 @@ def _as_mapping(tree: FreeTree, embedding) -> tuple[tuple[int, ...], bool]:
         mapping = embedding.mapping
         bijective = True
     else:
-        mapping = tuple(int(v) for v in embedding)
+        mapping = node_images(embedding)
         bijective = sorted(mapping) == list(range(len(mapping)))
     if len(mapping) != tree.node_count:
         raise ValidationError(
@@ -98,74 +91,50 @@ def _verify(tree, points, embedding, polygon) -> VerificationReport:
         (xs[a], ys[a], xs[b], ys[b], a, b)
         for a, b in ((mapping[u], mapping[v]) for u, v in tree.edges)
     ]
+    m = len(labelled)
     if polygon is not None:
         k = len(polygon.vertices)
         labelled += [e[:4] + (~t, ~((t + 1) % k)) for t, e in enumerate(polygon.edge_boxes)]
-    if plane_contact(labelled) is None:
-        return VerificationReport(valid=True)
-
-    index = PointIndex(points.points)
     violations: set[Violation] = set()
-
-    # boxed(...) + (edge_index, node_u, node_v)
-    segs = []
-    for idx, (u, v) in enumerate(tree.edges):
-        a, b = mapping[u], mapping[v]
-        rec = boxed(xs[a], ys[a], xs[b], ys[b]) + (idx, u, v)
-        segs.append(rec)
-        if polygon is not None and polygon.blocks(rec):
-            violations.add(Violation(KIND_EDGE_HITS_BOUNDARY, edges=(idx,)))
-
-    _check_edge_pairs(segs, violations)
-    _check_points_on_edges(tree.edges, mapping, index, violations)
+    for contact in plane_contacts(labelled):
+        _report_contact(labelled, m, *contact, violations)
     return VerificationReport.from_violations(violations)
 
 
-def _check_edge_pairs(segs, violations) -> None:
-    ordered = sorted(segs, key=lambda rec: rec[4])
-    active: list[tuple] = []
-    for rec in ordered:
-        minx, maxx, miny, maxy = rec[4:8]
-        keep = []
-        for other in active:
-            if other[5] < minx:
-                continue
-            keep.append(other)
-            if other[6] > maxy or other[7] < miny:
-                continue
-            _classify_pair(rec, other, violations)
-        keep.append(rec)
-        active = keep
-
-
-def _classify_pair(rec_a, rec_b, violations) -> None:
-    rel = segment_relation(
-        rec_a[0], rec_a[1], rec_a[2], rec_a[3], rec_b[0], rec_b[1], rec_b[2], rec_b[3]
-    )
-    if rel == DISJOINT:
-        return
-    idx_a, u_a, v_a = rec_a[8:11]
-    idx_b, u_b, v_b = rec_b[8:11]
-    pair = (idx_a, idx_b) if idx_a < idx_b else (idx_b, idx_a)
-    if rel == OVERLAP:
-        violations.add(Violation(KIND_EDGES_OVERLAP, edges=pair))
-    elif u_a in (u_b, v_b) or v_a in (u_b, v_b):
-        # Sharing a node, the images always meet at that node's point; the
-        # only possible misbehaviour is extra collinear contact.
-        return
-    elif rel == CROSSING:
-        violations.add(Violation(KIND_EDGE_CROSSES_EDGE, edges=pair))
-    elif rel == TOUCH:
-        # Endpoint contact without a shared node is impossible for a
-        # bijective mapping onto distinct points.
-        raise AssertionError("endpoint contact between node-disjoint edges")
-    # The remaining codes put one edge's endpoint, a mapped point, inside
-    # the other edge; _check_points_on_edges reports that.
-
-
-def _check_points_on_edges(edges, mapping, index, violations) -> None:
-    for idx, (u, v) in enumerate(edges):
-        for point_idx in index.inside(mapping[u], mapping[v]):
-            violations.add(
-                Violation(KIND_EDGE_THROUGH_POINT, edges=(idx,), points=(point_idx,))
-            )
+def _report_contact(labelled, m, p, begin, end, inside, violations) -> None:
+    """Add the violations at one contact p of the sweep. Segments below m
+    are tree edges, the others boundary edges; begin, end and inside are
+    the segments that start at p, end at p and hold p inside them."""
+    at_p = (*begin, *end, *inside)
+    edges = [s for s in at_p if s < m]
+    if len(edges) < len(at_p):
+        for s in edges:
+            violations.add(Violation(KIND_EDGE_HITS_BOUNDARY, edges=(s,)))
+    # A tree edge with an end at p makes p a mapped point: its label there.
+    ending = next((s for s in (*begin, *end) if s < m), None)
+    through = [s for s in inside if s < m]
+    if ending is not None:
+        rec = labelled[ending]
+        point = rec[4] if rec[:2] == p else rec[5]
+        for s in through:
+            violations.add(Violation(KIND_EDGE_THROUGH_POINT, edges=(s,), points=(point,)))
+    # The tree edges that go on past p, by direction. Two of one direction
+    # overlap; the pair is reported once, at the later of its two starts,
+    # where one of them is in begin. Two of different directions that both
+    # hold p inside them cross there.
+    runs: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    for group, segs in ((0, begin), (1, through)):
+        for s in segs:
+            if s < m:
+                ax, ay, bx, by = labelled[s][:4]
+                runs.setdefault(direction_key(bx - ax, by - ay), ([], []))[group].append(s)
+    for starting, passing in runs.values():
+        for i, s in enumerate(starting):
+            for t in starting[i + 1 :] + passing:
+                violations.add(Violation(KIND_EDGES_OVERLAP, edges=(min(s, t), max(s, t))))
+    passing = [run[1] for run in runs.values() if run[1]]
+    for i, run in enumerate(passing):
+        for other in passing[i + 1 :]:
+            for s in run:
+                for t in other:
+                    violations.add(Violation(KIND_EDGE_CROSSES_EDGE, edges=(min(s, t), max(s, t))))

@@ -3,9 +3,11 @@
 Everything here is written from scratch with its own predicates (classic
 orientation/straddle formulation, short-circuit evaluation) so that a bug in
 the library cannot hide behind shared code. Keep this module free of imports
-from polyembed.
+from polyembed, but for :func:`pairwise_report`, the verifier's former
+reporter, which is kept as it was and imports what it used.
 """
 
+from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import permutations
 
@@ -259,3 +261,117 @@ def visibility(verts, points):
                 clean[i].append(j)
                 clean[j].append(i)
     return matrix, [sorted(c) for c in clean]
+
+
+# The exhaustive reporter that the verifier's sweep replaced, kept verbatim
+# as the reference its reports are checked against. Unlike the rest of this
+# module it runs on the library's segment kernel and report types, so it
+# imports them where it uses them.
+
+
+def pairwise_report(tree, points, mapping, polygon=None):
+    """The verifier's report for a bijective mapping, by classifying every
+    pair of edge images whose bounding boxes overlap, scanning the points on
+    each edge and testing each edge against the boundary."""
+    from polyembed.geometry import boxed
+    from polyembed.model import KIND_EDGE_HITS_BOUNDARY, VerificationReport, Violation
+
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    index = PointIndex(points.points)
+    violations = set()
+
+    # boxed(...) + (edge_index, node_u, node_v)
+    segs = []
+    for idx, (u, v) in enumerate(tree.edges):
+        a, b = mapping[u], mapping[v]
+        rec = boxed(xs[a], ys[a], xs[b], ys[b]) + (idx, u, v)
+        segs.append(rec)
+        if polygon is not None and polygon.blocks(rec):
+            violations.add(Violation(KIND_EDGE_HITS_BOUNDARY, edges=(idx,)))
+
+    _check_edge_pairs(segs, violations)
+    _check_points_on_edges(tree.edges, mapping, index, violations)
+    return VerificationReport.from_violations(violations)
+
+
+def _check_edge_pairs(segs, violations) -> None:
+    ordered = sorted(segs, key=lambda rec: rec[4])
+    active: list[tuple] = []
+    for rec in ordered:
+        minx, maxx, miny, maxy = rec[4:8]
+        keep = []
+        for other in active:
+            if other[5] < minx:
+                continue
+            keep.append(other)
+            if other[6] > maxy or other[7] < miny:
+                continue
+            _classify_pair(rec, other, violations)
+        keep.append(rec)
+        active = keep
+
+
+def _classify_pair(rec_a, rec_b, violations) -> None:
+    from polyembed.geometry import CROSSING, DISJOINT, OVERLAP, TOUCH, segment_relation
+    from polyembed.model import KIND_EDGE_CROSSES_EDGE, KIND_EDGES_OVERLAP, Violation
+
+    rel = segment_relation(
+        rec_a[0], rec_a[1], rec_a[2], rec_a[3], rec_b[0], rec_b[1], rec_b[2], rec_b[3]
+    )
+    if rel == DISJOINT:
+        return
+    idx_a, u_a, v_a = rec_a[8:11]
+    idx_b, u_b, v_b = rec_b[8:11]
+    pair = (idx_a, idx_b) if idx_a < idx_b else (idx_b, idx_a)
+    if rel == OVERLAP:
+        violations.add(Violation(KIND_EDGES_OVERLAP, edges=pair))
+    elif u_a in (u_b, v_b) or v_a in (u_b, v_b):
+        # Sharing a node, the images always meet at that node's point; the
+        # only possible misbehaviour is extra collinear contact.
+        return
+    elif rel == CROSSING:
+        violations.add(Violation(KIND_EDGE_CROSSES_EDGE, edges=pair))
+    elif rel == TOUCH:
+        # Endpoint contact without a shared node is impossible for a
+        # bijective mapping onto distinct points.
+        raise AssertionError("endpoint contact between node-disjoint edges")
+    # The remaining codes put one edge's endpoint, a mapped point, inside
+    # the other edge; _check_points_on_edges reports that.
+
+
+def _check_points_on_edges(edges, mapping, index, violations) -> None:
+    from polyembed.model import KIND_EDGE_THROUGH_POINT, Violation
+
+    for idx, (u, v) in enumerate(edges):
+        for point_idx in index.inside(mapping[u], mapping[v]):
+            violations.add(
+                Violation(KIND_EDGE_THROUGH_POINT, edges=(idx,), points=(point_idx,))
+            )
+
+
+class PointIndex:
+    """A point set sorted by x, for finding points covered by a segment.
+
+    ``xs`` and ``ys`` are the flat coordinates in point-index order.
+    """
+
+    def __init__(self, points):
+        self.xs = [p.x for p in points]
+        self.ys = [p.y for p in points]
+        self._by_x = sorted(range(len(self.xs)), key=self.xs.__getitem__)
+        self._x_keys = [self.xs[r] for r in self._by_x]
+
+    def inside(self, i, j):
+        """Yield every point index other than i and j on the segment from
+        point i to point j."""
+        from polyembed.geometry import boxed
+
+        xs, ys, by_x, keys = self.xs, self.ys, self._by_x, self._x_keys
+        ax, ay, bx, by, minx, maxx, miny, maxy = boxed(xs[i], ys[i], xs[j], ys[j])
+        for t in range(bisect_left(keys, minx), bisect_right(keys, maxx)):
+            r = by_x[t]
+            if r == i or r == j:
+                continue
+            ry = ys[r]
+            if miny <= ry <= maxy and (bx - ax) * (ry - ay) == (by - ay) * (xs[r] - ax):
+                yield r

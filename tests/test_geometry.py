@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,6 @@ from polyembed.geometry import (
     TOUCH,
     Orientation,
     Point,
-    PointIndex,
     PointLocation,
     Segment,
     SegmentRelationKind,
@@ -28,6 +28,7 @@ from polyembed.geometry import (
     on_segment,
     orient2d,
     plane_contact,
+    plane_contacts,
     point_in_polygon,
     segment_hits_boundary,
     segment_relation,
@@ -194,9 +195,10 @@ class TestSegmentRelation:
 
 
 class TestPointIndex:
+    # The covered-point scan of the reference reporter, oracles.pairwise_report.
     def test_inside_agrees_with_oracle_on_4x4_grid(self):
         grid = [Point(x, y) for x in range(4) for y in range(4)]
-        index = PointIndex(grid)
+        index = oracles.PointIndex(grid)
         for i, a in enumerate(grid):
             for j, b in enumerate(grid):
                 if i == j:
@@ -211,7 +213,7 @@ class TestPointIndex:
 
     def test_collinear_group(self):
         points, groups = build_points(2, 7)
-        index = PointIndex(points.points)
+        index = oracles.PointIndex(points.points)
         group = groups[0]
         for a, i in enumerate(group):
             for b, j in enumerate(group):
@@ -462,24 +464,86 @@ class TestPlaneContact:
         assert plane_contact(segs) == (0, 1)
 
     def test_matches_pairwise_oracle(self):
-        # Endpoints on small grids, mostly labelled by their position, so
-        # crossings, overlaps, vertical segments and label clashes all occur.
         rng = random.Random(23)
         found = 0
         for case in range(4000):
-            size = rng.randint(2, 6)
-            segs = []
-            while len(segs) < 1 + case % 7:
-                a = (rng.randrange(size), rng.randrange(size))
-                b = (rng.randrange(size), rng.randrange(size))
-                if a != b:
-                    la = a[0] * size + a[1] if rng.random() < 0.9 else -1
-                    lb = b[0] * size + b[1] if rng.random() < 0.9 else -1
-                    segs.append(a + b + (la, lb))
+            segs = random_labelled_segments(rng, 1 + case % 7)
             want = oracles.plane_contacts(segs)
             got = plane_contact(segs)
             assert (got is None) == (not want) and (got is None or got in want), segs
             found += got is not None
+        assert 1000 < found < 3000
+
+
+def random_labelled_segments(rng, count):
+    """count segments with ends on a small grid, mostly labelled by their
+    position, so crossings, overlaps, vertical segments and label clashes
+    all occur."""
+    size = rng.randint(2, 6)
+    segs = []
+    while len(segs) < count:
+        a = (rng.randrange(size), rng.randrange(size))
+        b = (rng.randrange(size), rng.randrange(size))
+        if a != b:
+            la = a[0] * size + a[1] if rng.random() < 0.9 else -1
+            lb = b[0] * size + b[1] if rng.random() < 0.9 else -1
+            segs.append(a + b + (la, lb))
+    return segs
+
+
+class TestPlaneContacts:
+    def test_three_segments_through_one_crossing(self):
+        segs = [(0, 0, 2, 2, 0, 1), (0, 2, 2, 0, 2, 3), (0, 1, 2, 1, 4, 5)]
+        [(p, begin, end, inside)] = plane_contacts(segs)
+        assert (p, begin, end, sorted(inside)) == ((1, 1), (), (), [0, 1, 2])
+
+    def test_crossing_on_a_vertical_segment(self):
+        segs = [(1, 0, 1, 3, 0, 1), (0, 0, 3, 2, 2, 3)]
+        [(p, begin, end, inside)] = plane_contacts(segs)
+        assert p == (1, Fraction(2, 3)) and (begin, end) == ((), ())
+        assert sorted(inside) == [0, 1]
+
+    def test_overlap_bundle_crossed_by_a_third_segment(self):
+        # 1 lies on 0 from (1, 0) to (3, 0); 2 crosses both at (2, 0), once.
+        segs = [(0, 0, 4, 0, 0, 1), (1, 0, 3, 0, 2, 3), (2, -1, 2, 1, 4, 5)]
+        contacts = [(p, begin, end, sorted(inside)) for p, begin, end, inside in plane_contacts(segs)]
+        assert contacts == [
+            ((1, 0), (1,), (), [0]),
+            ((2, 0), (), (), [0, 1, 2]),
+            ((3, 0), (), (1,), [0]),
+        ]
+
+    def test_crossing_at_a_non_integer_point(self):
+        segs = [(0, 0, 3, 1, 0, 1), (0, 1, 3, 0, 2, 3)]
+        [(p, *_)] = plane_contacts(segs)
+        assert p == (Fraction(3, 2), Fraction(1, 2)) and isinstance(p[0], Fraction)
+
+    def test_crossing_at_an_endpoint_is_one_event(self):
+        # 0 and 1 cross at (1, 1), where 2 ends.
+        segs = [(0, 0, 2, 2, 0, 1), (0, 2, 2, 0, 2, 3), (1, 1, 3, 1, 4, 5)]
+        [(p, begin, end, inside)] = plane_contacts(segs)
+        assert (p, begin, end, sorted(inside)) == ((1, 1), (2,), (), [0, 1])
+
+    def test_matches_pairwise_oracle(self):
+        # Each oracle pair is at one yielded point together, each yielded
+        # point holds an oracle pair, and the points come in (x, y) order.
+        rng = random.Random(23)
+        found = 0
+        for case in range(4000):
+            segs = random_labelled_segments(rng, 1 + case % 7)
+            want = oracles.plane_contacts(segs)
+            contacts = list(plane_contacts(segs))
+            assert bool(contacts) == bool(want), segs
+            points = [c[0] for c in contacts]
+            assert points == sorted(set(points)), segs
+            together = set()
+            for p, begin, end, inside in contacts:
+                at_p = sorted({*begin, *end, *inside})
+                pairs = set(itertools.combinations(at_p, 2))
+                assert pairs & want, (segs, p)
+                together |= pairs
+            assert want <= together, segs
+            found += bool(contacts)
         assert 1000 < found < 3000
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import brute_valid
+from oracles import brute_valid, pairwise_report
 from polyembed.errors import ValidationError
 from polyembed.geometry import Point, SimplePolygon
 from polyembed.model import Embedding, FreeTree, PointSet, Violation, make_instance
@@ -44,6 +44,21 @@ class TestBasics:
         assert not report.valid
         assert [v.kind for v in report.violations] == ["NotBijection"]
         assert report.violations[0].points == (0,)
+
+    def test_non_integer_images_rejected(self):
+        # int() once truncated 1.7 and 1.5 to 1, so a drawing nobody gave
+        # was verified; a string raised a bare ValueError.
+        tree = FreeTree(3, ((0, 1), (1, 2)))
+        pts = PointSet((Point(0, 0), Point(1, 0), Point(0, 1)))
+        for make in (
+            lambda: verify_planar_only(tree, pts, [0, 1.7, 2]),
+            lambda: Embedding((0, 1.5, 2)),
+            lambda: verify_planar_only(tree, pts, ["a", 1, 2]),
+            lambda: verify_planar_only(tree, pts, [0, True, 2]),
+        ):
+            with pytest.raises(ValidationError) as err:
+                make()
+            assert err.value.code == "NonIntegerImage"
 
     def test_point_count_must_match_node_count(self):
         # More points than nodes once reported unmapped point 3 as a point
@@ -195,34 +210,130 @@ class TestMutationOnTwoGroups:
 
 
 class TestSweepAndReporter:
-    def test_valid_reduction_never_runs_the_pairwise_reporter(self, monkeypatch):
+    def test_valid_reduction_reports_nothing_past_the_sweep(self, monkeypatch):
+        # A valid embedding gives the one sweep no contact, so no violation
+        # is ever derived.
         instance, _ = build_instance(validate_3p(22, [6, 6, 10, 7, 7, 8] * 2))
         embedding = decide_embedding(instance).embedding
+        calls = []
+        real = verifier.plane_contacts
+
+        def counted(segments):
+            calls.append(len(segments))
+            return real(segments)
 
         def refuse(*args):
-            raise AssertionError("the pairwise reporter ran on a valid embedding")
+            raise AssertionError("a contact was reported for a valid embedding")
 
-        monkeypatch.setattr(verifier, "_check_edge_pairs", refuse)
+        monkeypatch.setattr(verifier, "plane_contacts", counted)
+        monkeypatch.setattr(verifier, "_report_contact", refuse)
         assert verify_embedding(instance, embedding).valid
         assert verify_planar_only(instance.tree, instance.points, embedding).valid
+        m = instance.tree.node_count - 1
+        assert calls == [m + len(instance.polygon.vertices), m]
 
-    def test_swapped_mapping_reports_through_the_reporter(self, monkeypatch):
+    def test_swapped_mapping_reports_through_one_sweep(self, monkeypatch):
         instance, meta = build_instance(validate_3p(22, [6, 6, 10, 7, 7, 8] * 2))
         mapping = list(decide_embedding(instance).embedding.mapping)
         u, w = (mapping.index(group[0]) for group in meta.group_points[:2])
         mapping[u], mapping[w] = mapping[w], mapping[u]
         calls = []
-        real = verifier._check_edge_pairs
+        real = verifier.plane_contacts
 
-        def counted(segs, violations):
-            calls.append(len(segs))
-            real(segs, violations)
+        def counted(segments):
+            calls.append(len(segments))
+            return real(segments)
 
-        monkeypatch.setattr(verifier, "_check_edge_pairs", counted)
+        monkeypatch.setattr(verifier, "plane_contacts", counted)
         report = verify_embedding(instance, Embedding(tuple(mapping)))
-        assert calls == [instance.tree.node_count - 1]
+        assert calls == [instance.tree.node_count - 1 + len(instance.polygon.vertices)]
         assert not report.valid
         assert {v.kind for v in report.violations} & {"EdgeHitsBoundary", "EdgeCrossesEdge"}
+
+
+def solved_reduction(b, values):
+    """A reduction instance and its embedding that sends the i-th chain node
+    to the i-th group point, valid when the chains fill the groups in input
+    order."""
+    instance, meta = build_instance(validate_3p(b, values))
+    nodes = [v for path in meta.path_nodes for v in path]
+    mapping = [meta.p0_point] * meta.node_count
+    for v, p in zip(nodes, (p for group in meta.group_points for p in group)):
+        mapping[v] = p
+    return instance, meta, nodes, mapping
+
+
+class TestPairwiseReference:
+    """The sweep's reports equal those of the exhaustive pairwise reporter
+    it replaced, oracles.pairwise_report, violation for violation."""
+
+    def assert_same_report(self, tree, points, mapping, polygon=None):
+        if polygon is None:
+            got = verify_planar_only(tree, points, Embedding(tuple(mapping)))
+        else:
+            got = verify_embedding(make_instance(tree, points, polygon), Embedding(tuple(mapping)))
+        assert got == pairwise_report(tree, points, mapping, polygon), mapping
+        return got
+
+    def test_random_planar_cases(self):
+        rng = random.Random(41)
+        invalid = 0
+        for _ in range(600):
+            n = rng.randint(1, 9)
+            pts = rng.sample([(x, y) for x in range(7) for y in range(7)], n)
+            tree = FreeTree(n, tuple((rng.randrange(i), i) for i in range(1, n)))
+            mapping = list(range(n))
+            rng.shuffle(mapping)
+            points = PointSet(tuple(Point(x, y) for x, y in pts))
+            invalid += not self.assert_same_report(tree, points, mapping).valid
+        assert 200 < invalid < 550
+
+    def test_catalogue_cases(self):
+        rng = random.Random(43)
+        invalid = 0
+        for case in range(300):
+            verts = POLYGON_CATALOG[case % len(POLYGON_CATALOG)]
+            n = rng.randint(2, 9)
+            instance, *_ = random_bounded_instance(rng, n, verts)
+            mapping = list(range(n))
+            rng.shuffle(mapping)
+            report = self.assert_same_report(
+                instance.tree, instance.points, mapping, instance.polygon
+            )
+            invalid += not report.valid
+        assert 100 < invalid < 290
+
+    def test_adjacent_group_swaps_at_2501_points(self):
+        # The mutants of the benchmark's verify-large workload, with other
+        # generator seeds: three image swaps between adjacent groups.
+        instance, meta, nodes, mapping = solved_reduction(50, [17, 17, 16] * 50)
+        group_of = {p: g for g, group in enumerate(meta.group_points) for p in group}
+        for seed in (1, 2):
+            rng = random.Random(f"verify-large:{seed}")
+            mutant, swapped = list(mapping), set()
+            while len(swapped) < 6:
+                u, w = rng.sample(nodes, 2)
+                if abs(group_of[mutant[u]] - group_of[mutant[w]]) == 1 and not swapped & {u, w}:
+                    mutant[u], mutant[w] = mutant[w], mutant[u]
+                    swapped |= {u, w}
+            report = self.assert_same_report(
+                instance.tree, instance.points, mutant, instance.polygon
+            )
+            assert len(report.violations) > 100
+
+    def test_random_swaps_at_401_points(self):
+        instance, _, _, mapping = solved_reduction(50, [17, 17, 16] * 8)
+        assert verify_embedding(instance, Embedding(tuple(mapping))).valid
+        rng = random.Random(47)
+        for swaps in (1, 1, 2, 3, 5, 8):
+            mutant = list(mapping)
+            for _ in range(swaps):
+                u, w = rng.sample(range(len(mutant)), 2)
+                mutant[u], mutant[w] = mutant[w], mutant[u]
+            report = self.assert_same_report(
+                instance.tree, instance.points, mutant, instance.polygon
+            )
+            assert not report.valid
 
 
 class TestOracleAgreement:
