@@ -9,7 +9,6 @@ case, and brute-force oracles for desk-scale cross-checking.
 from .errors import ParseError, ValidationError
 from .geometry import (
     COORD_LIMIT,
-    Orientation,
     Point,
     PointLocation,
     Segment,
@@ -19,12 +18,9 @@ from .geometry import (
     classify_segments,
     is_simple,
     normalize_ccw,
-    on_segment,
-    orient2d,
     point_in_polygon,
     segment_hits_boundary,
     signed_area2,
-    visible,
 )
 from .model import (
     Embedding,

@@ -1,12 +1,12 @@
 """Exact integer-arithmetic planar geometry.
 
-Orientation, exact direction keys, segment-pair classification, a plane
-sweep for contacts among labelled segments, point location and pairwise
-visibility inside a simple polygon. Every predicate works on integer
+Exact direction keys, segment-pair classification, a plane sweep for
+contacts among labelled segments, point location and segment-versus-boundary
+tests inside a simple polygon. Every predicate works on integer
 coordinates, and crossing points are exact rationals; no floating point
 appears anywhere in this module, so all answers are exact. Touching counts
 as intersecting throughout: a segment that merely grazes the polygon
-boundary "hits" it.
+boundary "hits" it. :func:`cross` is the orientation kernel.
 
 :func:`segment_relation` is the one place that decides how two closed
 segments meet. It takes flat integer coordinates so hot loops can call it
@@ -15,18 +15,17 @@ without building objects; :func:`classify_segments`,
 verifier all go through it. :func:`plane_contacts` is the one sweep: a
 Bentley–Ottmann sweep that reports, in (x, y) order, every point where
 labelled segments meet where they should not, with the segments that start,
-end and pass there. The verifier builds its whole report from it, and
-:func:`plane_contact`, its first contact as a pair, decides polygon
-simplicity. :func:`locate_points` is the one point-location pass: one pass
-over the edges per distinct y among the points, so a row of collinear points
-costs one pass; :func:`point_in_polygon` is its one-point call, and an
-instance and the visibility pass each locate all their points in one call.
-:func:`boxed` is the one segment record and :meth:`SimplePolygon.blocks`
-the one segment-versus-boundary test. Public predicates validate their
-polygon; loops over an already-validated instance call these flat forms,
-which check nothing again. The solver's visibility pass walks each line
-through two or more points, and its clear neighbour pairs are the clean
-sightlines.
+end and pass there. The verifier builds its whole report from it, and its
+first contact, if any, decides polygon simplicity. :func:`locate_points` is
+the one point-location pass: one pass over the edges per distinct y among
+the points, so a row of collinear points costs one pass;
+:func:`point_in_polygon` is its one-point call, and an instance locates all
+its points in one call when it is built. :func:`boxed` is the one segment
+record and :meth:`SimplePolygon.blocks` the one segment-versus-boundary
+test. Public predicates validate their polygon; loops over an
+already-validated instance call these flat forms, which check nothing
+again. The solver's visibility pass walks each line through two or more
+points, and its clear neighbour pairs are the clean sightlines.
 """
 
 from __future__ import annotations
@@ -51,25 +50,9 @@ class Point:
     y: int
 
 
-class Orientation(Enum):
-    CCW = "ccw"
-    CW = "cw"
-    COLLINEAR = "collinear"
-
-
 def cross(a: Point, b: Point, c: Point) -> int:
     """Signed cross product (b - a) x (c - a): twice the triangle area."""
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-
-
-def orient2d(a: Point, b: Point, c: Point) -> Orientation:
-    """Turn direction of the path a -> b -> c."""
-    d = cross(a, b, c)
-    if d > 0:
-        return Orientation.CCW
-    if d < 0:
-        return Orientation.CW
-    return Orientation.COLLINEAR
 
 
 def direction_key(dx: int, dy: int) -> tuple[int, int]:
@@ -79,16 +62,6 @@ def direction_key(dx: int, dy: int) -> tuple[int, int]:
     g = math.gcd(dx, dy)
     dx, dy = dx // g, dy // g
     return (-dx, -dy) if dx < 0 or (dx == 0 and dy < 0) else (dx, dy)
-
-
-def on_segment(a: Point, b: Point, p: Point) -> bool:
-    """True iff p lies on the closed segment ab (endpoints included)."""
-    if cross(a, b, p) != 0:
-        return False
-    return (
-        min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    )
 
 
 @dataclass(frozen=True)
@@ -343,30 +316,6 @@ def _pop_crossing(crossings):
     return heappop(crossings)
 
 
-def plane_contact(segments: Sequence[tuple[int, int, int, int, int, int]]) -> tuple[int, int] | None:
-    """Two segments that meet other than at one common, equally labelled
-    endpoint, as an ascending index pair; None iff there are none.
-
-    The segments are those of :func:`plane_contacts`, whose sweep stops at
-    its first contact; the pair is the least one there that crosses,
-    overlaps, puts an endpoint inside the other, or touches at an endpoint
-    the two label differently.
-    """
-    for p, begin, end, inside in plane_contacts(segments):
-        at_p = sorted({*begin, *end, *inside})
-        for k, i in enumerate(at_p):
-            ax, ay, bx, by, la, lb = segments[i]
-            for j in at_p[k + 1 :]:
-                cx, cy, dx, dy, lc, ld = segments[j]
-                code = segment_relation(ax, ay, bx, by, cx, cy, dx, dy)
-                if code == TOUCH:  # at p, which both end at
-                    if (la if (ax, ay) == p else lb) == (lc if (cx, cy) == p else ld):
-                        continue
-                if code != DISJOINT:
-                    return (i, j)
-    return None
-
-
 @dataclass(frozen=True)
 class SimplePolygon:
     """A closed polygonal cycle; simplicity is checked by :func:`is_simple`.
@@ -414,7 +363,8 @@ class SimplePolygon:
     def _simple(self) -> bool:
         edges = self.edge_boxes
         k = len(edges)
-        return plane_contact([e[:4] + (t, (t + 1) % k) for t, e in enumerate(edges)]) is None
+        labelled = [e[:4] + (t, (t + 1) % k) for t, e in enumerate(edges)]
+        return next(plane_contacts(labelled), None) is None
 
 
 def signed_area2(polygon: SimplePolygon) -> int:
@@ -429,8 +379,9 @@ def signed_area2(polygon: SimplePolygon) -> int:
 
 def is_simple(polygon: SimplePolygon) -> bool:
     """True iff no two non-adjacent edges intersect and adjacent edges meet
-    only at their shared vertex: one :func:`plane_contact` sweep over the
-    edges, their ends labelled by vertex number, O(k log k) for k edges."""
+    only at their shared vertex: a :func:`plane_contacts` sweep over the
+    edges, their ends labelled by vertex number, stopped at its first
+    contact, O(k log k) for k edges."""
     return polygon._simple
 
 
@@ -517,19 +468,3 @@ def segment_hits_boundary(s: Segment, polygon: SimplePolygon) -> bool:
     polygon's boundary polyline. Grazing contact counts."""
     ensure_simple(polygon)
     return polygon.blocks(boxed(s.a.x, s.a.y, s.b.x, s.b.y))
-
-
-def visible(p: Point, q: Point, polygon: SimplePolygon) -> bool:
-    """Two strictly interior points see each other iff the segment between
-    them never meets the boundary, grazing included.
-
-    Raises for endpoints that are not strictly inside; boundary points get
-    no visibility convention here because no caller needs one.
-    """
-    for name, pt in (("p", p), ("q", q)):
-        if point_in_polygon(pt, polygon) is not PointLocation.INSIDE:
-            raise ValidationError(
-                "PointNotStrictlyInside",
-                f"visibility endpoint {name}={pt} is not strictly inside the polygon",
-            )
-    return not segment_hits_boundary(Segment(p, q), polygon)

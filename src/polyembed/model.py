@@ -287,7 +287,8 @@ class Violation:
     """One specific way an embedding fails.
 
     ``edges`` are indices into the tree's edge list; ``points`` are indices
-    into the instance's point set.
+    into the instance's point set. Both are tuples of ints, as every caller
+    builds them; only the kind is checked.
     """
 
     kind: str
@@ -297,8 +298,6 @@ class Violation:
     def __post_init__(self):
         if self.kind not in VIOLATION_KINDS:
             raise ValueError(f"unknown violation kind {self.kind!r}")
-        object.__setattr__(self, "edges", tuple(int(e) for e in self.edges))
-        object.__setattr__(self, "points", tuple(int(p) for p in self.points))
 
     def sort_key(self):
         return (self.kind, self.edges, self.points)
@@ -438,6 +437,9 @@ def deserialize_report(text: str) -> VerificationReport:
                 points=_indices(vobj["points"], f"violations[{i}].points"),
             )
         )
+    if obj["valid"] != (not violations):
+        want = "false" if violations else "true"
+        raise ParseError(f"valid: expected {want} with {len(violations)} violations")
     return VerificationReport(valid=obj["valid"], violations=tuple(violations))
 
 

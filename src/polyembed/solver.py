@@ -25,10 +25,9 @@ sizes. Every prune drops only what cannot complete, so verdicts and
 first-found embeddings do not depend on them. The clean sightlines come
 from the visibility pass, which walks every line through two or more points
 once and tests each segment between neighbours on it once. A time limit is
-checked in every phase: once before the points are located (one call of
-``locate_points``, which takes milliseconds), once per row of that pass and
-before each of its boundary tests, before every candidate trial, and once
-per new state of the tiling search.
+checked in every phase: once per row of that pass and before each of its
+boundary tests, before every candidate trial, and once per new state of the
+tiling search.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -51,12 +50,9 @@ from operator import itemgetter
 from .errors import ValidationError
 from .geometry import (
     DISJOINT,
-    PointLocation,
-    SimplePolygon,
     boxed,
     cross,
     direction_key,
-    locate_points,
     segment_relation,
 )
 from .model import Embedding, EmbeddingInstance, FreeTree, PointSet
@@ -96,9 +92,9 @@ class VisibilityGraph:
 
 
 def build_visibility_graph(
-    points: PointSet, polygon: SimplePolygon, *, deadline: float = math.inf
+    instance: EmbeddingInstance, *, deadline: float = math.inf
 ) -> VisibilityGraph:
-    """Exact visible runs and clean sightlines of strictly interior points.
+    """Exact visible runs and clean sightlines of an instance's points.
 
     Points are taken in (x, y) order. Every point after i lies ahead of it
     (greater x, or equal x and greater y), so the reduced offset
@@ -110,22 +106,15 @@ def build_visibility_graph(
     So each neighbour segment is tested once, each maximal run of clear ones
     joins mutually visible points and is kept, and the clear neighbour pairs
     are the clean sightlines. A walk marks its line at every point but the
-    last, so that no later row walks it again. The points are located in
-    one call of :func:`locate_points`. The clock is read once before that,
-    once per row and before each boundary test, since one line can hold
-    thousands of points; past ``deadline`` (a ``time.perf_counter`` value)
-    :class:`_Expired` is raised.
+    last, so that no later row walks it again. The instance guarantees a
+    simple polygon with every point strictly inside, so nothing is checked
+    again. The clock is read once per row and before each boundary test,
+    since one line can hold thousands of points; past ``deadline`` (a
+    ``time.perf_counter`` value) :class:`_Expired` is raised.
     """
+    points, polygon = instance.points, instance.polygon
     n = len(points)
-    if time.perf_counter() >= deadline:
-        raise _Expired
-    for i, (p, where) in enumerate(zip(points, locate_points(points.points, polygon))):
-        if where is not PointLocation.INSIDE:
-            raise ValidationError(
-                "PointNotStrictlyInside",
-                f"point {i} at {p} is not strictly inside the polygon",
-            )
-    # locate_points validated the polygon, so the loop calls its flat test.
+    # The instance validated the polygon, so the loop calls its flat test.
     xs, ys, blocks, gcd = [p.x for p in points], [p.y for p in points], polygon.blocks, math.gcd
     clock = time.perf_counter
     runs: list[list[int]] = []
@@ -320,7 +309,7 @@ def decide_embedding(
     :func:`~polyembed.geometry.segment_relation`.
     """
     cfg = config or SolverConfig()
-    tree, points, polygon = instance.tree, instance.points, instance.polygon
+    tree, points = instance.tree, instance.points
     n = tree.node_count
     if cfg.root_node is not None and cfg.root_node >= n:
         raise ValidationError("InvalidConfig", f"root_node {cfg.root_node} out of range")
@@ -332,7 +321,7 @@ def decide_embedding(
         root = max(range(n), key=lambda v: (tree.degree(v), -v))
 
     try:
-        graph = build_visibility_graph(points, polygon, deadline=deadline)
+        graph = build_visibility_graph(instance, deadline=deadline)
         xs, ys = [p.x for p in points], [p.y for p in points]
         mapping = _search(tree, root, xs, ys, graph.clean, deadline)
     except _Expired:

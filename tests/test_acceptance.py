@@ -39,7 +39,7 @@ from polyembed.solver import (
     embed_tree_unconstrained,
 )
 from polyembed.verifier import verify_embedding, verify_planar_only
-from test_solver import POLYGON_CATALOG
+from test_solver import POLYGON_CATALOG, path_instance
 
 
 def _report(number, ok, detail):
@@ -102,7 +102,7 @@ def test_criterion_2_visibility_structure():
         for b in (7, 8, 10, 12):
             polygon = build_polygon(n, b)
             points, groups = build_points(n, b)
-            matrix = build_visibility_graph(points, polygon).matrix
+            matrix = build_visibility_graph(path_instance(points, polygon)).matrix
             group_of = {}
             for g, grp in enumerate(groups):
                 for idx in grp:

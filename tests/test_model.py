@@ -278,6 +278,11 @@ class TestSerialization:
                 ' [{"kind": "EdgeCrossesEdge", "edges": [true], "points": []}]}',
                 "violations[0].edges[0]: expected an integer",
             ),
+            (
+                deserialize_report,
+                '{"valid":true,"violations":[{"kind":"EdgeHitsBoundary","edges":[0],"points":[]}]}',
+                "valid: expected false with 1 violations",
+            ),
         ],
     )
     def test_malformed_index_array_rejected(self, parse, text, message):

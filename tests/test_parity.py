@@ -15,7 +15,7 @@ from polyembed.reduction import build_instance, build_points, build_polygon, val
 from polyembed.solver import SolverConfig, build_visibility_graph, decide_embedding
 from polyembed.verifier import verify_embedding
 from test_acceptance import enumerate_3p_sweep
-from test_solver import POLYGON_CATALOG, random_bounded_instance
+from test_solver import POLYGON_CATALOG, path_instance, random_bounded_instance
 
 SOLVER_DIGEST = "989cd51d368490842df1233906c541a126fab65adb03335c1b89aecd24b8b893"
 VERIFIER_DIGEST = "0fdaef420c23cae868d891c674b127c8e7dfbe6921a055b525a32704ddf51bdb"
@@ -114,7 +114,7 @@ def test_verifier_parity_digest():
 
 
 def visibility_corpus():
-    """(label, points, polygon) for every case of the visibility family.
+    """(label, instance) for every case of the visibility family.
 
     The criterion-2 instances (n <= 4, B in {7, 8, 10, 12}), 40 seeded
     point sets in the catalogue polygons, and reductions up to 401 points:
@@ -123,22 +123,22 @@ def visibility_corpus():
     for n in range(1, 5):
         for b in (7, 8, 10, 12):
             points, _ = build_points(n, b)
-            yield ("criterion2", n, b), points, build_polygon(n, b)
+            yield ("criterion2", n, b), path_instance(points, build_polygon(n, b))
     rng = random.Random(97)
     for case in range(40):
         poly = POLYGON_CATALOG[case % len(POLYGON_CATALOG)]
         instance, *_ = random_bounded_instance(rng, rng.randint(2, 20), poly)
-        yield ("catalog", case), instance.points, instance.polygon
+        yield ("catalog", case), instance
     reductions = [(50, [17, 17, 16] * k) for k in range(1, 9)] + [(22, [6, 6, 10, 7, 7, 8] * 5)]
     for b, a in reductions:
         instance, _ = build_instance(validate_3p(b, a))
-        yield ("reduction", b, len(a)), instance.points, instance.polygon
+        yield ("reduction", b, len(a)), instance
 
 
 def test_visibility_parity_digest():
     records = []
-    for label, points, polygon in visibility_corpus():
-        graph = build_visibility_graph(points, polygon)
+    for label, instance in visibility_corpus():
+        graph = build_visibility_graph(instance)
         rows = ["".join("1" if v else "0" for v in row) for row in graph.matrix]
         records.append([label, rows, [list(c) for c in graph.clean]])
     assert len(records) == 65

@@ -54,6 +54,13 @@ def random_bounded_instance(rng, n_points, polygon_vertices):
     return instance, edges, chosen, polygon_vertices
 
 
+def path_instance(points, polygon):
+    """An instance whose tree is the path 0-1-...-(n-1) over the given points,
+    for tests of the visibility pass, which reads only points and polygon."""
+    n = len(points)
+    return make_instance(FreeTree(n, tuple((i - 1, i) for i in range(1, n))), points, polygon)
+
+
 L_POLYGON = [(0, 0), (40, 0), (40, 16), (24, 16), (24, 32), (0, 32)]
 
 
@@ -89,12 +96,12 @@ POLYGON_CATALOG = [
 class TestVisibilityGraph:
     def test_convex_triangle_all_visible(self):
         instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
-        vg = build_visibility_graph(instance.points, instance.polygon)
+        vg = build_visibility_graph(instance)
         assert all(all(row) for row in vg.matrix)
 
     def test_two_group_structure(self):
         pts, groups = build_points(2, 7)
-        vg = build_visibility_graph(pts, build_polygon(2, 7))
+        vg = build_visibility_graph(path_instance(pts, build_polygon(2, 7)))
         m = vg.matrix
         for i in groups[0]:
             for j in groups[1]:
@@ -107,7 +114,7 @@ class TestVisibilityGraph:
 
     def test_diagonal_true(self):
         pts, _ = build_points(1, 7)
-        vg = build_visibility_graph(pts, build_polygon(1, 7))
+        vg = build_visibility_graph(path_instance(pts, build_polygon(1, 7)))
         assert all(vg.matrix[i][i] for i in range(len(pts)))
 
     def test_matches_oracle_on_catalog_polygons(self):
@@ -115,7 +122,7 @@ class TestVisibilityGraph:
         for verts in POLYGON_CATALOG:
             for _ in range(3):
                 instance, _, chosen, _ = random_bounded_instance(rng, 12, verts)
-                graph = build_visibility_graph(instance.points, instance.polygon)
+                graph = build_visibility_graph(instance)
                 matrix, clean = visibility(verts, chosen)
                 assert [list(r) for r in graph.matrix] == matrix, (verts, chosen)
                 assert [list(c) for c in graph.clean] == clean, (verts, chosen)
@@ -136,7 +143,7 @@ class TestVisibilityGraph:
             polygon = SimplePolygon(tuple(Point(x, y) for x, y in verts))
             for chosen in (lattice, shuffled):
                 points = PointSet(tuple(Point(x, y) for x, y in chosen))
-                graph = build_visibility_graph(points, polygon)
+                graph = build_visibility_graph(path_instance(points, polygon))
                 matrix, clean = visibility(verts, chosen)
                 assert [list(r) for r in graph.matrix] == matrix, verts
                 assert [list(c) for c in graph.clean] == clean, verts
@@ -156,11 +163,6 @@ class TestVisibilityGraph:
                     pairs += [(min(a, b), max(a, b)) for a, b in zip(run, run[1:])]
                 edges = [(i, j) for i, c in enumerate(clean) for j in c if i < j]
                 assert sorted(pairs) == edges, verts
-
-    def test_point_on_boundary_rejected(self):
-        tri = SimplePolygon((Point(0, 0), Point(9, 0), Point(0, 9)))
-        with pytest.raises(ValidationError):
-            build_visibility_graph(PointSet((Point(0, 0), Point(1, 1))), tri)
 
 
 class TestDecideEmbedding:
@@ -250,9 +252,9 @@ class TestDecideEmbedding:
         assert outcome.elapsed_ms >= 500
 
     def test_deadline_expires_inside_precompute(self):
-        # The criterion-6 instance (2501 points): locating its points takes
-        # a few milliseconds and the visibility pass after it about 1.7 s, so
-        # both the 50 ms and the 0.5 s limit run out in the pass.
+        # The criterion-6 instance (2501 points): its visibility pass takes
+        # about 1.7 s, so both the 50 ms and the 0.5 s limit run out in the
+        # pass.
         instance, _ = build_instance(validate_3p(50, [17, 17, 16] * 50))
         start = time.perf_counter()
         outcome = decide_embedding(instance, SolverConfig(time_limit_ms=50))
@@ -260,7 +262,7 @@ class TestDecideEmbedding:
         assert time.perf_counter() - start < 0.5
         start = time.perf_counter()
         with pytest.raises(_Expired):
-            build_visibility_graph(instance.points, instance.polygon, deadline=start + 0.5)
+            build_visibility_graph(instance, deadline=start + 0.5)
         assert time.perf_counter() - start < 1.5
 
     def test_deadline_expires_inside_tiling(self):
