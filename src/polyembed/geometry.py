@@ -44,6 +44,19 @@ from .errors import ValidationError
 COORD_LIMIT = 2**31 - 1
 
 
+def exact_ints(values, code: str, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, each an int that is not a bool, else ``code``.
+
+    The package's one integer rule: exact predicates are exact only on
+    exact inputs, so a float, a string or a bool is refused, never converted.
+    """
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValidationError(code, f"{what} {v!r} is not an integer")
+    return values
+
+
 @dataclass(frozen=True, order=True)
 class Point:
     x: int
@@ -321,9 +334,11 @@ class SimplePolygon:
     """A closed polygonal cycle; simplicity is checked by :func:`is_simple`.
 
     Construction only enforces the cheap structural invariants (at least
-    three vertices, no two consecutive vertices equal) so that candidate
-    polygons can be built and *then* tested or normalized. The simplicity
-    test runs at most once per polygon object and is cached on it.
+    three vertices, integer coordinates, no two consecutive vertices
+    equal) so that candidate polygons can be built and *then* tested or
+    normalized. The simplicity test runs at most once per vertex cycle: it
+    is cached on the polygon, and :func:`normalize_ccw` hands the verdict
+    to the reversed copy.
     """
 
     vertices: tuple[Point, ...]
@@ -336,6 +351,7 @@ class SimplePolygon:
                 "TooFewVertices", f"polygon needs at least 3 vertices, got {k}"
             )
         for i, v in enumerate(self.vertices):
+            exact_ints((v.x, v.y), "NonIntegerCoordinate", f"vertex {i} coordinate")
             if v == self.vertices[(i + 1) % k]:
                 raise ValidationError(
                     "DuplicateConsecutiveVertex",
@@ -399,7 +415,9 @@ def normalize_ccw(polygon: SimplePolygon) -> SimplePolygon:
     if signed_area2(polygon) > 0:
         return polygon
     verts = polygon.vertices
-    return SimplePolygon((verts[0],) + tuple(reversed(verts[1:])))
+    ccw = SimplePolygon((verts[0],) + tuple(reversed(verts[1:])))
+    ccw.__dict__["_simple"] = True  # the same cycle, already swept
+    return ccw
 
 
 class PointLocation(Enum):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from itertools import chain, starmap
 
 from .errors import ParseError, ValidationError
 from .geometry import (
@@ -19,6 +20,7 @@ from .geometry import (
     Point,
     PointLocation,
     SimplePolygon,
+    exact_ints,
     locate_points,
     normalize_ccw,
 )
@@ -94,23 +96,20 @@ def _index_rows(value, path: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_indices(row, f"{path}[{i}]") for i, row in enumerate(rows))
 
 
-def _point(value, path: str) -> Point:
-    arr = _expect_list(value, path)
-    if len(arr) != 2:
-        raise ParseError(f"{path}: expected [x, y]")
-    return Point(_coordinate(arr[0], f"{path}[0]"), _coordinate(arr[1], f"{path}[1]"))
-
-
-def _edge_list(value) -> list[tuple[int, int]]:
-    edges = []
-    for i, e in enumerate(_expect_list(value, "tree_edges")):
-        pair = _expect_list(e, f"tree_edges[{i}]")
+def _pairs(value, path: str, check, shape: str) -> list[tuple[int, int]]:
+    """An array of ``shape`` pairs, each element read by ``check``."""
+    pairs = []
+    for i, v in enumerate(_expect_list(value, path)):
+        at = f"{path}[{i}]"
+        pair = _expect_list(v, at)
         if len(pair) != 2:
-            raise ParseError(f"tree_edges[{i}]: expected [u, v]")
-        edges.append(
-            (_index(pair[0], f"tree_edges[{i}][0]"), _index(pair[1], f"tree_edges[{i}][1]"))
-        )
-    return edges
+            raise ParseError(f"{at}: expected {shape}")
+        pairs.append((check(pair[0], f"{at}[0]"), check(pair[1], f"{at}[1]")))
+    return pairs
+
+
+def _points(value, path: str) -> tuple[Point, ...]:
+    return tuple(starmap(Point, _pairs(value, path, _coordinate, "[x, y]")))
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +119,18 @@ def _edge_list(value) -> list[tuple[int, int]]:
 class FreeTree:
     """An unrooted tree over node indices 0..node_count-1.
 
-    Construction rejects anything that is not a tree: self-loops, duplicate
-    edges, cycles, and disconnected edge sets.
+    Construction rejects anything that is not a tree: a node or count that
+    is not an int, self-loops, duplicate edges, cycles, and disconnected
+    edge sets.
     """
 
     node_count: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v)) for u, v in self.edges)
-        )
-        n = self.node_count
+        n = exact_ints((self.node_count,), "NonIntegerNode", "node count")[0]
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        exact_ints(chain.from_iterable(self.edges), "NonIntegerNode", "tree node")
         if n < 1:
             raise ValidationError("EmptyTree", "a tree needs at least one node")
         # Union-find over the nodes the edges touch; a dict keeps its size
@@ -186,13 +185,16 @@ class PointSet:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        seen: dict[Point, int] = {}
+        seen: dict[tuple[int, int], int] = {}
         for i, p in enumerate(self.points):
-            if p in seen:
+            key = x, y = p.x, p.y
+            if type(x) is not int or type(y) is not int:  # else exact_ints passes
+                exact_ints(key, "NonIntegerCoordinate", f"point {i} coordinate")
+            if key in seen:
                 raise ValidationError(
-                    "DuplicatePoint", f"points {seen[p]} and {i} coincide at {p}"
+                    "DuplicatePoint", f"points {seen[key]} and {i} coincide at {p}"
                 )
-            seen[p] = i
+            seen[key] = i
 
     def __len__(self) -> int:
         return len(self.points)
@@ -204,18 +206,13 @@ class PointSet:
         return self.points[i]
 
 
-def node_images(values) -> tuple[int, ...]:
-    """A mapping's point indices as a tuple; each must be an int, not a bool.
-
-    Truncating ``1.7`` to 1 would verify a drawing nobody gave.
-    """
-    images = tuple(values)
-    for node, v in enumerate(images):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValidationError(
-                "NonIntegerImage", f"node {node} maps to {v!r}, not a point index"
-            )
-    return images
+def check_node_count(node_count: int, point_count: int) -> None:
+    """The one check that there is one point per tree node."""
+    if node_count != point_count:
+        raise ValidationError(
+            "NodeCountMismatch",
+            f"tree has {node_count} nodes but there are {point_count} points",
+        )
 
 
 @dataclass(frozen=True)
@@ -225,7 +222,9 @@ class Embedding:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", node_images(self.mapping))
+        object.__setattr__(
+            self, "mapping", exact_ints(self.mapping, "NonIntegerImage", "node image")
+        )
         if sorted(self.mapping) != list(range(len(self.mapping))):
             raise ValidationError(
                 "NotBijection",
@@ -252,11 +251,7 @@ class EmbeddingInstance:
         tree, points = self.tree, self.points
         polygon = normalize_ccw(self.polygon)
         object.__setattr__(self, "polygon", polygon)
-        if len(points) != tree.node_count:
-            raise ValidationError(
-                "NodeCountMismatch",
-                f"tree has {tree.node_count} nodes but there are {len(points)} points",
-            )
+        check_node_count(tree.node_count, len(points))
         for i, (p, where) in enumerate(zip(points, locate_points(points.points, polygon))):
             if where is not PointLocation.INSIDE:
                 raise ValidationError(
@@ -338,25 +333,11 @@ def validate_instance(raw) -> EmbeddingInstance:
     points exactly.
     """
     obj = _expect_object(raw, "instance", {"polygon", "points", "tree_edges"})
-    poly_pts = [
-        _point(v, f"polygon[{i}]")
-        for i, v in enumerate(_expect_list(obj["polygon"], "polygon"))
-    ]
-    pts = [
-        _point(v, f"points[{i}]")
-        for i, v in enumerate(_expect_list(obj["points"], "points"))
-    ]
-    edges = _edge_list(obj["tree_edges"])
-    polygon = SimplePolygon(tuple(poly_pts))
-    points = PointSet(tuple(pts))
-    node_count = max((max(u, v) for u, v in edges), default=0) + 1 if edges else 1
-    if node_count != len(points):
-        raise ValidationError(
-            "NodeCountMismatch",
-            f"tree has {node_count} nodes but there are {len(points)} points",
-        )
-    tree = FreeTree(node_count=len(points), edges=tuple(edges))
-    return make_instance(tree, points, polygon)
+    vertices, pts = _points(obj["polygon"], "polygon"), _points(obj["points"], "points")
+    edges = _pairs(obj["tree_edges"], "tree_edges", _index, "[u, v]")
+    polygon, points = SimplePolygon(vertices), PointSet(pts)
+    check_node_count(max(map(max, edges), default=0) + 1, len(points))
+    return make_instance(FreeTree(len(points), edges), points, polygon)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +372,7 @@ def serialize_point_set(points: PointSet) -> str:
 
 def deserialize_point_set(text: str) -> PointSet:
     obj = _expect_object(loads_strict(text), "points", {"points"})
-    arr = _expect_list(obj["points"], "points")
-    return PointSet(tuple(_point(v, f"points[{i}]") for i, v in enumerate(arr)))
+    return PointSet(_points(obj["points"], "points"))
 
 
 def serialize_tree(tree: FreeTree) -> str:
@@ -404,8 +384,8 @@ def serialize_tree(tree: FreeTree) -> str:
 def deserialize_tree(text: str) -> FreeTree:
     obj = _expect_object(loads_strict(text), "tree", {"node_count", "tree_edges"})
     count = _expect_int(obj["node_count"], "node_count")
-    edges = _edge_list(obj["tree_edges"])
-    return FreeTree(node_count=count, edges=tuple(edges))
+    edges = _pairs(obj["tree_edges"], "tree_edges", _index, "[u, v]")
+    return FreeTree(node_count=count, edges=edges)
 
 
 def serialize_report(report: VerificationReport) -> str:

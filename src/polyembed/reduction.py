@@ -9,9 +9,10 @@ provides a small exhaustive 3-partition oracle for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ValidationError
-from .geometry import COORD_LIMIT, Point, SimplePolygon
+from .geometry import COORD_LIMIT, Point, SimplePolygon, exact_ints
 from .model import (
     Embedding,
     EmbeddingInstance,
@@ -45,7 +46,8 @@ class ThreePartitionInstance:
 
 def validate_3p(target: int, values) -> ThreePartitionInstance:
     """Check the three defining constraints, naming the first one violated."""
-    vals = tuple(int(v) for v in values)
+    exact_ints((target,), "NonIntegerValue", "3-partition target")
+    vals = exact_ints(values, "NonIntegerValue", "3-partition value")
     if len(vals) == 0 or len(vals) % 3 != 0:
         raise ValidationError(
             "LengthNotMultipleOf3",
@@ -73,16 +75,13 @@ class Partition:
     sets: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "sets", tuple(tuple(int(i) for i in s) for s in self.sets)
-        )
-        flat = []
+        object.__setattr__(self, "sets", tuple(map(tuple, self.sets)))
+        flat = exact_ints(chain.from_iterable(self.sets), "InvalidPartition", "index")
         for s in self.sets:
             if len(s) != 3 or not (s[0] < s[1] < s[2]):
                 raise ValidationError(
                     "InvalidPartition", f"set {s} is not a sorted triple"
                 )
-            flat.extend(s)
         if sorted(flat) != list(range(3 * len(self.sets))):
             raise ValidationError(
                 "InvalidPartition", "sets do not partition the index range"
@@ -126,14 +125,9 @@ class ReductionMeta:
     p0_point: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "path_nodes", tuple(tuple(int(v) for v in p) for p in self.path_nodes)
-        )
-        object.__setattr__(
-            self,
-            "group_points",
-            tuple(tuple(int(v) for v in g) for g in self.group_points),
-        )
+        object.__setattr__(self, "path_nodes", tuple(map(tuple, self.path_nodes)))
+        object.__setattr__(self, "group_points", tuple(map(tuple, self.group_points)))
+        exact_ints((self.B, self.n), "InvalidMeta", "B or n")
         if self.B < 1 or self.n < 1:
             raise ValidationError("InvalidMeta", "B and n must be positive")
         total = self.n * self.B + 1
@@ -146,6 +140,7 @@ class ReductionMeta:
             if not path:
                 raise ValidationError("InvalidMeta", "empty path")
             covered.extend(path)
+        exact_ints(covered, "InvalidMeta", "node index")
         # Lengths first, so an oversized n*B is rejected without allocating.
         if len(covered) != total or sorted(covered) != list(range(total)):
             raise ValidationError(
@@ -160,6 +155,7 @@ class ReductionMeta:
         covered_pts = [self.p0_point]
         for group in self.group_points:
             covered_pts.extend(group)
+        exact_ints(covered_pts, "InvalidMeta", "point index")
         if len(covered_pts) != total or sorted(covered_pts) != list(range(total)):
             raise ValidationError(
                 "InvalidMeta", "p0 and groups do not partition the point range"

@@ -53,9 +53,10 @@ from .geometry import (
     boxed,
     cross,
     direction_key,
+    exact_ints,
     segment_relation,
 )
-from .model import Embedding, EmbeddingInstance, FreeTree, PointSet
+from .model import Embedding, EmbeddingInstance, FreeTree, PointSet, check_node_count
 from .verifier import verify_embedding
 
 
@@ -178,14 +179,16 @@ class SolverConfig:
 
     ``root_node`` fixes the tree node placed first (default: the lowest-index
     node of maximum degree); ``time_limit_ms`` bounds the whole decision.
-    Negative values raise ``InvalidConfig`` here; ``decide_embedding`` checks
-    ``root_node`` against the tree's node count.
+    A non-int ``root_node`` and negative values raise ``InvalidConfig`` here;
+    ``decide_embedding`` checks ``root_node`` against the tree's node count.
     """
 
     root_node: int | None = None
     time_limit_ms: int | None = None
 
     def __post_init__(self) -> None:
+        if self.root_node is not None:
+            exact_ints((self.root_node,), "InvalidConfig", "root_node")
         for name in ("root_node", "time_limit_ms"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -517,11 +520,7 @@ def embed_tree_unconstrained(tree: FreeTree, points: PointSet) -> Embedding:
     Always succeeds under the preconditions; the output satisfies
     ``verify_planar_only``.
     """
-    if len(points) != tree.node_count:
-        raise ValidationError(
-            "SizeMismatch",
-            f"tree has {tree.node_count} nodes but there are {len(points)} points",
-        )
+    check_node_count(tree.node_count, len(points))
     pts = points.points
     n = len(pts)
     if n >= 3:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import ValidationError
-from .geometry import direction_key, plane_contacts
+from .geometry import direction_key, exact_ints, plane_contacts
 from .model import (
     KIND_EDGE_CROSSES_EDGE,
     KIND_EDGE_HITS_BOUNDARY,
@@ -32,7 +32,7 @@ from .model import (
     PointSet,
     VerificationReport,
     Violation,
-    node_images,
+    check_node_count,
 )
 
 
@@ -47,11 +47,7 @@ def verify_planar_only(
     tree: FreeTree, points: PointSet, embedding: Embedding | Sequence[int]
 ) -> VerificationReport:
     """Planarity check without any bounding polygon; one point per tree node."""
-    if len(points) != tree.node_count:
-        raise ValidationError(
-            "NodeCountMismatch",
-            f"tree has {tree.node_count} nodes but there are {len(points)} points",
-        )
+    check_node_count(tree.node_count, len(points))
     return _verify(tree, points, embedding, None)
 
 
@@ -60,7 +56,7 @@ def _as_mapping(tree: FreeTree, embedding) -> tuple[tuple[int, ...], bool]:
         mapping = embedding.mapping
         bijective = True
     else:
-        mapping = node_images(embedding)
+        mapping = exact_ints(embedding, "NonIntegerImage", "node image")
         bijective = sorted(mapping) == list(range(len(mapping)))
     if len(mapping) != tree.node_count:
         raise ValidationError(

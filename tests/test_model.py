@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from polyembed import geometry
 from polyembed.errors import ParseError, ValidationError
 from polyembed.geometry import Point, SimplePolygon, signed_area2
 from polyembed.model import (
@@ -32,6 +33,7 @@ from polyembed.reduction import (
     deserialize_partition,
     validate_3p,
 )
+from polyembed.solver import SolverConfig
 
 
 class TestFreeTree:
@@ -370,9 +372,36 @@ def test_make_instance_counts_must_match():
     assert err.value.code == "NodeCountMismatch"
 
 
-class TestEmbeddingInstance:
-    TRI = SimplePolygon((Point(0, 0), Point(10, 0), Point(0, 10)))
+TRI = SimplePolygon((Point(0, 0), Point(10, 0), Point(0, 10)))
 
+
+@pytest.mark.parametrize(
+    "make, code",
+    [
+        (lambda: FreeTree(3, ((0, 1.7), (1, 2))), "NonIntegerNode"),
+        (lambda: FreeTree(3.0, ((0, 1), (1, 2))), "NonIntegerNode"),
+        (lambda: FreeTree(2, ((False, True),)), "NonIntegerNode"),
+        (
+            lambda: make_instance(FreeTree(1, ()), PointSet((Point(1.5, 1),)), TRI),
+            "NonIntegerCoordinate",
+        ),
+        (lambda: SimplePolygon(TRI.vertices[:2] + (Point(0, "9"),)), "NonIntegerCoordinate"),
+        (lambda: SolverConfig(root_node=1.0), "InvalidConfig"),
+        (lambda: SolverConfig(root_node=True), "InvalidConfig"),
+    ],
+    ids=[
+        "tree-edge-float", "tree-count-float", "tree-edge-bool", "point-float",
+        "vertex-string", "root-float", "root-bool",
+    ],
+)
+def test_non_integers_rejected(make, code):
+    # Nothing is truncated or converted: 1.7 is not node 1.
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert err.value.code == code
+
+
+class TestEmbeddingInstance:
     def test_invalid_instances_rejected_at_construction(self):
         edge, path = FreeTree(2, ((0, 1),)), FreeTree(3, ((0, 1), (1, 2)))
         cases = [
@@ -382,7 +411,7 @@ class TestEmbeddingInstance:
         ]
         for tree, pts, code in cases:
             with pytest.raises(ValidationError) as err:
-                EmbeddingInstance(tree, PointSet(pts), self.TRI)
+                EmbeddingInstance(tree, PointSet(pts), TRI)
             assert err.value.code == code
 
     def test_direct_construction_normalizes_polygon(self):
@@ -391,3 +420,21 @@ class TestEmbeddingInstance:
         direct = EmbeddingInstance(tree, pts, cw)
         assert signed_area2(direct.polygon) > 0
         assert direct == make_instance(tree, pts, cw)
+
+    def test_polygon_swept_once_in_either_orientation(self, monkeypatch):
+        # The reversed copy of a clockwise polygon keeps its verdict, so
+        # locating the points does not sweep the same cycle again.
+        calls = []
+        real = geometry.plane_contacts
+
+        def counted(segments):
+            calls.append(len(segments))
+            return real(segments)
+
+        monkeypatch.setattr(geometry, "plane_contacts", counted)
+        tree, pts = FreeTree(2, ((0, 1),)), PointSet((Point(1, 1), Point(2, 1)))
+        ccw = (Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10))
+        for square in (ccw, ccw[:1] + ccw[:0:-1]):
+            calls.clear()
+            EmbeddingInstance(tree, pts, SimplePolygon(square))
+            assert calls == [4], square

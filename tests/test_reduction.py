@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -61,6 +62,40 @@ class TestValidate3p:
             validate_3p(8, [2, 3, 3])  # 4*2 == 8
         with pytest.raises(ValidationError):
             validate_3p(8, [4, 2, 2])  # 2*4 == 8
+
+
+def _meta(**fields):
+    _, meta = build_instance(validate_3p(7, [2, 2, 3]))
+    return dataclasses.replace(meta, **fields)
+
+
+@pytest.mark.parametrize(
+    "make, code",
+    [
+        (lambda: validate_3p(7, [2.9, 2, 3]), "NonIntegerValue"),
+        (lambda: validate_3p(7, ["2", "2", "3"]), "NonIntegerValue"),
+        (lambda: validate_3p(7.0, [2, 2, 3]), "NonIntegerValue"),
+        (lambda: validate_3p(7, [True, 3, 3]), "NonIntegerValue"),
+        (lambda: Partition(((0, 1, 2.5),)), "InvalidPartition"),
+        (lambda: Partition(((False, True, 2),)), "InvalidPartition"),
+        (lambda: _meta(B=7.0), "InvalidMeta"),
+        (lambda: _meta(n=True), "InvalidMeta"),
+        (lambda: _meta(v0_node=0.0), "InvalidMeta"),
+        (lambda: _meta(p0_point=False), "InvalidMeta"),
+        (lambda: _meta(path_nodes=((1, 2), (3, 4), (5, 6, 7.0))), "InvalidMeta"),
+        (lambda: _meta(group_points=((1, 2, 3, 4, 5, 6, 7.0),)), "InvalidMeta"),
+    ],
+    ids=[
+        "value-float", "value-string", "target-float", "value-bool",
+        "partition-float", "partition-bool", "meta-B", "meta-n", "meta-v0",
+        "meta-p0", "meta-path", "meta-group",
+    ],
+)
+def test_non_integers_rejected(make, code):
+    # Nothing is truncated or converted: 2.9 is not 2, and "2" is not 2.
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert err.value.code == code
 
 
 class TestBuildTree:

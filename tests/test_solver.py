@@ -504,7 +504,7 @@ class TestUnconstrainedEmbedder:
         pts = PointSet((Point(0, 0), Point(1, 2), Point(2, 1)))
         with pytest.raises(ValidationError) as err:
             embed_tree_unconstrained(tree, pts)
-        assert err.value.code == "SizeMismatch"
+        assert err.value.code == "NodeCountMismatch"
 
     def test_random_instances_always_valid(self):
         rng = random.Random(17)
