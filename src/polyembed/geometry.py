@@ -24,8 +24,8 @@ its points in one call when it is built. :func:`boxed` is the one segment
 record and :meth:`SimplePolygon.blocks` the one segment-versus-boundary
 test. Public predicates validate their polygon; loops over an
 already-validated instance call these flat forms, which check nothing
-again. The solver's visibility pass walks each line through two or more
-points, and its clear neighbour pairs are the clean sightlines.
+again. The solver's visibility pass tests each segment between neighbours
+on a line once, and the clear ones are the clean sightlines.
 """
 
 from __future__ import annotations

@@ -33,11 +33,34 @@ class ThreePartitionInstance:
     """3n values that must split into n triples, each summing to ``target``.
 
     Every value is strictly between target/4 and target/2, so only triples
-    can reach the target sum.
+    can reach the target sum. Construction checks the three defining
+    constraints and names the first one violated.
     """
 
     target: int
     values: tuple[int, ...]
+
+    def __post_init__(self):
+        target = exact_ints((self.target,), "NonIntegerValue", "3-partition target")[0]
+        vals = exact_ints(self.values, "NonIntegerValue", "3-partition value")
+        object.__setattr__(self, "values", vals)
+        if len(vals) == 0 or len(vals) % 3 != 0:
+            raise ValidationError(
+                "LengthNotMultipleOf3",
+                f"need a positive multiple of 3 values, got {len(vals)}",
+            )
+        for i, a in enumerate(vals):
+            if not (4 * a > target and 2 * a < target):
+                raise ValidationError(
+                    "ElementOutOfRange",
+                    f"a[{i}]={a} is not strictly between {target}/4 and {target}/2",
+                    index=i,
+                )
+        n = len(vals) // 3
+        if sum(vals) != target * n:
+            raise ValidationError(
+                "SumMismatch", f"values sum to {sum(vals)}, expected {target}*{n}"
+            )
 
     @property
     def group_count(self) -> int:
@@ -45,27 +68,8 @@ class ThreePartitionInstance:
 
 
 def validate_3p(target: int, values) -> ThreePartitionInstance:
-    """Check the three defining constraints, naming the first one violated."""
-    exact_ints((target,), "NonIntegerValue", "3-partition target")
-    vals = exact_ints(values, "NonIntegerValue", "3-partition value")
-    if len(vals) == 0 or len(vals) % 3 != 0:
-        raise ValidationError(
-            "LengthNotMultipleOf3",
-            f"need a positive multiple of 3 values, got {len(vals)}",
-        )
-    for i, a in enumerate(vals):
-        if not (4 * a > target and 2 * a < target):
-            raise ValidationError(
-                "ElementOutOfRange",
-                f"a[{i}]={a} is not strictly between {target}/4 and {target}/2",
-                index=i,
-            )
-    n = len(vals) // 3
-    if sum(vals) != target * n:
-        raise ValidationError(
-            "SumMismatch", f"values sum to {sum(vals)}, expected {target}*{n}"
-        )
-    return ThreePartitionInstance(target=target, values=vals)
+    """The checked instance; its constructor names the first constraint violated."""
+    return ThreePartitionInstance(target, values)
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,11 @@ only when that local check fails and other components exist. The tiling
 search refutes a state at once when some capacity is no subset sum of its
 sizes. Every prune drops only what cannot complete, so verdicts and
 first-found embeddings do not depend on them. The clean sightlines come
-from the visibility pass, which walks every line through two or more points
-once and tests each segment between neighbours on it once. A time limit is
-checked in every phase: once per row of that pass and before each of its
-boundary tests, before every candidate trial, and once per new state of the
-tiling search.
+from the visibility pass, which tests each point's segment to its nearest
+later neighbour on every line through it, so each neighbour pair once. A
+time limit is checked in every phase: once per row of that pass and before
+each of its boundary tests, before every candidate trial, and once per new
+state of the tiling search.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -44,8 +44,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby, product
-from operator import itemgetter
+from itertools import product
 
 from .errors import ValidationError
 from .geometry import (
@@ -100,18 +99,17 @@ def build_visibility_graph(
     Points are taken in (x, y) order. Every point after i lies ahead of it
     (greater x, or equal x and greater y), so the reduced offset
     ``(dx // g, dy // g)`` with ``g = gcd(dx, dy)`` names the line through
-    both, and g orders that line's later points outward from i. A line is
-    walked once, from its first point: two of its points see each other iff
-    every segment between neighbours from one to the other misses the
-    boundary, because the closed segment between them is the union of those.
-    So each neighbour segment is tested once, each maximal run of clear ones
-    joins mutually visible points and is kept, and the clear neighbour pairs
-    are the clean sightlines. A walk marks its line at every point but the
-    last, so that no later row walks it again. The instance guarantees a
-    simple polygon with every point strictly inside, so nothing is checked
-    again. The clock is read once per row and before each boundary test,
-    since one line can hold thousands of points; past ``deadline`` (a
-    ``time.perf_counter`` value) :class:`_Expired` is raised.
+    both, and the first later point on a line is i's neighbour on it. Only
+    that segment is tested, so each neighbour pair is tested once. Two points
+    of a line see each other iff every neighbour segment from one to the
+    other misses the boundary, because the closed segment between them is
+    the union of those. So a clear segment extends the run that ends at i on
+    its line, or starts one; each maximal run joins mutually visible points,
+    and the clear neighbour pairs are the clean sightlines. The instance
+    guarantees a simple polygon with every point strictly inside, so nothing
+    is checked again. The clock is read once per row and before each
+    boundary test, since one row can test thousands of lines; past
+    ``deadline`` (a ``time.perf_counter`` value) :class:`_Expired` is raised.
     """
     points, polygon = instance.points, instance.polygon
     n = len(points)
@@ -120,41 +118,30 @@ def build_visibility_graph(
     clock = time.perf_counter
     runs: list[list[int]] = []
     clean: list[list[int]] = [[] for _ in range(n)]
-    walked: list[set[tuple[int, int]]] = [set() for _ in range(n)]  # lines done, per point
+    ending: dict[tuple[int, tuple[int, int]], list[int]] = {}  # (point, line) -> its run
     order = sorted(range(n), key=lambda k: (xs[k], ys[k]))
-    line_of = itemgetter(0, 1)
     for t, i in enumerate(order):
         if clock() >= deadline:
             raise _Expired
         xi, yi = xs[i], ys[i]
-        later = order[t + 1 :]
-        # (line, distance) of every later point; sorted, each line's points
-        # are adjacent and ordered outward.
-        rays = sorted(
-            [
-                (dx // (g := gcd(dx, dy)), dy // g, g, j)
-                for j, dx, dy in zip(later, [xs[j] - xi for j in later], [ys[j] - yi for j in later])
-            ]
-        )
-        done = walked[i]
-        for line, ray in groupby(rays, line_of):
-            if line in done:
+        later = order[:t:-1]  # outward along each line, reversed: the nearest is written last
+        nearest = {
+            (dx // (g := gcd(dx, dy)), dy // g): j
+            for j, dx, dy in zip(later, [xs[j] - xi for j in later], [ys[j] - yi for j in later])
+        }
+        for line, b in nearest.items():
+            if clock() >= deadline:
+                raise _Expired
+            if blocks(boxed(xi, yi, xs[b], ys[b])):
                 continue
-            run = [i]  # the points that see the previous point of the line
-            for *_, b in ray:
-                a = run[-1]
-                if a != i:
-                    walked[a].add(line)
-                if clock() >= deadline:
-                    raise _Expired
-                if blocks(boxed(xs[a], ys[a], xs[b], ys[b])):
-                    run = [b]
-                    continue
-                if len(run) == 1:
-                    runs.append(run)  # it grows in place from here on
-                clean[a].append(b)
-                clean[b].append(a)
-                run.append(b)
+            run = ending.pop((i, line), None)
+            if run is None:
+                run = [i]
+                runs.append(run)
+            run.append(b)
+            ending[b, line] = run
+            clean[i].append(b)
+            clean[b].append(i)
     return VisibilityGraph(
         runs=tuple(map(tuple, runs)), clean=tuple(tuple(sorted(c)) for c in clean)
     )
@@ -179,7 +166,7 @@ class SolverConfig:
 
     ``root_node`` fixes the tree node placed first (default: the lowest-index
     node of maximum degree); ``time_limit_ms`` bounds the whole decision.
-    A non-int ``root_node`` and negative values raise ``InvalidConfig`` here;
+    Non-int and negative values raise ``InvalidConfig`` here;
     ``decide_embedding`` checks ``root_node`` against the tree's node count.
     """
 
@@ -187,11 +174,9 @@ class SolverConfig:
     time_limit_ms: int | None = None
 
     def __post_init__(self) -> None:
-        if self.root_node is not None:
-            exact_ints((self.root_node,), "InvalidConfig", "root_node")
         for name in ("root_node", "time_limit_ms"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is not None and exact_ints((value,), "InvalidConfig", name)[0] < 0:
                 raise ValidationError("InvalidConfig", f"{name} must be non-negative")
 
 

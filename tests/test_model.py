@@ -388,10 +388,14 @@ TRI = SimplePolygon((Point(0, 0), Point(10, 0), Point(0, 10)))
         (lambda: SimplePolygon(TRI.vertices[:2] + (Point(0, "9"),)), "NonIntegerCoordinate"),
         (lambda: SolverConfig(root_node=1.0), "InvalidConfig"),
         (lambda: SolverConfig(root_node=True), "InvalidConfig"),
+        (lambda: SolverConfig(time_limit_ms="5"), "InvalidConfig"),
+        (lambda: SolverConfig(time_limit_ms=True), "InvalidConfig"),
+        (lambda: SolverConfig(time_limit_ms=1.5), "InvalidConfig"),
     ],
     ids=[
         "tree-edge-float", "tree-count-float", "tree-edge-bool", "point-float",
-        "vertex-string", "root-float", "root-bool",
+        "vertex-string", "root-float", "root-bool", "limit-string", "limit-bool",
+        "limit-float",
     ],
 )
 def test_non_integers_rejected(make, code):

@@ -14,6 +14,7 @@ from polyembed.model import Embedding
 from polyembed.reduction import (
     Partition,
     ReductionMeta,
+    ThreePartitionInstance,
     brute_force_3p,
     build_instance,
     build_points,
@@ -93,6 +94,21 @@ def _meta(**fields):
 )
 def test_non_integers_rejected(make, code):
     # Nothing is truncated or converted: 2.9 is not 2, and "2" is not 2.
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert err.value.code == code
+
+
+@pytest.mark.parametrize(
+    "make, code",
+    [
+        (lambda: build_instance(ThreePartitionInstance(10, (1, 1, 8))), "ElementOutOfRange"),
+        (lambda: ThreePartitionInstance(7, (2, 2, 2)), "SumMismatch"),
+    ],
+    ids=["out-of-range", "sum"],
+)
+def test_direct_3p_construction_checked(make, code):
+    # Built without validate_3p, an instance is checked all the same.
     with pytest.raises(ValidationError) as err:
         make()
     assert err.value.code == code

@@ -117,6 +117,24 @@ class TestVisibilityGraph:
         vg = build_visibility_graph(path_instance(pts, build_polygon(1, 7)))
         assert all(vg.matrix[i][i] for i in range(len(pts)))
 
+    @pytest.mark.parametrize(
+        "b, a, tests", [(50, [17, 17, 16] * 8, 799), (22, [6, 6, 10, 7, 7, 8] * 5, 439)]
+    )
+    def test_one_boundary_test_per_neighbour_pair(self, monkeypatch, b, a, tests):
+        # 401 and 221 points: one test per pair of neighbours on a line,
+        # not one per pair of points (80,200 and 24,310).
+        calls = []
+        blocks = SimplePolygon.blocks
+
+        def counted(polygon, seg):
+            calls.append(seg)
+            return blocks(polygon, seg)
+
+        instance, _ = build_instance(validate_3p(b, a))
+        monkeypatch.setattr(SimplePolygon, "blocks", counted)
+        build_visibility_graph(instance)
+        assert len(calls) == tests
+
     def test_matches_oracle_on_catalog_polygons(self):
         rng = random.Random(41)
         for verts in POLYGON_CATALOG:
@@ -253,7 +271,7 @@ class TestDecideEmbedding:
 
     def test_deadline_expires_inside_precompute(self):
         # The criterion-6 instance (2501 points): its visibility pass takes
-        # about 1.7 s, so both the 50 ms and the 0.5 s limit run out in the
+        # about 1.1 s, so both the 50 ms and the 0.5 s limit run out in the
         # pass.
         instance, _ = build_instance(validate_3p(50, [17, 17, 16] * 50))
         start = time.perf_counter()
