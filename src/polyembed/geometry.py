@@ -217,14 +217,15 @@ def plane_contacts(
 
     A Bentley–Ottmann sweep (1979) over the Shamos–Hoey status (1976).
     Events are the endpoints, in (x, y) order, merged with a heap of the
-    crossings found so far. The status lists the segments that started
-    before the event and end at or after it, from bottom to top; a vertical
-    one is the highest of those through a point. At an event p, L ∪ C is
-    the run of status segments through p; U ∪ C replaces it, ordered by
-    direction (de Berg et al., Computational Geometry, HandleEventPoint),
-    and each pair this makes adjacent is tested with
-    :func:`segment_relation`. Only a proper crossing ahead of p becomes an
-    event; every other contact is at an endpoint, which already is one.
+    crossings found so far. Every event, endpoint or crossing, is one exact
+    point (X / D, Y / D), and a crossing at an endpoint is never queued. The
+    status lists the segments that started before the event and end at or
+    after it, from bottom to top; a vertical one is the highest of those
+    through a point. At an event p, L ∪ C is the run of status segments
+    through p; U ∪ C replaces it, ordered by direction (de Berg et al.,
+    Computational Geometry, HandleEventPoint), and each pair this makes
+    adjacent is tested with :func:`segment_relation`. Only a proper crossing
+    ahead of p becomes an event; every other contact is at an endpoint.
     """
     segs: list[tuple[int, int, int, int]] = []  # (ax, ay, bx, by), a before b in (x, y) order
     starts: dict[tuple[int, int], list[int]] = {}
@@ -241,18 +242,17 @@ def plane_contacts(
             if owner.setdefault(point, label) != label:
                 clash.add(point)
 
-    # Crossings ahead of the sweep, as (x, y, X, Y, D): the point
-    # (X / D, Y / D) with D > 0, and x, y its exact coordinates.
+    # An event is (p, X, Y, D) with p = (X / D, Y / D) exact and D > 0; an
+    # endpoint is (p, x, y, 1). Every endpoint is queued from the start, so
+    # no crossing at an endpoint joins the heap: the endpoint's event has it.
     crossings: list[tuple] = []
-    pending: set[tuple] = set()
+    queued: set[tuple] = set(owner)
 
     def events() -> Iterator[tuple]:
         for p in sorted(owner):
-            while crossings and crossings[0][:2] <= p:
-                q = _pop_crossing(crossings)
-                if q[:2] != p:  # one at an endpoint is that endpoint's event
-                    yield q
-            yield p
+            while crossings and crossings[0][0] < p:
+                yield _pop_crossing(crossings)
+            yield p, *p, 1
         while crossings:
             yield _pop_crossing(crossings)
 
@@ -262,28 +262,16 @@ def plane_contacts(
         cx, cy, dx, dy = segs[t]
         return (dx - cx) * (by - ay) - (dy - cy) * (bx - ax)
 
+    def side(s: int) -> int:
+        # -1 if s passes below the event, 0 if it holds it, 1 if above. A
+        # vertical segment in the status always holds the event.
+        ax, ay, bx, by = segs[s]
+        c = (bx - ax) * (Y - ay * D) - (by - ay) * (X - ax * D)
+        return -1 if c > 0 else 1 if c < 0 else 0
+
     by_direction = functools.cmp_to_key(lower)
     status: list[int] = []
-    for event in events():
-        if len(event) == 2:
-            p = event
-            px, py = p
-
-            def side(s: int) -> int:
-                # -1 if s passes below p, 0 if it contains p, 1 if above. A
-                # vertical segment in the status always contains p.
-                ax, ay, bx, by = segs[s]
-                c = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-                return -1 if c > 0 else 1 if c < 0 else 0
-        else:
-            p = event[:2]
-            X, Y, D = event[2:]
-
-            def side(s: int) -> int:
-                ax, ay, bx, by = segs[s]
-                c = (bx - ax) * (Y - ay * D) - (by - ay) * (X - ax * D)
-                return -1 if c > 0 else 1 if c < 0 else 0
-
+    for p, X, Y, D in events():
         lo = bisect_left(status, 0, key=side)
         hi = bisect_right(status, 0, lo=lo, key=side)
         inside = [s for s in status[lo:hi] if segs[s][2:] != p]
@@ -297,11 +285,11 @@ def plane_contacts(
             if 0 < b < len(status):
                 s, t = status[b - 1], status[b]
                 if segment_relation(*segs[s], *segs[t]) == CROSSING:
-                    _push_crossing(segs[s], segs[t], p, crossings, pending)
+                    _push_crossing(segs[s], segs[t], p, crossings, queued)
 
 
-def _push_crossing(s, t, p, crossings, pending) -> None:
-    """Queue the proper crossing of segments s and t if it lies past p."""
+def _push_crossing(s, t, p, crossings, queued) -> None:
+    """Queue the proper crossing of segments s and t if past p and new."""
     # Imported here, as only inputs with a crossing need them: importing
     # fractions alone costs milliseconds, which every CLI call would pay.
     from fractions import Fraction
@@ -317,9 +305,9 @@ def _push_crossing(s, t, p, crossings, pending) -> None:
         den, num = -den, -num
     X, Y = ax * den + ux * num, ay * den + uy * num
     q = (Fraction(X, den), Fraction(Y, den))
-    if q > p and q not in pending:
-        pending.add(q)
-        heappush(crossings, q + (X, Y, den))
+    if q > p and q not in queued:
+        queued.add(q)
+        heappush(crossings, (q, X, Y, den))
 
 
 def _pop_crossing(crossings):

@@ -37,7 +37,7 @@ def _reject_nonint(text: str):
 
 
 def loads_strict(text: str):
-    """Parse JSON, rejecting floats, NaN, and Infinity outright."""
+    """Parse JSON, rejecting floats, NaN, Infinity and too-long integers."""
     try:
         return json.loads(text, parse_float=_reject_nonint, parse_constant=_reject_nonint)
     except json.JSONDecodeError as exc:
@@ -46,6 +46,10 @@ def loads_strict(text: str):
         ) from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nesting too deep") from exc
+    except ParseError:
+        raise
+    except ValueError as exc:  # an integer literal too long for int()
+        raise ParseError(f"integer literal too long: {exc}") from exc
 
 
 def _expect_object(value, path: str, keys: set[str]) -> dict:

@@ -303,7 +303,10 @@ def decide_embedding(
         raise ValidationError("InvalidConfig", f"root_node {cfg.root_node} out of range")
 
     start = time.perf_counter()
-    deadline = math.inf if cfg.time_limit_ms is None else start + cfg.time_limit_ms / 1000.0
+    try:  # a limit too large for a float deadline is later than any run
+        deadline = math.inf if cfg.time_limit_ms is None else start + cfg.time_limit_ms / 1000.0
+    except OverflowError:
+        deadline = math.inf
     root = cfg.root_node
     if root is None:
         root = max(range(n), key=lambda v: (tree.degree(v), -v))

@@ -16,6 +16,7 @@ failure kinds. All of it is exact integer and rational arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 
 from .errors import ValidationError
@@ -51,30 +52,20 @@ def verify_planar_only(
     return _verify(tree, points, embedding, None)
 
 
-def _as_mapping(tree: FreeTree, embedding) -> tuple[tuple[int, ...], bool]:
-    if isinstance(embedding, Embedding):
-        mapping = embedding.mapping
-        bijective = True
+def _verify(tree, points, embedding, polygon) -> VerificationReport:
+    if isinstance(embedding, Embedding):  # a bijection by construction
+        mapping, offenders = embedding.mapping, []
     else:
+        # With one point per node, a mapping with no offender is a bijection.
         mapping = exact_ints(embedding, "NonIntegerImage", "node image")
-        bijective = sorted(mapping) == list(range(len(mapping)))
+        counts = Counter(mapping)
+        offenders = sorted(v for v, c in counts.items() if c > 1 or not 0 <= v < len(points))
     if len(mapping) != tree.node_count:
         raise ValidationError(
             "MappingLengthMismatch",
             f"mapping covers {len(mapping)} nodes, tree has {tree.node_count}",
         )
-    return mapping, bijective
-
-
-def _verify(tree, points, embedding, polygon) -> VerificationReport:
-    mapping, bijective = _as_mapping(tree, embedding)
-    if not bijective:
-        counts: dict[int, int] = {}
-        for v in mapping:
-            counts[v] = counts.get(v, 0) + 1
-        offenders = sorted(
-            v for v, c in counts.items() if c > 1 or not 0 <= v < len(points)
-        )
+    if offenders:
         return VerificationReport.from_violations(
             [Violation(KIND_NOT_BIJECTION, points=tuple(offenders))]
         )

@@ -89,6 +89,21 @@ class TestSolveVerifyExtract:
         assert rc == 2
         assert "InvalidConfig" in capsys.readouterr().err
 
+    def test_huge_timeout_solves(self, tmp_path):
+        inst, _ = self._gen(tmp_path, 7, "2,2,3")
+        limit = "1" + "0" * 400
+        rc = run("solve", "--in", str(inst), "--out", str(tmp_path / "e.json"), "--timeout-ms", limit)
+        assert rc == 0
+
+    def test_too_long_integer_literal_exits_2(self, tmp_path, capsys):
+        inst = tmp_path / "long.json"
+        big = "9" * 5000
+        inst.write_text(f'{{"polygon": [[0,0],[{big},0],[0,9]], "points": [[1,1]], "tree_edges": []}}')
+        emb = tmp_path / "one.json"
+        emb.write_text('{"mapping": [0]}')
+        assert run("verify", "--in", str(inst), "--embedding", str(emb)) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_extract_two_groups_sums(self, tmp_path, capsys):
         inst, meta = self._gen(tmp_path, 7, "2,2,3,2,2,3")
         emb = tmp_path / "emb.json"

@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -230,6 +231,35 @@ class TestSerialization:
     def test_deeply_nested_json_rejected(self):
         with pytest.raises(ParseError, match="nesting too deep"):
             deserialize_instance("[" * 200_000)
+
+    @pytest.mark.parametrize(
+        "parse, text, limited",
+        [
+            (
+                deserialize_instance,
+                '{"polygon": [[0,0],[9,0],[0,9]], "points": [[%s,1]], "tree_edges": []}',
+                False,
+            ),
+            (deserialize_tree, '{"node_count": %s, "tree_edges": []}', True),
+            (deserialize_embedding, '{"mapping": [%s]}', True),
+            (
+                deserialize_meta,
+                '{"B": %s, "n": 1, "v0_node": 0, "path_nodes": [[1]],'
+                ' "group_points": [[1]], "p0_point": 0}',
+                True,
+            ),
+        ],
+        ids=["instance", "tree", "embedding", "meta"],
+    )
+    def test_too_long_integer_literal_rejected(self, parse, text, limited):
+        # json.loads raised a bare ValueError for a literal past Python's
+        # int() digit limit (4300 by default). With no limit, only the
+        # coordinate is still refused at parse time, by COORD_LIMIT.
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limited and not 0 < digit_limit < 5000:
+            pytest.skip("this Python parses a 5000-digit literal")
+        with pytest.raises(ParseError):
+            parse(text % ("9" * 5000))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError):

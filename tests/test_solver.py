@@ -207,6 +207,12 @@ class TestDecideEmbedding:
         assert outcome.status is SolveStatus.TIMED_OUT
         assert outcome.elapsed_ms is not None
 
+    def test_limit_too_large_for_a_float_is_no_limit(self):
+        # start + limit / 1000.0 raised OverflowError past about 1.8e308 ms.
+        instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
+        outcome = decide_embedding(instance, SolverConfig(time_limit_ms=10**400))
+        assert outcome.status is SolveStatus.EMBEDDED
+
     def test_deterministic_embedding(self):
         instance, _ = build_instance(validate_3p(7, [2, 2, 3, 2, 2, 3]))
         a = decide_embedding(instance)

@@ -44,6 +44,12 @@ class TestBasics:
         assert not report.valid
         assert [v.kind for v in report.violations] == ["NotBijection"]
         assert report.violations[0].points == (0,)
+        # Images out of range, with no repeat, are offenders too.
+        for mapping, offenders in (([0, 1, 5], (5,)), ([0, -1, 2], (-1,))):
+            report = verify_planar_only(tree, pts, mapping)
+            assert not report.valid
+            assert [v.kind for v in report.violations] == ["NotBijection"]
+            assert report.violations[0].points == offenders
 
     def test_non_integer_images_rejected(self):
         # int() once truncated 1.7 and 1.5 to 1, so a drawing nobody gave
