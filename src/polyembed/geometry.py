@@ -272,8 +272,11 @@ def plane_contacts(
     by_direction = functools.cmp_to_key(lower)
     status: list[int] = []
     for p, X, Y, D in events():
-        lo = bisect_left(status, 0, key=side)
-        hi = bisect_right(status, 0, lo=lo, key=side)
+        lo = hi = bisect_left(status, 0, key=side)
+        # The run through an event is rarely over two segments: stepping up
+        # costs fewer side tests than a second bisection.
+        while hi < len(status) and side(status[hi]) == 0:
+            hi += 1
         inside = [s for s in status[lo:hi] if segs[s][2:] != p]
         begin = starts.get(p, ())
         new = sorted([*begin, *inside], key=by_direction)

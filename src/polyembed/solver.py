@@ -24,10 +24,11 @@ search refutes a state at once when some capacity is no subset sum of its
 sizes. Every prune drops only what cannot complete, so verdicts and
 first-found embeddings do not depend on them. The clean sightlines come
 from the visibility pass, which tests each point's segment to its nearest
-later neighbour on every line through it, so each neighbour pair once. A
-time limit is checked in every phase: once per row of that pass and before
-each of its boundary tests, before every candidate trial, and once per new
-state of the tiling search.
+later neighbour on every line through it, so each neighbour pair once; in
+(y, x) order the neighbour along a point's own row is the next point, so
+only later rows are grouped by direction. A time limit is checked in every
+phase: once per point of that pass and before each of its boundary tests,
+before every candidate trial, and once per new state of the tiling search.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -96,20 +97,24 @@ def build_visibility_graph(
 ) -> VisibilityGraph:
     """Exact visible runs and clean sightlines of an instance's points.
 
-    Points are taken in (x, y) order. Every point after i lies ahead of it
-    (greater x, or equal x and greater y), so the reduced offset
+    Points are taken in (y, x) order. Every point after i lies ahead of it
+    (greater y, or equal y and greater x), so the reduced offset
     ``(dx // g, dy // g)`` with ``g = gcd(dx, dy)`` names the line through
-    both, and the first later point on a line is i's neighbour on it. Only
-    that segment is tested, so each neighbour pair is tested once. Two points
-    of a line see each other iff every neighbour segment from one to the
-    other misses the boundary, because the closed segment between them is
-    the union of those. So a clear segment extends the run that ends at i on
-    its line, or starts one; each maximal run joins mutually visible points,
-    and the clear neighbour pairs are the clean sightlines. The instance
-    guarantees a simple polygon with every point strictly inside, so nothing
-    is checked again. The clock is read once per row and before each
-    boundary test, since one row can test thousands of lines; past
-    ``deadline`` (a ``time.perf_counter`` value) :class:`_Expired` is raised.
+    both, and the first later point on a line is i's neighbour on it. The
+    later points of i's own row all lie on the line (1, 0), and the nearest
+    is the next point in order, so only the later rows are keyed: a set of
+    points on few horizontal lines, as in the reduction, keys few pairs.
+    Only the segment to each neighbour is tested, so each neighbour pair is
+    tested once. Two points of a line see each other iff every neighbour
+    segment from one to the other misses the boundary, because the closed
+    segment between them is the union of those. So a clear segment extends
+    the run that ends at i on its line, or starts one; each maximal run
+    joins mutually visible points, and the clear neighbour pairs are the
+    clean sightlines. The instance guarantees a simple polygon with every
+    point strictly inside, so nothing is checked again. The clock is read
+    once per point and before each boundary test, since one point can test
+    thousands of lines; past ``deadline`` (a ``time.perf_counter`` value)
+    :class:`_Expired` is raised.
     """
     points, polygon = instance.points, instance.polygon
     n = len(points)
@@ -119,16 +124,22 @@ def build_visibility_graph(
     runs: list[list[int]] = []
     clean: list[list[int]] = [[] for _ in range(n)]
     ending: dict[tuple[int, tuple[int, int]], list[int]] = {}  # (point, line) -> its run
-    order = sorted(range(n), key=lambda k: (xs[k], ys[k]))
+    order = sorted(range(n), key=lambda k: (ys[k], xs[k]))
+    row_end = 0  # one past the last point of i's row in `order`
     for t, i in enumerate(order):
         if clock() >= deadline:
             raise _Expired
         xi, yi = xs[i], ys[i]
-        later = order[:t:-1]  # outward along each line, reversed: the nearest is written last
+        if t == row_end:
+            while row_end < n and ys[order[row_end]] == yi:
+                row_end += 1
+        later = order[: row_end - 1 : -1]  # the later rows, reversed: the nearest is written last
         nearest = {
             (dx // (g := gcd(dx, dy)), dy // g): j
             for j, dx, dy in zip(later, [xs[j] - xi for j in later], [ys[j] - yi for j in later])
         }
+        if t + 1 < row_end:
+            nearest[1, 0] = order[t + 1]
         for line, b in nearest.items():
             if clock() >= deadline:
                 raise _Expired

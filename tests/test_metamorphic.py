@@ -4,16 +4,18 @@ Lattice symmetries and translations map an instance onto one with the same
 incidences, so the solver must return the same status and mapping.
 Relabelling points or tree nodes must keep the verdict, and the embedding
 found for the relabelled instance, carried back, must verify on the
-original.
+original. Mirroring an instance in the line y = x must keep its clean
+sightlines and visible runs.
 """
 
 import random
 
 from polyembed.geometry import Point, SimplePolygon
 from polyembed.model import EmbeddingInstance, FreeTree, PointSet
-from polyembed.solver import decide_embedding
+from polyembed.solver import build_visibility_graph, decide_embedding
 from polyembed.verifier import verify_embedding
-from test_solver import POLYGON_CATALOG, random_bounded_instance
+from test_parity import visibility_corpus
+from test_solver import POLYGON_CATALOG, random_bounded_instance, transposed
 
 # (a, b, c, d) maps (x, y) to (a*x + b*y, c*x + d*y).
 LATTICE_SYMMETRIES = [
@@ -83,3 +85,14 @@ def test_relabelling_keeps_verdict():
                 mapping = got.embedding.mapping
                 assert verify_embedding(relabelled, mapping).valid
                 assert verify_embedding(instance, carry_back(mapping)).valid
+
+
+def test_transposition_keeps_visibility():
+    # The pass takes points in (y, x) order and treats a row apart from
+    # every other line; mirrored in y = x, rows become columns and take the
+    # general path, which must find the same sightlines and runs.
+    for label, instance in visibility_corpus():
+        want = build_visibility_graph(instance)
+        got = build_visibility_graph(transposed(instance))
+        assert got.clean == want.clean, label
+        assert set(map(frozenset, got.runs)) == set(map(frozenset, want.runs)), label

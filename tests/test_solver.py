@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -59,6 +60,20 @@ def path_instance(points, polygon):
     for tests of the visibility pass, which reads only points and polygon."""
     n = len(points)
     return make_instance(FreeTree(n, tuple((i - 1, i) for i in range(1, n))), points, polygon)
+
+
+def transposed(instance):
+    """The instance mirrored in the line y = x, with the same point and node
+    indices; the instance re-orients the mirrored polygon."""
+
+    def swap(p):
+        return Point(p.y, p.x)
+
+    return make_instance(
+        instance.tree,
+        PointSet(tuple(map(swap, instance.points))),
+        SimplePolygon(tuple(map(swap, instance.polygon.vertices))),
+    )
 
 
 L_POLYGON = [(0, 0), (40, 0), (40, 16), (24, 16), (24, 32), (0, 32)]
@@ -134,6 +149,29 @@ class TestVisibilityGraph:
         monkeypatch.setattr(SimplePolygon, "blocks", counted)
         build_visibility_graph(instance)
         assert len(calls) == tests
+
+    @pytest.mark.parametrize("flip, calls", [(False, 400), (True, 80_199)])
+    def test_row_neighbours_are_not_keyed(self, monkeypatch, flip, calls):
+        # 401 points, all but the anchor on one row. Each row point keys only
+        # the anchor, and its row neighbour is the next point. Transposed,
+        # the anchor shares a row with one point and every other row holds
+        # one point, so all 401 * 400 / 2 pairs but that one are keyed.
+        # Either way the 792 clean sightlines are found: 400 to the anchor
+        # and 49 along each group of 50.
+        instance, _ = build_instance(validate_3p(50, [17, 17, 16] * 8))
+        if flip:
+            instance = transposed(instance)
+        keyed = []
+        gcd = math.gcd
+
+        def counted(a, b):
+            keyed.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(math, "gcd", counted)
+        graph = build_visibility_graph(instance)
+        assert len(keyed) == calls
+        assert sum(map(len, graph.clean)) == 2 * 792
 
     def test_matches_oracle_on_catalog_polygons(self):
         rng = random.Random(41)
@@ -276,10 +314,11 @@ class TestDecideEmbedding:
         assert outcome.elapsed_ms >= 500
 
     def test_deadline_expires_inside_precompute(self):
-        # The criterion-6 instance (2501 points): its visibility pass takes
-        # about 1.1 s, so both the 50 ms and the 0.5 s limit run out in the
-        # pass.
-        instance, _ = build_instance(validate_3p(50, [17, 17, 16] * 50))
+        # The criterion-6 instance (2501 points), transposed so that each row
+        # but one holds one point: its visibility pass keys all pairs but
+        # one and takes about 0.9-1.3 s, so both the 50 ms and the 0.5 s
+        # limit run out in the pass.
+        instance = transposed(build_instance(validate_3p(50, [17, 17, 16] * 50))[0])
         start = time.perf_counter()
         outcome = decide_embedding(instance, SolverConfig(time_limit_ms=50))
         assert outcome.status is SolveStatus.TIMED_OUT
