@@ -92,7 +92,10 @@ def _index(value, path: str) -> int:
 
 def _indices(value, path: str) -> tuple[int, ...]:
     arr = _expect_list(value, path)
-    return tuple(_index(v, f"{path}[{i}]") for i, v in enumerate(arr))
+    for i, v in enumerate(arr):
+        if type(v) is not int or v < 0:  # else _index accepts v as it is
+            _index(v, f"{path}[{i}]")
+    return tuple(arr)
 
 
 def _index_rows(value, path: str) -> tuple[tuple[int, ...], ...]:
@@ -100,10 +103,26 @@ def _index_rows(value, path: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_indices(row, f"{path}[{i}]") for i, row in enumerate(rows))
 
 
-def _pairs(value, path: str, check, shape: str) -> list[tuple[int, int]]:
-    """An array of ``shape`` pairs, each element read by ``check``."""
+def _pairs(value, path: str, check, shape: str, lo: int) -> list[tuple[int, int]]:
+    """An array of ``shape`` pairs, each element read by ``check``.
+
+    A pair of two plain ints in ``[lo, COORD_LIMIT]``, which ``check``
+    accepts as they are, is taken at once. Any other pair is read again by
+    ``check`` under its path, which raises or accepts it, so a path is
+    formatted only for a pair that fails.
+    """
     pairs = []
     for i, v in enumerate(_expect_list(value, path)):
+        if type(v) is list and len(v) == 2:
+            a, b = v
+            if (
+                type(a) is int
+                and type(b) is int
+                and lo <= a <= COORD_LIMIT
+                and lo <= b <= COORD_LIMIT
+            ):
+                pairs.append((a, b))
+                continue
         at = f"{path}[{i}]"
         pair = _expect_list(v, at)
         if len(pair) != 2:
@@ -113,7 +132,7 @@ def _pairs(value, path: str, check, shape: str) -> list[tuple[int, int]]:
 
 
 def _points(value, path: str) -> tuple[Point, ...]:
-    return tuple(starmap(Point, _pairs(value, path, _coordinate, "[x, y]")))
+    return tuple(starmap(Point, _pairs(value, path, _coordinate, "[x, y]", -COORD_LIMIT)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +357,7 @@ def validate_instance(raw) -> EmbeddingInstance:
     """
     obj = _expect_object(raw, "instance", {"polygon", "points", "tree_edges"})
     vertices, pts = _points(obj["polygon"], "polygon"), _points(obj["points"], "points")
-    edges = _pairs(obj["tree_edges"], "tree_edges", _index, "[u, v]")
+    edges = _pairs(obj["tree_edges"], "tree_edges", _index, "[u, v]", 0)
     polygon, points = SimplePolygon(vertices), PointSet(pts)
     check_node_count(max(map(max, edges), default=0) + 1, len(points))
     return make_instance(FreeTree(len(points), edges), points, polygon)
@@ -388,7 +407,7 @@ def serialize_tree(tree: FreeTree) -> str:
 def deserialize_tree(text: str) -> FreeTree:
     obj = _expect_object(loads_strict(text), "tree", {"node_count", "tree_edges"})
     count = _expect_int(obj["node_count"], "node_count")
-    edges = _pairs(obj["tree_edges"], "tree_edges", _index, "[u, v]")
+    edges = _pairs(obj["tree_edges"], "tree_edges", _index, "[u, v]", 0)
     return FreeTree(node_count=count, edges=edges)
 
 

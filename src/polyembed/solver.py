@@ -11,8 +11,13 @@ eventually be used, so such an edge can never extend to a valid embedding.
 For the same reason a node of tree degree d is tried only at points with
 at least d clean sightlines (the degree filter of subgraph matching). A
 partial placement then survives only if the new edge meets the placed
-edges at the parent's image alone. Interchangeable sibling subtrees
-additionally get ascending root images, which skips permutations of
+edges at the parent's image alone. The placed edges are filed in a
+uniform grid of about n cells over the points' bounding box, each in every
+cell its closed segment meets (an exact integer supercover walk), so a new
+edge is tested only against the edges filed in its own cells; an edge is
+filed when placed and taken out when undone, in stack order, and each
+clean sightline's cells are found once per search. Interchangeable sibling
+subtrees additionally get ascending root images, which skips permutations of
 identical chains without ever skipping the first solution the plain order
 would find. A placement is also dropped when the pending subtree sizes
 cannot exactly tile the clean-sightline components of the free points. The
@@ -45,7 +50,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import count, product
 
 from .errors import ValidationError
 from .geometry import (
@@ -304,8 +309,8 @@ def decide_embedding(
     Returns EMBEDDED with a verifier-checked embedding, INFEASIBLE after an
     exhaustive search, or TIMED_OUT once a configured time limit is spent.
     Candidates for each edge come from the precomputed clean-sightline
-    graph, and every new edge is tested against the placed ones with
-    :func:`~polyembed.geometry.segment_relation`.
+    graph, and every new edge is tested against the placed ones that share
+    a grid cell with it, with :func:`~polyembed.geometry.segment_relation`.
     """
     cfg = config or SolverConfig()
     tree, points = instance.tree, instance.points
@@ -337,6 +342,47 @@ def decide_embedding(
     return SolveOutcome(SolveStatus.EMBEDDED, embedding=embedding)
 
 
+def _grid_frame(xs: list[int], ys: list[int]) -> tuple[int, int, int, int, int]:
+    """(x0, y0, side, cols, rows) of a grid of square cells over the points'
+    bounding box: about sqrt(n) cells along its longer extent."""
+    x0, y0 = min(xs), min(ys)
+    width, height = max(xs) - x0, max(ys) - y0
+    side = max(1, max(width, height) // math.isqrt(len(xs)))
+    return x0, y0, side, width // side + 1, height // side + 1
+
+
+def _crossed_cells(
+    ax: int, ay: int, bx: int, by: int, x0: int, y0: int, side: int, cols: int, rows: int
+) -> list[int]:
+    """Flat indices ``row * cols + col`` of the grid cells whose closed box
+    meets the closed segment ab, each once, clipped to the grid.
+
+    Cell (col, row) is the box ``[x0 + col * side, x0 + (col + 1) * side]`` by
+    the same in y. An exact integer supercover walk (Amanatides & Woo 1987,
+    without floats): in each column the segment's y runs between its values at
+    the column's two x bounds, kept scaled by ``bx - ax`` so they stay
+    integers, and the rows between them follow by floor division, since for
+    integers ``ceil(t / d) - 1 == (t - 1) // d``.
+    """
+    if bx < ax:
+        ax, ay, bx, by = bx, by, ax, ay
+    ax, bx, ay, by = ax - x0, bx - x0, ay - y0, by - y0
+    dx, dy = bx - ax, by - ay
+    den = side * dx if dx else side
+    cells: list[int] = []
+    for col in range(max(0, (ax - 1) // side), min(cols - 1, bx // side) + 1):
+        if dx:
+            lo = ay * dx + (max(ax, col * side) - ax) * dy
+            hi = ay * dx + (min(bx, col * side + side) - ax) * dy
+        else:
+            lo, hi = ay, by
+        if lo > hi:
+            lo, hi = hi, lo
+        first, last = max(0, (lo - 1) // den), min(rows - 1, hi // den)
+        cells.extend(range(first * cols + col, last * cols + col + 1, cols))
+    return cells
+
+
 def _search(
     tree: FreeTree,
     root: int,
@@ -355,9 +401,10 @@ def _search(
     n = tree.node_count
     order, parent, children, size, prev_iso = _rooted(tree, root)
 
+    degree, sights = list(map(len, tree.adjacency)), list(map(len, clean_adj))
+    clock = time.perf_counter
     used = bytearray(n)
     node_point = [-1] * n
-    placed: list[tuple] = []  # boxed(...) + (parent node, child node) per edge
     # witness[d] is a tiling of the free points' components by the pending
     # subtree sizes before order[d] is placed: each component's lowest free
     # point index maps to (its point count, the sizes that fill it). It is
@@ -430,43 +477,95 @@ def _search(
         witness[depth + 1] = new
         return True
 
-    def admissible(par: int, pp: int, p: int) -> bool:
-        ax, ay, bx, by, minx, maxx, miny, maxy = boxed(pxs[pp], pys[pp], pxs[p], pys[p])
-        for cx, cy, dx, dy, ominx, omaxx, ominy, omaxy, na, nb in placed:
-            if na == par or nb == par:
-                # Clean sightlines from the parent's image meet only there:
-                # an overlap would cover the nearer one's far endpoint.
-                continue
-            if ominx > maxx or omaxx < minx or ominy > maxy or omaxy < miny:
-                continue
-            if segment_relation(ax, ay, bx, by, cx, cy, dx, dy) != DISJOINT:
-                # Node-disjoint edges must have empty closed intersection.
-                return False
+    # The placed edges, filed in a uniform grid by the cells they cross. The
+    # record of a clean sightline ab, ``[*boxed(...), a, b, its cells, the
+    # last query that tested it]``, is memoized by a * n + b. The grid is
+    # allocated at the first record, so a search that never leaves the root
+    # builds nothing.
+    memo: dict[int, list] = {}
+    grid: list[list[list]] = []  # per cell, the records of its placed edges
+    queries = count()
+    frame: tuple[int, ...] = ()
+    edge_cells: list[list[int]] = [[] for _ in range(n)]  # per node, its edge's cells
+
+    def sightline(a: int, b: int) -> list:
+        """The record of ab, made and memoized on its first test."""
+        nonlocal frame
+        if not frame:
+            frame = _grid_frame(pxs, pys)
+            grid.extend([] for _ in range(frame[3] * frame[4]))
+        ax, ay, bx, by = pxs[a], pys[a], pxs[b], pys[b]
+        cells = _crossed_cells(ax, ay, bx, by, *frame)
+        rec = memo[a * n + b] = [*boxed(ax, ay, bx, by), a, b, cells, -1]
+        return rec
+
+    def admissible(pp: int, p: int) -> bool:
+        """Does the sightline pp-p meet no placed edge but at pp? Only the
+        edges filed in its cells can meet it. An edge filed in several of
+        them is tested once, stamped with this query's number."""
+        rec = memo.get(pp * n + p) or sightline(pp, p)
+        ax, ay, bx, by, minx, maxx, miny, maxy, _, _, cells, _ = rec
+        query = next(queries)
+        for cell in cells:
+            for edge in grid[cell]:
+                cx, cy, dx, dy, ominx, omaxx, ominy, omaxy, a, b, _, tested = edge
+                if ominx > maxx or omaxx < minx or ominy > maxy or omaxy < miny:
+                    continue
+                if a == pp or b == pp:
+                    # Clean sightlines from the parent's image meet only there:
+                    # an overlap would cover the nearer one's far endpoint.
+                    continue
+                if tested == query:
+                    continue
+                edge[11] = query
+                if segment_relation(ax, ay, bx, by, cx, cy, dx, dy) != DISJOINT:
+                    # Node-disjoint edges must have empty closed intersection.
+                    return False
         return True
+
+    def place(depth: int, q: int) -> None:
+        """Put order[depth] at q and file its edge, whose record admissible
+        made, in the edge's cells."""
+        node = order[depth]
+        used[q] = 1
+        node_point[node] = q
+        if depth:
+            rec = memo[node_point[parent[node]] * n + q]
+            cells = edge_cells[node] = rec[10]
+            for cell in cells:
+                grid[cell].append(rec)
+
+    def undo(depth: int) -> int:
+        """Take back order[depth]'s placement and return its point. Edges are
+        placed and undone in stack order, so each is last in its cells."""
+        node = order[depth]
+        q = node_point[node]
+        used[q] = 0
+        for cell in edge_cells[node]:
+            grid[cell].pop()
+        return q
 
     # `resume` is the lowest point left to try at `depth`: 0 on a fresh
     # visit, one past the undone image after a backtrack.
     depth = resume = 0
     while depth < n:
         node = order[depth]
-        par = parent[node]
-        if par < 0:
-            # The root may go to any point; admissible has no placed edge yet.
-            pp, row = -1, range(n)
-        else:
-            pp = node_point[par]
+        if depth:
+            pp = node_point[parent[node]]
             row = clean_adj[pp]
+        else:  # the root may go to any point and has no edge to test
+            pp, row = -1, range(n)
         sib = prev_iso[node]
         lo = max(resume, node_point[sib] + 1 if sib >= 0 else 0)
         # Each of the node's edges is a clean sightline from its image.
-        need = tree.degree(node)
+        need = degree[node]
         for q in row[bisect_left(row, lo) :]:
-            if time.perf_counter() >= deadline:
+            if clock() >= deadline:
                 raise _Expired
             if (
                 not used[q]
-                and len(clean_adj[q]) >= need
-                and admissible(par, pp, q)
+                and sights[q] >= need
+                and (not depth or admissible(pp, q))
                 and completion_feasible(depth, q)
             ):
                 break
@@ -474,16 +573,9 @@ def _search(
             depth -= 1
             if depth < 0:
                 return None
-            undo = order[depth]
-            used[node_point[undo]] = 0
-            resume = node_point[undo] + 1
-            if depth > 0:
-                placed.pop()
+            resume = undo(depth) + 1
             continue
-        used[q] = 1
-        node_point[node] = q
-        if par >= 0:
-            placed.append(boxed(pxs[pp], pys[pp], pxs[q], pys[q]) + (par, node))
+        place(depth, q)
         depth += 1
         resume = 0
     return tuple(node_point)

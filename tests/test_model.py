@@ -322,6 +322,35 @@ class TestSerialization:
             parse(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "key, entry, message",
+        [
+            ("points", [True, 1], "points[2500][0]: expected an integer"),
+            (
+                "points",
+                [1, 2**31],
+                "points[2500][1]: coordinate 2147483648 exceeds the 2^31-1 bound",
+            ),
+            ("points", [1, 1, 1], "points[2500]: expected [x, y]"),
+            ("polygon", [0, False], "polygon[149][1]: expected an integer"),
+            ("tree_edges", [-1, 0], "tree_edges[2499][0]: expected a non-negative index"),
+            ("tree_edges", [0, 1, 2], "tree_edges[2499]: expected [u, v]"),
+            ("mapping", -1, "mapping[2500]: expected a non-negative index"),
+        ],
+    )
+    def test_bad_last_entry_of_large_file(self, key, entry, message):
+        # 2501 points: every entry before the last is read on the fast path,
+        # and the last one still fails with its own path.
+        instance, _ = build_instance(validate_3p(50, [17, 17, 16] * 50))
+        if key == "mapping":
+            obj, parse = {"mapping": list(range(2501))}, deserialize_embedding
+        else:
+            obj, parse = json.loads(serialize_instance(instance)), deserialize_instance
+        obj[key][-1] = entry
+        with pytest.raises(ParseError) as err:
+            parse(json.dumps(obj))
+        assert str(err.value) == message
+
     def test_embedding_roundtrip(self):
         emb = Embedding((3, 1, 0, 2))
         assert deserialize_embedding(serialize_embedding(emb)) == emb

@@ -27,6 +27,7 @@ from polyembed.reduction import (
 from polyembed.solver import (
     SolveStatus,
     SolverConfig,
+    _crossed_cells,
     _Expired,
     _tiling,
     build_visibility_graph,
@@ -511,6 +512,86 @@ def test_verdicts_match_three_partition_oracle_at_scale():
             assert partition_solves(inst, extract_partition(meta, outcome.embedding))
         verdicts[want] += 1
     assert verdicts == {True: 6, False: 6}
+
+
+def _box_meets_segment(ax, ay, bx, by, x0, y0, x1, y1):
+    """Does the closed box [x0, x1] x [y0, y1] meet the closed segment ab?
+    By separating axes: the box's two axes and the normal of ab, which
+    separates them iff all four corners lie strictly on one side of ab."""
+    if max(ax, bx) < x0 or min(ax, bx) > x1 or max(ay, by) < y0 or min(ay, by) > y1:
+        return False
+    sides = [
+        (bx - ax) * (y - ay) - (by - ay) * (x - ax)
+        for x, y in ((x0, y0), (x0, y1), (x1, y0), (x1, y1))
+    ]
+    return min(sides) <= 0 <= max(sides)
+
+
+def test_crossed_cells_match_brute_force():
+    # Random integer segments in random grids, negative origins and cells of
+    # side 1 included: general ones, vertical and horizontal ones, half of
+    # them along cell lines, ones through a cell corner and ones from corner
+    # to corner. The walk must list each cell whose closed box meets the
+    # closed segment, once, and nothing else; so it also stays inside the
+    # segment's box of cells.
+    rng = random.Random(11)
+    for trial in range(3000):
+        kind = trial % 5
+        while True:
+            side = rng.choice((1, 1, 2, 3, 5, 7))
+            cols, rows = rng.randint(1, 8), rng.randint(1, 8)
+            x0, y0 = rng.randint(-30, 10), rng.randint(-30, 10)
+            w, h = cols * side - 1, rows * side - 1  # the points' extent in the grid
+            if kind == 4:  # corner to corner
+                ax, bx = (x0 + side * rng.randint(0, cols - 1) for _ in range(2))
+                ay, by = (y0 + side * rng.randint(0, rows - 1) for _ in range(2))
+            else:
+                ax, bx = (x0 + rng.randint(0, w) for _ in range(2))
+                ay, by = (y0 + rng.randint(0, h) for _ in range(2))
+                on_line = trial % 2
+                if kind == 1:  # vertical, on a cell line every other time
+                    bx = ax = x0 + side * rng.randint(0, cols - 1) if on_line else ax
+                elif kind == 2:  # horizontal, likewise
+                    by = ay = y0 + side * rng.randint(0, rows - 1) if on_line else ay
+                elif kind == 3:  # through a cell corner
+                    cx = x0 + side * rng.randint(0, cols - 1)
+                    cy = y0 + side * rng.randint(0, rows - 1)
+                    dx, dy = rng.randint(-3, 3), rng.randint(-3, 3)
+                    s, t = rng.randint(1, 3), rng.randint(1, 3)
+                    ax, ay, bx, by = cx - s * dx, cy - s * dy, cx + t * dx, cy + t * dy
+            inside = all(x0 <= x <= x0 + w for x in (ax, bx)) and all(
+                y0 <= y <= y0 + h for y in (ay, by)
+            )
+            if inside and (ax, ay) != (bx, by):
+                break
+        walk = _crossed_cells(ax, ay, bx, by, x0, y0, side, cols, rows)
+        want = [
+            r * cols + c
+            for r in range(rows)
+            for c in range(cols)
+            if _box_meets_segment(
+                ax, ay, bx, by,
+                x0 + c * side, y0 + r * side, x0 + (c + 1) * side, y0 + (r + 1) * side,
+            )
+        ]
+        assert sorted(walk) == want, (ax, ay, bx, by, x0, y0, side, cols, rows)
+
+
+def test_search_tests_each_candidate_against_nearby_edges(monkeypatch):
+    # 2501 points: the grid leaves under 4 segment tests per point, where a
+    # scan of every placed edge made 175,125.
+    calls = []
+    relation = solver.segment_relation
+
+    def counted(*args):
+        calls.append(args)
+        return relation(*args)
+
+    instance, _ = build_instance(validate_3p(50, [17, 17, 16] * 50))
+    monkeypatch.setattr(solver, "segment_relation", counted)
+    outcome = decide_embedding(instance)
+    assert outcome.status is SolveStatus.EMBEDDED
+    assert 0 < len(calls) < 4 * 2501
 
 
 class TestGeneralPosition:
