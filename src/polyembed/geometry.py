@@ -15,24 +15,26 @@ without building objects; :func:`classify_segments`,
 verifier all go through it. :func:`plane_contacts` is the one sweep: a
 Bentley–Ottmann sweep that reports, in (x, y) order, every point where
 labelled segments meet where they should not, with the segments that start,
-end and pass there. The verifier builds its whole report from it, and its
-first contact, if any, decides polygon simplicity. :func:`locate_points` is
-the one point-location pass: one pass over the edges per distinct y among
-the points, so a row of collinear points costs one pass;
-:func:`point_in_polygon` is its one-point call, and an instance locates all
-its points in one call when it is built. :func:`boxed` is the one segment
-record and :meth:`SimplePolygon.blocks` the one segment-versus-boundary
-test. Public predicates validate their polygon; loops over an
-already-validated instance call these flat forms, which check nothing
-again. The solver's visibility pass tests each segment between neighbours
-on a line once, and the clear ones are the clean sightlines.
+end and pass there. It finds each event's place in its status by a finger
+search from the last event's, with side tests in inline integer arithmetic
+on line coefficients made once per segment. The verifier builds its whole
+report from it, and its first contact, if any, decides polygon simplicity.
+:func:`locate_points` is the one point-location pass: one pass over the
+edges per distinct y among the points, so a row of collinear points costs
+one pass; :func:`point_in_polygon` is its one-point call, and an instance
+locates all its points in one call when it is built. :func:`boxed` is the
+one segment record and :meth:`SimplePolygon.blocks` the one
+segment-versus-boundary test. Public predicates validate their polygon;
+loops over an already-validated instance call these flat forms, which check
+nothing again. The solver's visibility pass tests each segment between
+neighbours on a line once, and the clear ones are the clean sightlines.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -217,17 +219,24 @@ def plane_contacts(
 
     A Bentley–Ottmann sweep (1979) over the Shamos–Hoey status (1976).
     Events are the endpoints, in (x, y) order, merged with a heap of the
-    crossings found so far. Every event, endpoint or crossing, is one exact
-    point (X / D, Y / D), and a crossing at an endpoint is never queued. The
-    status lists the segments that started before the event and end at or
-    after it, from bottom to top; a vertical one is the highest of those
-    through a point. At an event p, L ∪ C is the run of status segments
-    through p; U ∪ C replaces it, ordered by direction (de Berg et al.,
-    Computational Geometry, HandleEventPoint), and each pair this makes
-    adjacent is tested with :func:`segment_relation`. Only a proper crossing
-    ahead of p becomes an event; every other contact is at an endpoint.
+    crossings found so far; each is one exact point (X / D, Y / D), and a
+    crossing at an endpoint is never queued. The status lists the segments
+    that started before the event and end at or after it, from bottom to
+    top; a vertical one is the highest of those through a point. At an
+    event p, L ∪ C is the run of status segments through p, found by a
+    gallop from the last event's, by steps 1, 2, 4, ..., and a bisection of
+    the bracket: O(log d) side tests for a move of d places (Bentley and
+    Yao 1976). A test is inline integer arithmetic on the segment's line
+    dx*y - dy*x = k: it passes below p iff dx*Y - dy*X > k*D and holds p
+    iff they are equal, exactly, at endpoints and crossings alike, and a
+    vertical one always holds p. U ∪ C replaces the run, ordered by
+    direction (de Berg et al., Computational Geometry, HandleEventPoint),
+    and each pair this makes adjacent is tested with
+    :func:`segment_relation`. Only a proper crossing ahead of p becomes an
+    event; every other contact is at an endpoint.
     """
     segs: list[tuple[int, int, int, int]] = []  # (ax, ay, bx, by), a before b in (x, y) order
+    lines: list[tuple[int, int, int]] = []  # (dx, dy, k): the line dx*y - dy*x = k
     starts: dict[tuple[int, int], list[int]] = {}
     ends: dict[tuple[int, int], list[int]] = {}
     owner: dict[tuple[int, int], int] = {}  # point -> its first label
@@ -236,6 +245,7 @@ def plane_contacts(
         if (bx, by) < (ax, ay):
             ax, ay, bx, by, la, lb = bx, by, ax, ay, lb, la
         segs.append((ax, ay, bx, by))
+        lines.append((bx - ax, by - ay, (bx - ax) * ay - (by - ay) * ax))
         starts.setdefault((ax, ay), []).append(i)
         ends.setdefault((bx, by), []).append(i)
         for point, label in (((ax, ay), la), ((bx, by), lb)):
@@ -258,59 +268,57 @@ def plane_contacts(
 
     def lower(s: int, t: int) -> int:
         # Directions that point right or straight up, from lowest to highest.
-        ax, ay, bx, by = segs[s]
-        cx, cy, dx, dy = segs[t]
-        return (dx - cx) * (by - ay) - (dy - cy) * (bx - ax)
-
-    def side(s: int) -> int:
-        # -1 if s passes below the event, 0 if it holds it, 1 if above. A
-        # vertical segment in the status always holds the event.
-        ax, ay, bx, by = segs[s]
-        c = (bx - ax) * (Y - ay * D) - (by - ay) * (X - ax * D)
-        return -1 if c > 0 else 1 if c < 0 else 0
+        return lines[t][0] * lines[s][1] - lines[t][1] * lines[s][0]
 
     by_direction = functools.cmp_to_key(lower)
     status: list[int] = []
+    lo = 0
     for p, X, Y, D in events():
-        lo = hi = bisect_left(status, 0, key=side)
-        # The run through an event is rarely over two segments: stepping up
-        # costs fewer side tests than a second bisection.
-        while hi < len(status) and side(status[hi]) == 0:
+        a, b, i, step = -1, len(status), min(lo, len(status) - 1), 1
+        while b - a > 1:  # gallop from the last lo, then bisect (a, b)
+            i = i if a < i < b else (a + b) // 2
+            dx, dy, k = lines[status[i]]
+            a, b, i = (i, b, i + step) if dx * Y - dy * X > k * D else (a, i, i - step)
+            step *= 2
+        lo = hi = b
+        while hi < len(status):  # the run through p, rarely over two segments
+            dx, dy, k = lines[status[hi]]
+            if dx * Y - dy * X != k * D:
+                break
             hi += 1
         inside = [s for s in status[lo:hi] if segs[s][2:] != p]
         begin = starts.get(p, ())
-        new = sorted([*begin, *inside], key=by_direction)
+        new = [*begin, *inside]
+        if len(new) > 1:
+            new.sort(key=by_direction)
         overlap = len(new) > 1 and any(lower(s, t) == 0 for s, t in zip(new, new[1:]))
         if inside or overlap or (clash and p in clash):
             yield p, tuple(begin), tuple(ends.get(p, ())), tuple(inside)
         status[lo:hi] = new
-        for b in {lo, lo + len(new)}:  # the new adjacencies below and above
+        for b in (lo, lo + len(new)) if new else (lo,):  # the new adjacencies
             if 0 < b < len(status):
                 s, t = status[b - 1], status[b]
                 if segment_relation(*segs[s], *segs[t]) == CROSSING:
-                    _push_crossing(segs[s], segs[t], p, crossings, queued)
+                    _push_crossing(lines[s], lines[t], p, crossings, queued)
 
 
 def _push_crossing(s, t, p, crossings, queued) -> None:
-    """Queue the proper crossing of segments s and t if past p and new."""
+    """Queue the proper crossing of two segments, given by their lines
+    (dx, dy, k), dx*y - dy*x = k, if past p and new."""
     # Imported here, as only inputs with a crossing need them: importing
     # fractions alone costs milliseconds, which every CLI call would pay.
     from fractions import Fraction
     from heapq import heappush
 
-    ax, ay, bx, by = s
-    cx, cy, dx, dy = t
-    ux, uy, vx, vy = bx - ax, by - ay, dx - cx, dy - cy
-    # s and t meet at a + (num / den) u.
-    den = ux * vy - uy * vx
-    num = (cx - ax) * vy - (cy - ay) * vx
-    if den < 0:
-        den, num = -den, -num
-    X, Y = ax * den + ux * num, ay * den + uy * num
-    q = (Fraction(X, den), Fraction(Y, den))
+    (ux, uy, k), (vx, vy, l) = s, t
+    # The lines meet at (X / D, Y / D), by Cramer's rule.
+    D, X, Y = ux * vy - uy * vx, k * vx - l * ux, k * vy - l * uy
+    if D < 0:
+        D, X, Y = -D, -X, -Y
+    q = (Fraction(X, D), Fraction(Y, D))
     if q > p and q not in queued:
         queued.add(q)
-        heappush(crossings, (q, X, Y, den))
+        heappush(crossings, (q, X, Y, D))
 
 
 def _pop_crossing(crossings):

@@ -13,6 +13,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from itertools import chain, starmap
+from operator import attrgetter
 
 from .errors import ParseError, ValidationError
 from .geometry import (
@@ -333,8 +334,12 @@ class VerificationReport:
 
     @classmethod
     def from_violations(cls, violations) -> "VerificationReport":
-        # Canonical order regardless of how checks were scheduled.
-        ordered = tuple(sorted(set(violations), key=Violation.sort_key))
+        # Canonical order regardless of how checks were scheduled: sort_key's,
+        # by stable sorts on its fields, last first. A key of one field is
+        # the field itself, so no key tuple is built.
+        ordered = list(set(violations))
+        for name in ("points", "edges", "kind"):
+            ordered.sort(key=attrgetter(name))
         return cls(valid=not ordered, violations=ordered)
 
 

@@ -9,9 +9,11 @@ Validity and the report both come from one Bentley–Ottmann sweep,
 :func:`plane_contacts`, over the edge images, each end labelled by its point,
 and the boundary edges, labelled by negative vertex numbers. A valid
 embedding gives no contact. Every contact the sweep yields is turned into
-violations where it happens, and the report lists them all, in a canonical
-order, instead of stopping at the first, so callers can assert on specific
-failure kinds. All of it is exact integer and rational arithmetic.
+violations where it happens, collected as plain ``(kind, edges, points)``
+tuples in one set, and each distinct one becomes a :class:`Violation` once.
+The report lists them all, in a canonical order, instead of stopping at the
+first, so callers can assert on specific failure kinds. All of it is exact
+integer and rational arithmetic.
 """
 
 from __future__ import annotations
@@ -82,21 +84,21 @@ def _verify(tree, points, embedding, polygon) -> VerificationReport:
     if polygon is not None:
         k = len(polygon.vertices)
         labelled += [e[:4] + (~t, ~((t + 1) % k)) for t, e in enumerate(polygon.edge_boxes)]
-    violations: set[Violation] = set()
+    found: set[tuple[str, tuple[int, ...], tuple[int, ...]]] = set()
     for contact in plane_contacts(labelled):
-        _report_contact(labelled, m, *contact, violations)
-    return VerificationReport.from_violations(violations)
+        _report_contact(labelled, m, *contact, found)
+    return VerificationReport.from_violations([Violation(*v) for v in found])
 
 
-def _report_contact(labelled, m, p, begin, end, inside, violations) -> None:
-    """Add the violations at one contact p of the sweep. Segments below m
-    are tree edges, the others boundary edges; begin, end and inside are
-    the segments that start at p, end at p and hold p inside them."""
+def _report_contact(labelled, m, p, begin, end, inside, found) -> None:
+    """Add the violations at one contact p of the sweep to the set found.
+    Segments below m are tree edges, the others boundary edges; begin, end
+    and inside are the segments that start at p, end at p and hold p."""
     at_p = (*begin, *end, *inside)
     edges = [s for s in at_p if s < m]
     if len(edges) < len(at_p):
         for s in edges:
-            violations.add(Violation(KIND_EDGE_HITS_BOUNDARY, edges=(s,)))
+            found.add((KIND_EDGE_HITS_BOUNDARY, (s,), ()))
     # A tree edge with an end at p makes p a mapped point: its label there.
     ending = next((s for s in (*begin, *end) if s < m), None)
     through = [s for s in inside if s < m]
@@ -104,7 +106,7 @@ def _report_contact(labelled, m, p, begin, end, inside, violations) -> None:
         rec = labelled[ending]
         point = rec[4] if rec[:2] == p else rec[5]
         for s in through:
-            violations.add(Violation(KIND_EDGE_THROUGH_POINT, edges=(s,), points=(point,)))
+            found.add((KIND_EDGE_THROUGH_POINT, (s,), (point,)))
     # The tree edges that go on past p, by direction. Two of one direction
     # overlap; the pair is reported once, at the later of its two starts,
     # where one of them is in begin. Two of different directions that both
@@ -118,10 +120,10 @@ def _report_contact(labelled, m, p, begin, end, inside, violations) -> None:
     for starting, passing in runs.values():
         for i, s in enumerate(starting):
             for t in starting[i + 1 :] + passing:
-                violations.add(Violation(KIND_EDGES_OVERLAP, edges=(min(s, t), max(s, t))))
+                found.add((KIND_EDGES_OVERLAP, (min(s, t), max(s, t)), ()))
     passing = [run[1] for run in runs.values() if run[1]]
     for i, run in enumerate(passing):
         for other in passing[i + 1 :]:
             for s in run:
                 for t in other:
-                    violations.add(Violation(KIND_EDGE_CROSSES_EDGE, edges=(min(s, t), max(s, t))))
+                    found.add((KIND_EDGE_CROSSES_EDGE, (min(s, t), max(s, t)), ()))

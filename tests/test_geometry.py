@@ -456,11 +456,11 @@ class TestPlaneContact:
         assert meet(segs, 0, 1)
 
 
-def random_labelled_segments(rng, count):
+def random_labelled_segments(rng, count, size=None):
     """count segments with ends on a small grid, mostly labelled by their
     position, so crossings, overlaps, vertical segments and label clashes
-    all occur."""
-    size = rng.randint(2, 6)
+    all occur. The grid is size by size, by default 2 to 6."""
+    size = size or rng.randint(2, 6)
     segs = []
     while len(segs) < count:
         a = (rng.randrange(size), rng.randrange(size))
@@ -526,6 +526,64 @@ class TestPlaneContacts:
             assert want <= together, segs
             found += bool(contacts)
         assert 1000 < found < 3000
+
+    def test_long_status_matches_pairwise_oracle(self):
+        # A fan of 40-150 segments from one point stays in the status while
+        # the sweep walks a row of unit segments across it, and long and
+        # vertical segments across both make the run through each event
+        # jump far up and down the status between events.
+        rng = random.Random(29)
+        for _ in range(6):
+            assert checked_plane_contacts(fan_over_row(rng))
+
+    def test_dense_lattice_sets_match_pairwise_oracle(self):
+        # 40-80 segments on a 12-20 lattice: many crossings of interiors,
+        # each an event (X / D, Y / D) with D > 1.
+        rng = random.Random(31)
+        fractional = 0
+        for _ in range(12):
+            segs = random_labelled_segments(rng, rng.randint(40, 80), rng.randint(12, 20))
+            for p, *_ in checked_plane_contacts(segs):
+                fractional += any(isinstance(c, Fraction) and c.denominator > 1 for c in p)
+        assert fractional > 100
+
+
+def checked_plane_contacts(segs):
+    """plane_contacts(segs), checked against the pairwise oracle as
+    test_matches_pairwise_oracle checks it: each oracle pair is at one
+    yielded point together, each yielded point holds an oracle pair, and
+    the points come in (x, y) order."""
+    want = oracles.plane_contacts(segs)
+    contacts = list(plane_contacts(segs))
+    assert bool(contacts) == bool(want), segs
+    points = [c[0] for c in contacts]
+    assert points == sorted(set(points)), segs
+    together = set()
+    for p, begin, end, inside in contacts:
+        pairs = set(itertools.combinations(sorted({*begin, *end, *inside}), 2))
+        assert pairs & want, (segs, p)
+        together |= pairs
+    assert want <= together, segs
+    return contacts
+
+
+def fan_over_row(rng):
+    """A row of unit segments on y = 0, a fan of 40-150 segments from one
+    point left of and below the row to points right of it, and a few long
+    and vertical segments across both, each end labelled by its point."""
+    width = rng.randint(20, 40)
+    hub = (-3, rng.randint(-40, -5))
+    ends = [(x, 0) for x in range(width + 1)]
+    pairs = list(zip(ends, ends[1:]))
+    for _ in range(rng.randint(40, 150)):
+        pairs.append((hub, (width + rng.randint(1, 10), rng.randint(-60, 60))))
+    for _ in range(rng.randint(2, 6)):
+        left, right = rng.randint(-10, -4), width + rng.randint(2, 12)
+        pairs.append(((left, rng.randint(-60, 60)), (right, rng.randint(-60, 60))))
+        x = rng.randrange(width + 1)
+        pairs.append(((x, rng.randint(-60, -1)), (x, rng.randint(1, 60))))
+    label: dict[tuple[int, int], int] = {}
+    return [(*a, *b, *(label.setdefault(q, len(label)) for q in (a, b))) for a, b in pairs]
 
 
 class TestNormalizeCcw:
