@@ -20,20 +20,25 @@ clean sightline's cells are found once per search. Interchangeable sibling
 subtrees additionally get ascending root images, which skips permutations of
 identical chains without ever skipping the first solution the plain order
 would find. A placement is also dropped when the pending subtree sizes
-cannot exactly tile the clean-sightline components of the free points. The
-tiling that accepted the previous placement is kept per depth, so nothing
-is undone on backtrack: a placement searches only the component it splits,
-re-tiles that component's sizes into the pieces, and runs a full tiling
-only when that local check fails and other components exist. The tiling
-search refutes a state at once when some capacity is no subset sum of its
-sizes. Every prune drops only what cannot complete, so verdicts and
-first-found embeddings do not depend on them. The clean sightlines come
-from the visibility pass, which tests each point's segment to its nearest
-later neighbour on every line through it, so each neighbour pair once; in
-(y, x) order the neighbour along a point's own row is the next point, so
-only later rows are grouped by direction. A time limit is checked in every
+cannot exactly tile the clean-sightline components of the free points; a
+disconnected clean-sightline graph is refuted before the root. Each free
+point carries its component's label, and the tiling that accepted the
+previous placement is kept per depth, keyed by label. A placement with one
+free neighbour cannot split its component and searches nothing; one with
+more searches its component from them, and when it splits, every piece but
+the largest gets a fresh label, which undo puts back in stack order. The
+component's sizes are re-tiled into the pieces, and a full tiling runs only
+when that local check fails and other components exist. The tiling search
+refutes a state at once when some capacity is no subset sum of its sizes.
+Every prune drops only what cannot complete, so verdicts and first-found
+embeddings do not depend on them. The clean sightlines come from the
+visibility pass, which tests each point's segment to its nearest later
+neighbour on every line through it, so each neighbour pair once; in (y, x)
+order the neighbour along a point's own row is the next point, so only
+later rows are grouped by direction. A time limit is checked in every
 phase: once per point of that pass and before each of its boundary tests,
-before every candidate trial, and once per new state of the tiling search.
+before every candidate trial, and once every 64 new states of the tiling
+search.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -253,21 +258,23 @@ def _tiling(
     ``_REFUTED_LIMIT`` refuted states of this call are kept so that none is
     searched twice. The search keeps its own stack, one frame per size
     placed, so long size lists do not recurse, and on success the frames are
-    the tiling. The clock is read once per new state; past ``deadline`` it
-    raises :class:`_Expired`.
+    the tiling. The clock is read once every 64 new states; past
+    ``deadline`` it raises :class:`_Expired`.
     """
     if len(caps) == 1:
         return [sizes] if sum(sizes) == caps[0] else None
     failed: set = set()
     stack: list[list] = []  # frames: [(sizes, caps), index of the next cap]
     state = (sizes, tuple(sorted(caps, reverse=True)))
+    states = 0
     while True:
         sz, cp = state
         if not sz:
             if not cp or cp[0] == 0:
                 break
         elif state not in failed:
-            if time.perf_counter() >= deadline:
+            states += 1
+            if not states & 63 and time.perf_counter() >= deadline:
                 raise _Expired
             if len(failed) >= _REFUTED_LIMIT:
                 failed.clear()
@@ -383,6 +390,18 @@ def _crossed_cells(
     return cells
 
 
+def _flood(piece: list[int], seen: bytearray, adj) -> list[int]:
+    """Extend ``piece``, whose points are marked in ``seen``, by every point
+    reachable from it through unmarked ones, marking them; a breadth-first
+    search, since the loop reads what it appends. Returns ``piece``."""
+    for v in piece:
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = 1
+                piece.append(w)
+    return piece
+
+
 def _search(
     tree: FreeTree,
     root: int,
@@ -395,8 +414,12 @@ def _search(
 
     ``pxs`` and ``pys`` are the point coordinates in index order, flat so the
     inner loops make no attribute lookups; ``clean_adj`` holds the ascending
-    clean-sightline lists. The clock is read before each candidate trial and, inside the tiling
-    check, once per new state; past ``deadline`` :class:`_Expired` is raised.
+    clean-sightline lists. A disconnected clean-sightline graph returns None
+    at once; otherwise every free point carries the label of its component,
+    which the tiling check reads, splits and relabels, and undo restores.
+    The clock is read before each candidate trial and, inside the tiling
+    check, once every 64 new states; past ``deadline`` :class:`_Expired` is
+    raised.
     """
     n = tree.node_count
     order, parent, children, size, prev_iso = _rooted(tree, root)
@@ -405,12 +428,22 @@ def _search(
     clock = time.perf_counter
     used = bytearray(n)
     node_point = [-1] * n
-    # witness[d] is a tiling of the free points' components by the pending
-    # subtree sizes before order[d] is placed: each component's lowest free
-    # point index maps to (its point count, the sizes that fill it). It is
-    # set by the check that accepted order[d - 1]'s current image. Before the
-    # root, the whole tree fills all points, which is exact when the
-    # clean-sightline graph is connected; otherwise no embedding exists.
+    # Every point is used and every tree edge is a clean sightline, so a
+    # disconnected clean-sightline graph has no embedding.
+    seen = bytearray(n)
+    seen[0] = 1
+    if len(_flood([0], seen, clean_adj)) < n:
+        return None
+    # comp[v] labels free point v's clean-sightline component, and witness[d]
+    # tiles those components by the pending subtree sizes before order[d] is
+    # placed: each label maps to (its point count, the sizes that fill it).
+    # Both are set by the check that accepted order[d - 1]'s current image.
+    # split[d] holds the pieces relabelled by the check that accepted
+    # order[d]'s image; they all had that point's label, so undo restores
+    # them from it. Before the root, the whole tree fills the one component.
+    comp = [0] * n
+    fresh = count(1)
+    split: list[list[list[int]]] = [[]] * n  # only ever rebound, never mutated
     witness: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(n + 1)]
     witness[0] = {0: (n, (n,))}
 
@@ -422,40 +455,39 @@ def _search(
         points. Placements failing this can never complete, so skipping them
         changes neither the outcome nor which embedding is found first.
 
-        Only the component that held p changes. It splits into the pieces
-        reached from p's free neighbours, and its witness entry is keyed by
-        the lowest of p and those pieces' points. Its witness sizes, less the
-        placed subtree and plus its children's subtrees, are tiled into the
-        pieces; every other component keeps its entry, so a local tiling
-        proves a global one. All pending sizes are tiled into all components
-        only when the local tiling fails or cannot start and other
-        components exist. At the root, no entry means a disconnected graph.
+        Only p's component, ``comp[p]``, changes. With no free neighbour of
+        p it vanishes; with one, it loses p and stays connected, so nothing
+        is searched. With more, a breadth-first search from them finds its
+        pieces: the largest keeps the label and each other gets a fresh one,
+        written only if the check accepts. The component's witness sizes,
+        less the placed subtree and plus its children's subtrees, are tiled
+        into the pieces; every other component keeps its entry, so a local
+        tiling proves a global one. All pending sizes are tiled into all
+        components only when the local tiling fails or cannot start and
+        other components exist.
         """
-        visited = bytearray(used)
-        visited[p] = 1
-        pieces = []  # (lowest point, point count) per piece of p's component
-        for q in clean_adj[p]:
-            if visited[q]:
-                continue
-            visited[q] = 1
-            piece = [q]
-            for v in piece:  # a breadth-first search: the loop reads what it appends
-                for w in clean_adj[v]:
-                    if not visited[w]:
-                        visited[w] = 1
-                        piece.append(w)
-            pieces.append((min(piece), len(piece)))
-        pieces.sort()
-        keys = [low for low, _ in pieces]
-        caps = [comp for _, comp in pieces]
-        home = min(keys + [p])
+        home = comp[p]
         old = witness[depth]
-        if home not in old:
-            return False
+        new = dict(old)
+        points, fill = new.pop(home)
+        free = [q for q in clean_adj[p] if not used[q]]
+        keys, caps, moved = ([home], [points - 1], []) if free else ([], [], [])
+        if len(free) > 1:
+            visited = bytearray(used)
+            visited[p] = 1
+            pieces = []
+            for q in free:
+                if not visited[q]:
+                    visited[q] = 1
+                    pieces.append(_flood([q], visited, clean_adj))
+            if len(pieces) > 1:
+                pieces.sort(key=len, reverse=True)
+                moved = pieces[1:]
+                keys += [next(fresh) for _ in moved]
+                caps = list(map(len, pieces))
         node = order[depth]
         kids = [size[c] for c in children[node]]
-        new = dict(old)
-        fill = list(new.pop(home)[1])
+        fill = list(fill)
         parts = None
         if size[node] in fill:
             fill.remove(size[node])
@@ -466,15 +498,18 @@ def _search(
             pending = [s for _, f in old.values() for s in f]
             pending.remove(size[node])
             pending += kids
-            others = sorted(new)
-            keys += others
-            caps += [new[q][0] for q in others]
+            keys += new
+            caps += [c for c, _ in new.values()]
             parts = _tiling(tuple(sorted(pending, reverse=True)), caps, deadline)
             if parts is None:
                 return False
             new = {}
         new.update(zip(keys, zip(caps, parts)))
         witness[depth + 1] = new
+        for label, piece in zip(keys[1:], moved):
+            for v in piece:
+                comp[v] = label
+        split[depth] = moved
         return True
 
     # The placed edges, filed in a uniform grid by the cells they cross. The
@@ -537,10 +572,15 @@ def _search(
 
     def undo(depth: int) -> int:
         """Take back order[depth]'s placement and return its point. Edges are
-        placed and undone in stack order, so each is last in its cells."""
+        placed and undone in stack order, so each is last in its cells, and
+        the pieces its check relabelled get back the label of its point."""
         node = order[depth]
         q = node_point[node]
         used[q] = 0
+        home = comp[q]
+        for piece in split[depth]:
+            for v in piece:
+                comp[v] = home
         for cell in edge_cells[node]:
             grid[cell].pop()
         return q

@@ -474,6 +474,77 @@ def test_first_found_embedding_pinned():
     assert got == PINNED_CATALOG_SEED_23
 
 
+SQUARE = [(0, 0), (40, 0), (40, 32), (0, 32)]
+SMALL_SQUARE = [(0, 0), (6, 0), (6, 6), (0, 6)]
+# Two rooms below y = 20 joined by a corridor bent over the notch between
+# them: no segment from one room to the other stays inside.
+TWO_ROOMS = [(0, 0), (10, 0), (10, 20), (20, 20), (20, 0), (30, 0), (30, 30), (0, 30)]
+
+
+def lattice_draw(seed, vertices, star=0.0):
+    """10 to 14 distinct random lattice points strictly inside the polygon
+    and a random tree on them, from ``random.Random(seed)``: node i hangs
+    from node 0 with probability ``star``, else from a random earlier node."""
+    rng = random.Random(seed)
+    n = rng.randint(10, 14)
+    polygon = SimplePolygon(tuple(Point(x, y) for x, y in vertices))
+    xs, ys = zip(*vertices)
+    interior = [
+        (x, y)
+        for x in range(min(xs), max(xs) + 1)
+        for y in range(min(ys), max(ys) + 1)
+        if point_in_polygon(Point(x, y), polygon) is PointLocation.INSIDE
+    ]
+    chosen = rng.sample(interior, n)
+    edges = tuple((0 if star and rng.random() < star else rng.randrange(i), i) for i in range(1, n))
+    return make_instance(
+        FreeTree(n, edges), PointSet(tuple(Point(x, y) for x, y in chosen)), polygon
+    )
+
+
+# First-found outcomes of generic draws, recorded before the free points
+# were labelled by component; the comment gives each search's backtracks.
+# The near-stars in the small square are refused at the root by the degree
+# filter.
+PINNED_LATTICE_DRAWS = [
+    (("L", 1, 0.0), (0, 4, 5, 7, 1, 6, 10, 2, 9, 8, 3)),  # 18
+    (("L", 5, 0.0), (0, 1, 2, 5, 10, 4, 8, 13, 9, 11, 7, 3, 12, 6)),  # 30
+    (("L", 13, 0.0), (0, 1, 2, 5, 7, 10, 3, 6, 9, 11, 8, 4)),  # 8
+    (("L", 17, 0.0), (1, 2, 0, 3, 8, 5, 4, 7, 9, 11, 6, 10, 13, 12)),  # 1,394
+    (("L", 19, 0.0), (9, 1, 0, 3, 2, 4, 5, 7, 8, 6)),  # 1,049
+    (("L", 23, 0.0), (1, 0, 2, 4, 5, 3, 10, 6, 11, 7, 8, 9)),  # 3,663
+    (("L", 25, 0.0), (1, 0, 5, 9, 3, 2, 8, 12, 7, 4, 11, 6, 10)),  # 4,305
+    (("L", 29, 0.0), (2, 1, 0, 3, 8, 6, 5, 4, 10, 11, 7, 9, 13, 12)),  # 11,291
+    (("L", 37, 0.0), (1, 0, 2, 12, 6, 3, 5, 9, 11, 8, 4, 10, 7, 13)),  # 1,473
+    (("square", 0, 0.0), (0, 1, 3, 7, 4, 5, 8, 10, 11, 9, 2, 12, 6)),  # 11,542
+    (("square", 2, 0.0), (3, 2, 1, 5, 0, 6, 9, 7, 8, 4)),  # 0
+    (("square", 12, 0.0), (1, 0, 2, 3, 6, 9, 7, 4, 5, 8, 10, 12, 11)),  # 2,639
+    (("square", 14, 0.0), (1, 0, 2, 4, 7, 3, 6, 8, 9, 5)),  # 0
+    (("square", 38, 0.0), (0, 1, 2, 4, 3, 7, 5, 6, 8, 11, 10, 12, 9)),  # 4,360
+    (("square", 58, 0.0), (0, 2, 8, 1, 5, 3, 7, 12, 9, 4, 13, 6, 10, 11)),  # 1,074
+    (("small square", 8, 0.8), None),
+    (("small square", 36, 0.8), None),
+    (("small square", 44, 0.8), None),
+    (("small square", 48, 0.8), None),
+]
+
+
+def test_first_found_embedding_pinned_on_lattice_draws():
+    polygons = {"L": L_POLYGON, "square": SQUARE, "small square": SMALL_SQUARE}
+    for (name, seed, star), mapping in PINNED_LATTICE_DRAWS:
+        outcome = decide_embedding(lattice_draw(seed, polygons[name], star))
+        got = outcome.embedding.mapping if outcome.embedding else None
+        assert outcome.status is (SolveStatus.INFEASIBLE if mapping is None else SolveStatus.EMBEDDED)
+        assert got == mapping, (name, seed)
+    # Three points in each room: the clean-sightline graph is disconnected.
+    points = [(2, 2), (5, 8), (8, 3), (22, 4), (25, 9), (28, 2)]
+    instance = make_instance(
+        FreeTree(6, tuple((i - 1, i) for i in range(1, 6))),
+        PointSet(tuple(Point(x, y) for x, y in points)),
+        SimplePolygon(tuple(Point(x, y) for x, y in TWO_ROOMS)),
+    )
+    assert decide_embedding(instance).status is SolveStatus.INFEASIBLE
+
 def test_feasible_reduction_solves_at_441_points():
     # Each placement re-tiles only the component it touched, so growth on
     # the paper's feasible reductions stays far below this limit.
@@ -593,6 +664,26 @@ def test_search_tests_each_candidate_against_nearby_edges(monkeypatch):
     assert outcome.status is SolveStatus.EMBEDDED
     assert 0 < len(calls) < 4 * 2501
 
+
+
+def test_search_reads_few_clean_rows():
+    # 2501 points: a chain placement leaves its component connected, so
+    # only the hub's check searches it; one search per check read 68,751
+    # clean-sightline rows.
+    class Counted(tuple):
+        reads = 0
+
+        def __getitem__(self, i):
+            Counted.reads += 1
+            return tuple.__getitem__(self, i)
+
+    instance, _ = build_instance(validate_3p(50, [17, 17, 16] * 50))
+    tree, points = instance.tree, instance.points
+    clean = Counted(build_visibility_graph(instance).clean)
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    root = max(range(2501), key=lambda v: (tree.degree(v), -v))
+    assert solver._search(tree, root, xs, ys, clean, math.inf) is not None
+    assert 0 < Counted.reads < 5 * 2501
 
 class TestGeneralPosition:
     def test_collinear_triple_found(self):
