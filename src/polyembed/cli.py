@@ -5,11 +5,16 @@ Subcommands: gen, solve, verify, extract, brute3p, render, embed-free.
 Exit codes: 0 success / valid / feasible; 1 a well-formed negative answer
 (invalid embedding, infeasible instance, no partition); 2 usage or input
 error; 3 solver timeout.
+
+The argument parser is built once per process, on the first call of
+:func:`main`, and every later call reuses it, so ``main(argv)`` may be called
+repeatedly in one process and each call pays only for its own work.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -146,7 +151,16 @@ def cmd_embed_free(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The program's parser, built on the first call and kept for the process.
+
+    Every :func:`main` call shares it, which is safe because parsing leaves
+    nothing in it: each ``parse_args`` makes a fresh namespace, a
+    subcommand's values come from a fresh sub-namespace, no action has a
+    mutable default or is an ``append`` or ``count`` action, and
+    :func:`_int_list` returns a new list each time. Keep it that way.
+    """
     parser = argparse.ArgumentParser(
         prog="polyembed",
         description="Generate, solve, verify, and render polygon-bounded tree embeddings.",
@@ -199,9 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line (``sys.argv[1:]`` if ``argv`` is None); return its exit code.
+
+    Usage errors and ``--help`` return their code instead of exiting, so
+    ``main`` may be called repeatedly in one process; all calls share the
+    parser from :func:`build_parser`.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

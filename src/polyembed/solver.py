@@ -218,7 +218,9 @@ def _rooted(tree: FreeTree, root: int):
     while stack:
         v = stack.pop()
         order.append(v)
-        kids = children[v] = [w for w in adj[v] if w != parent[v]]
+        kids = children[v] = list(adj[v])
+        if parent[v] >= 0:
+            kids.remove(parent[v])
         for w in kids:
             parent[w] = v
         # push descending so the lowest-index child pops first
@@ -228,13 +230,22 @@ def _rooted(tree: FreeTree, root: int):
     code_ids: dict[tuple[int, ...], int] = {}
     prev_iso = [-1] * n
     for v in reversed(order):
-        last_by_code: dict[int, int] = {}
-        for c in children[v]:
+        kids = children[v]
+        if len(kids) > 1:
+            last_by_code: dict[int, int] = {}
+            for c in kids:
+                size[v] += size[c]
+                if code[c] in last_by_code:
+                    prev_iso[c] = last_by_code[code[c]]
+                last_by_code[code[c]] = c
+            key = tuple(sorted([code[c] for c in kids]))
+        elif kids:
+            # an only child has no sibling to compare with
+            c = kids[0]
             size[v] += size[c]
-            if code[c] in last_by_code:
-                prev_iso[c] = last_by_code[code[c]]
-            last_by_code[code[c]] = c
-        key = tuple(sorted(code[c] for c in children[v]))
+            key = (code[c],)
+        else:
+            key = ()
         code[v] = code_ids.setdefault(key, len(code_ids))
     return order, parent, children, size, prev_iso
 

@@ -235,6 +235,36 @@ def three_partition(target, values):
     return solvable(tuple(sorted(values)))
 
 
+def isomorphic_siblings(node_count, edges, root):
+    """Each node's previous isomorphic sibling and its subtree size, from AHU
+    canonical strings (Aho, Hopcroft & Ullman 1974).
+
+    Rooted at ``root``, a subtree's string is "(", its children's strings in
+    sorted order, then ")": two subtrees are isomorphic iff their strings are
+    equal, and a subtree's size is half its string's length. Siblings are
+    taken in ascending index order; entry v of the first list is the last
+    sibling before v with v's string, or -1.
+    """
+    neighbours = [[] for _ in range(node_count)]
+    for u, v in edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    canon = [""] * node_count
+    prev = [-1] * node_count
+
+    def visit(v, parent):
+        kids = sorted(w for w in neighbours[v] if w != parent)
+        last = {}
+        for w in kids:
+            visit(w, v)
+            prev[w] = last.get(canon[w], -1)
+            last[canon[w]] = w
+        canon[v] = "(" + "".join(sorted(canon[w] for w in kids)) + ")"
+
+    visit(root, -1)
+    return prev, [len(s) // 2 for s in canon]
+
+
 def visibility(verts, points):
     """Visibility matrix and ascending clean-sightline lists of (x, y) points
     strictly inside the polygon with these vertices.

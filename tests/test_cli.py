@@ -1,3 +1,4 @@
+import argparse
 import json
 import xml.etree.ElementTree as ET
 
@@ -282,3 +283,69 @@ class TestPipelineLaw:
                 assert run("verify", "--in", str(inst), "--embedding", str(emb)) == 0
                 assert run("extract", "--meta", str(meta), "--embedding", str(emb)) == 0
             capsys.readouterr()
+
+
+class TestSharedParser:
+    """Several ``main`` calls in one process: the parser they share carries
+    nothing from one call to the next."""
+
+    def _gen(self, tmp_path, b, a, tag=""):
+        inst = tmp_path / f"inst{tag}.json"
+        meta = tmp_path / f"meta{tag}.json"
+        assert run("gen", "--B", str(b), "--a", a, "--out", str(inst), "--meta", str(meta)) == 0
+        return inst, meta
+
+    def test_report_flag_does_not_persist(self, tmp_path, capsys):
+        inst, _ = self._gen(tmp_path, 7, "2,2,3")
+        emb = tmp_path / "emb.json"
+        rep = tmp_path / "rep.json"
+        assert run("solve", "--in", str(inst), "--out", str(emb)) == 0
+        assert run("verify", "--in", str(inst), "--embedding", str(emb), "--report", str(rep)) == 0
+        assert rep.exists()
+        rep.unlink()
+        assert run("verify", "--in", str(inst), "--embedding", str(emb)) == 0
+        assert not rep.exists()
+
+    def test_timeout_flag_does_not_persist(self, tmp_path, capsys):
+        inst, _ = self._gen(tmp_path, 7, "2,2,3")
+        argv = ("solve", "--in", str(inst), "--out", str(tmp_path / "e.json"))
+        assert run(*argv, "--timeout-ms", "0") == 3
+        assert run(*argv) == 0
+
+    def test_usage_error_and_help_leave_no_trace(self, tmp_path, capsys):
+        argv = ("gen", "--B", "7", "--a", "2,2,3",
+                "--out", str(tmp_path / "i.json"), "--meta", str(tmp_path / "m.json"))
+        assert run(*argv) == 0
+        alone = capsys.readouterr()
+        assert alone.out == "n=1 B=7 points=8 polygon_vertices=3\n" and alone.err == ""
+        assert run("gen", "--B", "7", "--a", "9,9,9,9") == 2
+        assert "usage: polyembed gen" in capsys.readouterr().err
+        assert run("--help") == 0
+        assert capsys.readouterr().out.startswith("usage: polyembed")
+        assert run(*argv) == 0
+        assert capsys.readouterr() == alone
+
+    def test_gen_lists_do_not_leak(self, tmp_path, capsys):
+        inputs = [(7, [3, 2, 2]), (13, [4, 5, 4, 4, 4, 5])]
+        for i, (b, a) in enumerate(inputs):
+            self._gen(tmp_path, b, ",".join(map(str, a)), tag=str(i))
+        for i, (b, a) in enumerate(inputs):
+            meta = json.loads((tmp_path / f"meta{i}.json").read_text())
+            assert meta["B"] == b and meta["n"] == len(a) // 3
+            assert [len(path) for path in meta["path_nodes"]] == a
+
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        built = [0]
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        after_each = []
+        for argv in [("brute3p", "--B", "7", "--a", "2,2,3"), ("nosuch",), ("solve", "--help")] * 3 + [("--help",)]:
+            run(*argv)
+            after_each.append(built[0])
+        # The first call may build the parser; no later call builds one.
+        assert after_each[1:] == [after_each[0]] * 9

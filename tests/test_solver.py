@@ -8,6 +8,7 @@ from oracles import (
     can_tile,
     exhaustive_feasible,
     first_collinear_triple,
+    isomorphic_siblings,
     point_location,
     three_partition,
     visibility,
@@ -29,6 +30,7 @@ from polyembed.solver import (
     SolverConfig,
     _crossed_cells,
     _Expired,
+    _rooted,
     _tiling,
     build_visibility_graph,
     check_general_position,
@@ -454,6 +456,51 @@ PINNED_CATALOG_SEED_23 = [
     (1, 0, 2, 3, 4, 5),
     (3, 0, 2, 4, 1, 5),
 ]
+
+
+def _shaped_tree(rng, n):
+    """A random tree on n nodes, relabelled at random, and the node it was
+    grown from. The tree is a uniform random recursive tree, a heap-shaped
+    tree, a spider with legs of equal length, or copies of one random tree
+    hung from the first node with the rest attached at random; all but the
+    first shape hold many isomorphic subtrees."""
+    shape = rng.randrange(4)
+    if shape == 0:
+        parents = [rng.randrange(i) for i in range(1, n)]
+    elif shape == 1:
+        k = rng.choice((2, 3))
+        parents = [(i - 1) // k for i in range(1, n)]
+    elif shape == 2:
+        leg = rng.randint(1, 4)
+        parents = [0 if (i - 1) % leg == 0 else i - 1 for i in range(1, n)]
+    else:
+        s = rng.randint(2, 8)
+        copy = [0] + [rng.randrange(i) for i in range(1, s)]
+        copies = (n - 1) // s
+        parents = [j // s * s + copy[j % s] + 1 if j % s else 0 for j in range(copies * s)]
+        parents += [rng.randrange(i) for i in range(copies * s + 1, n)]
+    label = list(range(n))
+    rng.shuffle(label)
+    return FreeTree(n, tuple((label[p], label[i]) for i, p in enumerate(parents, 1))), label[0]
+
+
+def test_isomorphic_siblings_match_ahu_oracle():
+    rng = random.Random(24)
+    cases = []
+    for i in range(60):
+        tree, grown_from = _shaped_tree(rng, rng.randint(2, 40))
+        cases.append((tree, grown_from if i % 2 else rng.randrange(tree.node_count)))
+    for b, a in [(7, [2, 2, 3]), (22, [6, 6, 10, 7, 7, 8] * 2), (22, [7, 7, 7, 7, 7, 9] * 2), (50, [17, 17, 16] * 3)]:
+        tree = build_instance(validate_3p(b, a))[0].tree
+        cases += [(tree, 0), (tree, 1), (tree, tree.node_count - 1)]
+    chained = 0
+    for tree, root in cases:
+        order, parent, children, size, prev_iso = _rooted(tree, root)
+        assert (prev_iso, size) == isomorphic_siblings(tree.node_count, tree.edges, root)
+        assert sorted(order) == list(range(tree.node_count)) and order[0] == root
+        chained += sum(prev_iso[v] >= 0 for v in range(tree.node_count) if children[v])
+    # isomorphic siblings that are not leaves are common in these cases
+    assert chained > 100
 
 
 def test_first_found_embedding_pinned():
