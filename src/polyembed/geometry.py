@@ -24,10 +24,13 @@ edges per distinct y among the points, so a row of collinear points costs
 one pass; :func:`point_in_polygon` is its one-point call, and an instance
 locates all its points in one call when it is built. :func:`boxed` is the
 one segment record and :meth:`SimplePolygon.blocks` the one
-segment-versus-boundary test. Public predicates validate their polygon;
-loops over an already-validated instance call these flat forms, which check
-nothing again. The solver's visibility pass tests each segment between
-neighbours on a line once, and the clear ones are the clean sightlines.
+segment-versus-boundary test; it takes a plain segment, makes its own box,
+and hands :func:`segment_relation` only the edges that meet that box and
+do not lie strictly on one side of the segment's line. Public predicates
+validate their polygon; loops over an already-validated instance call
+these flat forms, which check nothing again. The solver's visibility pass
+tests each segment between neighbours on a line once, and the clear ones
+are the clean sightlines.
 """
 
 from __future__ import annotations
@@ -364,11 +367,24 @@ class SimplePolygon:
         return tuple(boxed(a.x, a.y, b.x, b.y) for a, b in zip(verts, verts[1:] + verts[:1]))
 
     def blocks(self, seg: tuple[int, ...]) -> bool:
-        """True iff the segment of a :func:`boxed` record shares a point with
-        the boundary. Does not check simplicity; callers validated it."""
-        ax, ay, bx, by, minx, maxx, miny, maxy = seg[:8]
+        """True iff the segment ``(ax, ay, bx, by, ...)`` shares a point with
+        the boundary; fields past the fourth are ignored.
+
+        An edge goes to :func:`segment_relation` only if its box meets the
+        segment's and its two ends do not lie strictly on one side of the
+        segment's line; the side test drops most edges whose box meets a
+        sightline's. Does not check simplicity; callers validated it.
+        """
+        ax, ay, bx, by = seg[:4]
+        minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
+        miny, maxy = (ay, by) if ay <= by else (by, ay)
+        ux, uy = bx - ax, by - ay
         for cx, cy, dx, dy, eminx, emaxx, eminy, emaxy in self.edge_boxes:
             if eminx > maxx or emaxx < minx or eminy > maxy or emaxy < miny:
+                continue
+            d1 = ux * (cy - ay) - uy * (cx - ax)
+            d2 = ux * (dy - ay) - uy * (dx - ax)
+            if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
                 continue
             if segment_relation(ax, ay, bx, by, cx, cy, dx, dy) != DISJOINT:
                 return True
@@ -484,4 +500,4 @@ def segment_hits_boundary(s: Segment, polygon: SimplePolygon) -> bool:
     """True iff the closed segment shares at least one point with the
     polygon's boundary polyline. Grazing contact counts."""
     ensure_simple(polygon)
-    return polygon.blocks(boxed(s.a.x, s.a.y, s.b.x, s.b.y))
+    return polygon.blocks((s.a.x, s.a.y, s.b.x, s.b.y))

@@ -33,12 +33,12 @@ refutes a state at once when some capacity is no subset sum of its sizes.
 Every prune drops only what cannot complete, so verdicts and first-found
 embeddings do not depend on them. The clean sightlines come from the
 visibility pass, which tests each point's segment to its nearest later
-neighbour on every line through it, so each neighbour pair once; in (y, x)
-order the neighbour along a point's own row is the next point, so only
-later rows are grouped by direction. A time limit is checked in every
-phase: once per point of that pass and before each of its boundary tests,
-before every candidate trial, and once every 64 new states of the tiling
-search.
+neighbour on every line through it, so each neighbour pair once, and keeps
+only the clear ones; in (y, x) order the neighbour along a point's own row
+is the next point, so only later rows are grouped by direction. A time
+limit is checked in every phase: once per point of that pass and before
+each of its boundary tests, before every candidate trial, and once every 64
+new states of the tiling search.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -80,16 +80,46 @@ class _Expired(Exception):
 
 @dataclass(frozen=True)
 class VisibilityGraph:
-    """Visibility among points, kept as the maximal runs of mutually visible points.
+    """Visibility among points, kept as their clean sightlines.
 
-    A run is two or more collinear points that all see each other, in order
-    along their line; two distinct points see each other iff they share one.
     ``clean[i]`` lists, ascending, the points i sees with no third point of
-    the set on the open segment between them: its neighbours in its runs.
+    ``points`` on the open segment between them. Two distinct points see
+    each other iff clean sightlines along their common line join them, so
+    ``runs`` and ``matrix`` are derived from ``clean`` and the coordinates
+    on first read. The solver reads neither.
     """
 
-    runs: tuple[tuple[int, ...], ...]
     clean: tuple[tuple[int, ...], ...]
+    points: PointSet
+
+    @functools.cached_property
+    def runs(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal runs of mutually visible points, built on first read.
+
+        A run is two or more collinear points that all see each other, in
+        (y, x) order along their line: a maximal chain of clean sightlines
+        on one line. Runs are listed by their first point's index, then by
+        their second's.
+        """
+        xs, ys, gcd = [p.x for p in self.points], [p.y for p in self.points], math.gcd
+        ahead: dict[tuple[int, tuple[int, int]], int] = {}  # (point, line) -> next on it
+        for i, row in enumerate(self.clean):
+            for j in row:
+                dx, dy = xs[j] - xs[i], ys[j] - ys[i]
+                if dy > 0 or (dy == 0 and dx > 0):
+                    g = gcd(dx, dy)
+                    ahead[i, (dx // g, dy // g)] = j
+        inner = {(j, line) for (_, line), j in ahead.items()}
+        runs = []
+        for (i, line), j in ahead.items():
+            if (i, line) in inner:
+                continue
+            run = [i, j]
+            while (j, line) in ahead:
+                j = ahead[j, line]
+                run.append(j)
+            runs.append(tuple(run))
+        return tuple(runs)
 
     @functools.cached_property
     def matrix(self) -> tuple[tuple[bool, ...], ...]:
@@ -105,7 +135,7 @@ class VisibilityGraph:
 def build_visibility_graph(
     instance: EmbeddingInstance, *, deadline: float = math.inf
 ) -> VisibilityGraph:
-    """Exact visible runs and clean sightlines of an instance's points.
+    """Exact clean sightlines of an instance's points.
 
     Points are taken in (y, x) order. Every point after i lies ahead of it
     (greater y, or equal y and greater x), so the reduced offset
@@ -115,25 +145,20 @@ def build_visibility_graph(
     is the next point in order, so only the later rows are keyed: a set of
     points on few horizontal lines, as in the reduction, keys few pairs.
     Only the segment to each neighbour is tested, so each neighbour pair is
-    tested once. Two points of a line see each other iff every neighbour
-    segment from one to the other misses the boundary, because the closed
-    segment between them is the union of those. So a clear segment extends
-    the run that ends at i on its line, or starts one; each maximal run
-    joins mutually visible points, and the clear neighbour pairs are the
-    clean sightlines. The instance guarantees a simple polygon with every
-    point strictly inside, so nothing is checked again. The clock is read
-    once per point and before each boundary test, since one point can test
-    thousands of lines; past ``deadline`` (a ``time.perf_counter`` value)
-    :class:`_Expired` is raised.
+    tested once, and the clear neighbour pairs are the clean sightlines.
+    The pass keeps nothing else: the runs and the matrix are derived from
+    the clean lists when read. The instance guarantees a simple polygon
+    with every point strictly inside, so nothing is checked again. The
+    clock is read once per point and before each boundary test, since one
+    point can test thousands of lines; past ``deadline`` (a
+    ``time.perf_counter`` value) :class:`_Expired` is raised.
     """
     points, polygon = instance.points, instance.polygon
     n = len(points)
     # The instance validated the polygon, so the loop calls its flat test.
     xs, ys, blocks, gcd = [p.x for p in points], [p.y for p in points], polygon.blocks, math.gcd
     clock = time.perf_counter
-    runs: list[list[int]] = []
     clean: list[list[int]] = [[] for _ in range(n)]
-    ending: dict[tuple[int, tuple[int, int]], list[int]] = {}  # (point, line) -> its run
     order = sorted(range(n), key=lambda k: (ys[k], xs[k]))
     row_end = 0  # one past the last point of i's row in `order`
     for t, i in enumerate(order):
@@ -150,22 +175,13 @@ def build_visibility_graph(
         }
         if t + 1 < row_end:
             nearest[1, 0] = order[t + 1]
-        for line, b in nearest.items():
+        for b in nearest.values():
             if clock() >= deadline:
                 raise _Expired
-            if blocks(boxed(xi, yi, xs[b], ys[b])):
-                continue
-            run = ending.pop((i, line), None)
-            if run is None:
-                run = [i]
-                runs.append(run)
-            run.append(b)
-            ending[b, line] = run
-            clean[i].append(b)
-            clean[b].append(i)
-    return VisibilityGraph(
-        runs=tuple(map(tuple, runs)), clean=tuple(tuple(sorted(c)) for c in clean)
-    )
+            if not blocks((xi, yi, xs[b], ys[b])):
+                clean[i].append(b)
+                clean[b].append(i)
+    return VisibilityGraph(tuple(tuple(sorted(c)) for c in clean), points)
 
 
 class SolveStatus(Enum):

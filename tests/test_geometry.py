@@ -359,10 +359,17 @@ class TestSegmentHitsBoundary:
     def test_agrees_with_oracle_on_lattice(self):
         # Every ordered pair of lattice points, inside, outside and on the
         # boundary, against every edge; boxes that only touch must not be
-        # filtered out.
+        # filtered out, nor edges with one end on the segment's line. The
+        # last polygon has seven diagonal edges, five through a lattice
+        # point, and reflex vertices at (4, 2), (7, 3) and (2, 3).
         lattice = [(x, y) for x in range(-1, 12) for y in range(-1, 6)]
         reflex_l = [(0, 0), (10, 0), (10, 4), (6, 4), (6, 8), (0, 8)]
-        for poly in (build_polygon(2, 7), SimplePolygon(tuple(Point(*v) for v in reflex_l))):
+        slanted = [(0, 0), (4, 2), (8, 0), (10, 4), (7, 3), (4, 5), (2, 3), (0, 5)]
+        for poly in (
+            build_polygon(2, 7),
+            SimplePolygon(tuple(Point(*v) for v in reflex_l)),
+            SimplePolygon(tuple(Point(*v) for v in slanted)),
+        ):
             verts = [(v.x, v.y) for v in poly.vertices]
             edges = list(zip(verts, verts[1:] + verts[:1]))
             for p, q in itertools.permutations(lattice, 2):

@@ -176,6 +176,13 @@ class TestVisibilityGraph:
         assert len(keyed) == calls
         assert sum(map(len, graph.clean)) == 2 * 792
 
+    def test_pass_builds_no_runs(self):
+        # The pass keeps only the clean lists; runs and the matrix are
+        # derived from them when read.
+        instance, _ = build_instance(validate_3p(50, [17, 17, 16] * 8))
+        graph = build_visibility_graph(instance)
+        assert "runs" not in vars(graph) and "matrix" not in vars(graph)
+
     def test_matches_oracle_on_catalog_polygons(self):
         rng = random.Random(41)
         for verts in POLYGON_CATALOG:
@@ -317,11 +324,11 @@ class TestDecideEmbedding:
         assert outcome.elapsed_ms >= 500
 
     def test_deadline_expires_inside_precompute(self):
-        # The criterion-6 instance (2501 points), transposed so that each row
-        # but one holds one point: its visibility pass keys all pairs but
-        # one and takes about 0.9-1.3 s, so both the 50 ms and the 0.5 s
-        # limit run out in the pass.
-        instance = transposed(build_instance(validate_3p(50, [17, 17, 16] * 50))[0])
+        # A 4001-point reduction, transposed so that each row but one holds
+        # one point: it builds in about 0.1 s, but its visibility pass keys
+        # all pairs but one and takes about 2.5 s, so both the 50 ms and
+        # the 0.5 s limit run out in the pass.
+        instance = transposed(build_instance(validate_3p(50, [17, 17, 16] * 80))[0])
         start = time.perf_counter()
         outcome = decide_embedding(instance, SolverConfig(time_limit_ms=50))
         assert outcome.status is SolveStatus.TIMED_OUT
