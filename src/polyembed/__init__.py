@@ -63,7 +63,6 @@ from .render import render_svg
 from .solver import (
     SolveOutcome,
     SolveStatus,
-    SolverConfig,
     VisibilityGraph,
     build_visibility_graph,
     check_general_position,

@@ -38,12 +38,7 @@ from .reduction import (
     validate_3p,
 )
 from .render import render_svg
-from .solver import (
-    SolveStatus,
-    SolverConfig,
-    decide_embedding,
-    embed_tree_unconstrained,
-)
+from .solver import SolveStatus, decide_embedding, embed_tree_unconstrained
 from .verifier import verify_embedding
 
 EXIT_OK = 0
@@ -84,8 +79,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = deserialize_instance(_read(args.infile))
-    cfg = SolverConfig(time_limit_ms=args.timeout_ms)
-    outcome = decide_embedding(instance, cfg)
+    outcome = decide_embedding(instance, time_limit_ms=args.timeout_ms)
     if outcome.status is SolveStatus.EMBEDDED:
         _write(args.out, serialize_embedding(outcome.embedding))
         print("embedded")

@@ -366,16 +366,15 @@ class SimplePolygon:
         verts = self.vertices
         return tuple(boxed(a.x, a.y, b.x, b.y) for a, b in zip(verts, verts[1:] + verts[:1]))
 
-    def blocks(self, seg: tuple[int, ...]) -> bool:
-        """True iff the segment ``(ax, ay, bx, by, ...)`` shares a point with
-        the boundary; fields past the fourth are ignored.
+    def blocks(self, ax: int, ay: int, bx: int, by: int) -> bool:
+        """True iff the closed segment from (ax, ay) to (bx, by) shares a
+        point with the boundary.
 
         An edge goes to :func:`segment_relation` only if its box meets the
         segment's and its two ends do not lie strictly on one side of the
         segment's line; the side test drops most edges whose box meets a
         sightline's. Does not check simplicity; callers validated it.
         """
-        ax, ay, bx, by = seg[:4]
         minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
         miny, maxy = (ay, by) if ay <= by else (by, ay)
         ux, uy = bx - ax, by - ay
@@ -500,4 +499,4 @@ def segment_hits_boundary(s: Segment, polygon: SimplePolygon) -> bool:
     """True iff the closed segment shares at least one point with the
     polygon's boundary polyline. Grazing contact counts."""
     ensure_simple(polygon)
-    return polygon.blocks((s.a.x, s.a.y, s.b.x, s.b.y))
+    return polygon.blocks(s.a.x, s.a.y, s.b.x, s.b.y)

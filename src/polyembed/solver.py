@@ -178,7 +178,7 @@ def build_visibility_graph(
         for b in nearest.values():
             if clock() >= deadline:
                 raise _Expired
-            if not blocks((xi, yi, xs[b], ys[b])):
+            if not blocks(xi, yi, xs[b], ys[b]):
                 clean[i].append(b)
                 clean[b].append(i)
     return VisibilityGraph(tuple(tuple(sorted(c)) for c in clean), points)
@@ -192,29 +192,12 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """A decision's status, the embedding if EMBEDDED, and ``elapsed_ms``,
+    set only on TIMED_OUT."""
+
     status: SolveStatus
     embedding: Embedding | None = None
     elapsed_ms: int | None = None
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Search settings; defaults give the canonical deterministic order.
-
-    ``root_node`` fixes the tree node placed first (default: the lowest-index
-    node of maximum degree); ``time_limit_ms`` bounds the whole decision.
-    Non-int and negative values raise ``InvalidConfig`` here;
-    ``decide_embedding`` checks ``root_node`` against the tree's node count.
-    """
-
-    root_node: int | None = None
-    time_limit_ms: int | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("root_node", "time_limit_ms"):
-            value = getattr(self, name)
-            if value is not None and exact_ints((value,), "InvalidConfig", name)[0] < 0:
-                raise ValidationError("InvalidConfig", f"{name} must be non-negative")
 
 
 def _rooted(tree: FreeTree, root: int):
@@ -336,35 +319,40 @@ def _tiling(
 
 
 def decide_embedding(
-    instance: EmbeddingInstance, config: SolverConfig | None = None
+    instance: EmbeddingInstance, *, root_node: int | None = None, time_limit_ms: int | None = None
 ) -> SolveOutcome:
     """Complete decision: an embedding exists iff the search finds one.
 
     Returns EMBEDDED with a verifier-checked embedding, INFEASIBLE after an
-    exhaustive search, or TIMED_OUT once a configured time limit is spent.
-    Candidates for each edge come from the precomputed clean-sightline
-    graph, and every new edge is tested against the placed ones that share
-    a grid cell with it, with :func:`~polyembed.geometry.segment_relation`.
+    exhaustive search, or TIMED_OUT once ``time_limit_ms`` is spent.
+    ``root_node`` fixes the tree node placed first (default: the lowest-index
+    node of maximum degree, the canonical deterministic order). Before any
+    work, a setting that is not an int, is negative, or names no node raises
+    ``InvalidConfig``. Candidates for each edge come from the precomputed
+    clean-sightline graph, and every new edge is tested against the placed
+    ones that share a grid cell with it, with
+    :func:`~polyembed.geometry.segment_relation`.
     """
-    cfg = config or SolverConfig()
+    for name, value in (("root_node", root_node), ("time_limit_ms", time_limit_ms)):
+        if value is not None and exact_ints((value,), "InvalidConfig", name)[0] < 0:
+            raise ValidationError("InvalidConfig", f"{name} must be non-negative")
     tree, points = instance.tree, instance.points
     n = tree.node_count
-    if cfg.root_node is not None and cfg.root_node >= n:
-        raise ValidationError("InvalidConfig", f"root_node {cfg.root_node} out of range")
+    if root_node is not None and root_node >= n:
+        raise ValidationError("InvalidConfig", f"root_node {root_node} out of range")
 
     start = time.perf_counter()
     try:  # a limit too large for a float deadline is later than any run
-        deadline = math.inf if cfg.time_limit_ms is None else start + cfg.time_limit_ms / 1000.0
+        deadline = math.inf if time_limit_ms is None else start + time_limit_ms / 1000.0
     except OverflowError:
         deadline = math.inf
-    root = cfg.root_node
-    if root is None:
-        root = max(range(n), key=lambda v: (tree.degree(v), -v))
+    if root_node is None:
+        root_node = max(range(n), key=lambda v: (tree.degree(v), -v))
 
     try:
         graph = build_visibility_graph(instance, deadline=deadline)
         xs, ys = [p.x for p in points], [p.y for p in points]
-        mapping = _search(tree, root, xs, ys, graph.clean, deadline)
+        mapping = _search(tree, root_node, xs, ys, graph.clean, deadline)
     except _Expired:
         elapsed_ms = int((time.perf_counter() - start) * 1000)
         return SolveOutcome(SolveStatus.TIMED_OUT, elapsed_ms=elapsed_ms)

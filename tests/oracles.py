@@ -316,7 +316,7 @@ def pairwise_report(tree, points, mapping, polygon=None):
         a, b = mapping[u], mapping[v]
         rec = boxed(xs[a], ys[a], xs[b], ys[b]) + (idx, u, v)
         segs.append(rec)
-        if polygon is not None and polygon.blocks(rec):
+        if polygon is not None and polygon.blocks(*rec[:4]):
             violations.add(Violation(KIND_EDGE_HITS_BOUNDARY, edges=(idx,)))
 
     _check_edge_pairs(segs, violations)

@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import polyembed
 from polyembed.cli import main
 from polyembed.geometry import Point
 from polyembed.model import FreeTree, PointSet, serialize_point_set, serialize_tree
@@ -349,3 +354,19 @@ class TestSharedParser:
             after_each.append(built[0])
         # The first call may build the parser; no later call builds one.
         assert after_each[1:] == [after_each[0]] * 9
+
+
+def test_package_import_stays_light():
+    # Every library user and every CLI call pays for `import polyembed`:
+    # the CLI, argparse and fractions load only when something needs them.
+    paths = [str(Path(polyembed.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    heavy = "{'polyembed.cli', 'argparse', 'fractions'}"
+    code = f"import sys, polyembed; print(sorted({heavy} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"

@@ -34,7 +34,7 @@ from polyembed.reduction import (
     deserialize_partition,
     validate_3p,
 )
-from polyembed.solver import SolverConfig
+from polyembed.solver import decide_embedding
 
 
 class TestFreeTree:
@@ -432,6 +432,7 @@ def test_make_instance_counts_must_match():
 
 
 TRI = SimplePolygon((Point(0, 0), Point(10, 0), Point(0, 10)))
+ONE_POINT = make_instance(FreeTree(1, ()), PointSet((Point(1, 1),)), TRI)
 
 
 @pytest.mark.parametrize(
@@ -445,11 +446,11 @@ TRI = SimplePolygon((Point(0, 0), Point(10, 0), Point(0, 10)))
             "NonIntegerCoordinate",
         ),
         (lambda: SimplePolygon(TRI.vertices[:2] + (Point(0, "9"),)), "NonIntegerCoordinate"),
-        (lambda: SolverConfig(root_node=1.0), "InvalidConfig"),
-        (lambda: SolverConfig(root_node=True), "InvalidConfig"),
-        (lambda: SolverConfig(time_limit_ms="5"), "InvalidConfig"),
-        (lambda: SolverConfig(time_limit_ms=True), "InvalidConfig"),
-        (lambda: SolverConfig(time_limit_ms=1.5), "InvalidConfig"),
+        (lambda: decide_embedding(ONE_POINT, root_node=1.0), "InvalidConfig"),
+        (lambda: decide_embedding(ONE_POINT, root_node=True), "InvalidConfig"),
+        (lambda: decide_embedding(ONE_POINT, time_limit_ms="5"), "InvalidConfig"),
+        (lambda: decide_embedding(ONE_POINT, time_limit_ms=True), "InvalidConfig"),
+        (lambda: decide_embedding(ONE_POINT, time_limit_ms=1.5), "InvalidConfig"),
     ],
     ids=[
         "tree-edge-float", "tree-count-float", "tree-edge-bool", "point-float",

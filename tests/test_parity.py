@@ -12,7 +12,7 @@ import random
 
 from polyembed.model import VIOLATION_KINDS, Embedding, serialize_report
 from polyembed.reduction import build_instance, build_points, build_polygon, validate_3p
-from polyembed.solver import SolverConfig, build_visibility_graph, decide_embedding
+from polyembed.solver import build_visibility_graph, decide_embedding
 from polyembed.verifier import verify_embedding
 from test_acceptance import enumerate_3p_sweep
 from test_solver import POLYGON_CATALOG, path_instance, random_bounded_instance
@@ -35,7 +35,7 @@ def _digest(records) -> str:
 
 
 def solver_corpus():
-    """(label, instance, config) for every case of the solver family.
+    """(label, instance, root) for every case of the solver family.
 
     The criterion-1 sweep to B <= 22 with the default root, its B <= 12 part
     again with root node 1, three larger reductions, and 240 random
@@ -48,22 +48,22 @@ def solver_corpus():
     cases += [((b, a), b, a, None) for b, a in LARGER_REDUCTIONS]
     for label, b, a, root in cases:
         instance, _ = build_instance(validate_3p(b, a))
-        yield label, instance, SolverConfig(root_node=root)
+        yield label, instance, root
     for seed in (23, 31337, 5):
         rng = random.Random(seed)
         for case in range(80):
             poly = POLYGON_CATALOG[case % len(POLYGON_CATALOG)]
             n = rng.randint(2, 9)
             instance, *_ = random_bounded_instance(rng, n, poly)
-            yield (seed, case), instance, SolverConfig()
+            yield (seed, case), instance, None
             root = rng.randrange(n)
-            yield (seed, case, root), instance, SolverConfig(root_node=root)
+            yield (seed, case, root), instance, root
 
 
 def test_solver_parity_digest():
     records = []
-    for label, instance, config in solver_corpus():
-        outcome = decide_embedding(instance, config)
+    for label, instance, root in solver_corpus():
+        outcome = decide_embedding(instance, root_node=root)
         mapping = outcome.embedding.mapping if outcome.embedding else None
         records.append([label, outcome.status.value, mapping])
     assert len(records) == 608

@@ -27,7 +27,6 @@ from polyembed.reduction import (
 )
 from polyembed.solver import (
     SolveStatus,
-    SolverConfig,
     _crossed_cells,
     _Expired,
     _rooted,
@@ -144,9 +143,9 @@ class TestVisibilityGraph:
         calls = []
         blocks = SimplePolygon.blocks
 
-        def counted(polygon, seg):
+        def counted(polygon, *seg):
             calls.append(seg)
-            return blocks(polygon, seg)
+            return blocks(polygon, *seg)
 
         instance, _ = build_instance(validate_3p(b, a))
         monkeypatch.setattr(SimplePolygon, "blocks", counted)
@@ -251,14 +250,14 @@ class TestDecideEmbedding:
 
     def test_zero_timeout_times_out(self):
         instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
-        outcome = decide_embedding(instance, SolverConfig(time_limit_ms=0))
+        outcome = decide_embedding(instance, time_limit_ms=0)
         assert outcome.status is SolveStatus.TIMED_OUT
         assert outcome.elapsed_ms is not None
 
     def test_limit_too_large_for_a_float_is_no_limit(self):
         # start + limit / 1000.0 raised OverflowError past about 1.8e308 ms.
         instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
-        outcome = decide_embedding(instance, SolverConfig(time_limit_ms=10**400))
+        outcome = decide_embedding(instance, time_limit_ms=10**400)
         assert outcome.status is SolveStatus.EMBEDDED
 
     def test_deterministic_embedding(self):
@@ -269,8 +268,16 @@ class TestDecideEmbedding:
 
     def test_invalid_config_rejected(self):
         instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
-        with pytest.raises(ValidationError):
-            decide_embedding(instance, SolverConfig(root_node=99))
+        with pytest.raises(ValidationError) as err:
+            decide_embedding(instance, root_node=99)
+        assert err.value.code == "InvalidConfig"
+        # The settings are checked before any work: a zero limit would time
+        # out at once.
+        with pytest.raises(ValidationError) as err:
+            decide_embedding(instance, root_node=-1, time_limit_ms=0)
+        assert err.value.code == "InvalidConfig"
+        with pytest.raises(TypeError):  # the settings are keyword-only
+            decide_embedding(instance, 0)
 
     def test_solve_never_builds_visibility_matrix(self, monkeypatch):
         graphs = []
@@ -288,19 +295,20 @@ class TestDecideEmbedding:
     def test_negative_time_limit_rejected(self):
         instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
         with pytest.raises(ValidationError) as err:
-            decide_embedding(instance, SolverConfig(time_limit_ms=-1))
+            decide_embedding(instance, time_limit_ms=-1)
         assert err.value.code == "InvalidConfig"
 
     def test_config_rejects_negative_values(self):
+        instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
         for kwargs in ({"time_limit_ms": -1}, {"root_node": -3}):
             with pytest.raises(ValidationError) as err:
-                SolverConfig(**kwargs)
+                decide_embedding(instance, **kwargs)
             assert err.value.code == "InvalidConfig", kwargs
 
     def test_explicit_root_still_complete(self):
         instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
         for root in range(0, 8, 3):
-            outcome = decide_embedding(instance, SolverConfig(root_node=root))
+            outcome = decide_embedding(instance, root_node=root)
             assert outcome.status is SolveStatus.EMBEDDED
             assert verify_embedding(instance, outcome.embedding).valid
 
@@ -319,7 +327,7 @@ class TestDecideEmbedding:
         chosen = rng.sample(interior, 20)
         tree = FreeTree(20, tuple((rng.randrange(i), i) for i in range(1, 20)))
         instance = make_instance(tree, PointSet(tuple(Point(x, y) for x, y in chosen)), polygon)
-        outcome = decide_embedding(instance, SolverConfig(time_limit_ms=500))
+        outcome = decide_embedding(instance, time_limit_ms=500)
         assert outcome.status is SolveStatus.TIMED_OUT
         assert outcome.elapsed_ms >= 500
 
@@ -330,7 +338,7 @@ class TestDecideEmbedding:
         # the 0.5 s limit run out in the pass.
         instance = transposed(build_instance(validate_3p(50, [17, 17, 16] * 80))[0])
         start = time.perf_counter()
-        outcome = decide_embedding(instance, SolverConfig(time_limit_ms=50))
+        outcome = decide_embedding(instance, time_limit_ms=50)
         assert outcome.status is SolveStatus.TIMED_OUT
         assert time.perf_counter() - start < 0.5
         start = time.perf_counter()
@@ -358,7 +366,7 @@ class TestDecideEmbedding:
 
         monkeypatch.setattr(solver, "_tiling", counted)
         instance, _ = build_instance(validate_3p(22, [7, 7, 7, 7, 7, 9] * 5))
-        outcome = decide_embedding(instance, SolverConfig(time_limit_ms=2000))
+        outcome = decide_embedding(instance, time_limit_ms=2000)
         assert outcome.status is SolveStatus.INFEASIBLE
         assert len(calls) == 1
 
@@ -369,9 +377,7 @@ class TestDecideEmbedding:
         square = SimplePolygon((Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10)))
         grid = PointSet(tuple(Point(x, y) for x in range(1, 4) for y in range(1, 5)))
         star = FreeTree(12, tuple((0, leaf) for leaf in range(1, 12)))
-        outcome = decide_embedding(
-            make_instance(star, grid, square), SolverConfig(time_limit_ms=5000)
-        )
+        outcome = decide_embedding(make_instance(star, grid, square), time_limit_ms=5000)
         assert outcome.status is SolveStatus.INFEASIBLE
 
     def test_matches_exhaustive_oracle_on_small_cases(self):
@@ -603,7 +609,7 @@ def test_feasible_reduction_solves_at_441_points():
     # Each placement re-tiles only the component it touched, so growth on
     # the paper's feasible reductions stays far below this limit.
     instance, _ = build_instance(validate_3p(22, [6, 6, 10, 7, 7, 8] * 10))
-    outcome = decide_embedding(instance, SolverConfig(time_limit_ms=10000))
+    outcome = decide_embedding(instance, time_limit_ms=10000)
     assert outcome.status is SolveStatus.EMBEDDED
     assert outcome.embedding.mapping == tuple(range(441))
 
@@ -627,7 +633,7 @@ def test_verdicts_match_three_partition_oracle_at_scale():
     for target, values in cases:
         inst = validate_3p(target, values)
         instance, meta = build_instance(inst)
-        outcome = decide_embedding(instance, SolverConfig(time_limit_ms=20000))
+        outcome = decide_embedding(instance, time_limit_ms=20000)
         want = three_partition(target, values)
         assert outcome.status is (SolveStatus.EMBEDDED if want else SolveStatus.INFEASIBLE), (
             target,
