@@ -10,16 +10,20 @@ import itertools
 import json
 import random
 
+from polyembed.geometry import plane_contacts
 from polyembed.model import VIOLATION_KINDS, Embedding, serialize_report
 from polyembed.reduction import build_instance, build_points, build_polygon, validate_3p
 from polyembed.solver import build_visibility_graph, decide_embedding
 from polyembed.verifier import verify_embedding
 from test_acceptance import enumerate_3p_sweep
+from test_geometry import fan_over_row, random_labelled_segments
 from test_solver import POLYGON_CATALOG, path_instance, random_bounded_instance
+from test_verifier import solved_reduction
 
 SOLVER_DIGEST = "989cd51d368490842df1233906c541a126fab65adb03335c1b89aecd24b8b893"
 VERIFIER_DIGEST = "0fdaef420c23cae868d891c674b127c8e7dfbe6921a055b525a32704ddf51bdb"
 VISIBILITY_DIGEST = "a0210acf35a0fd1b711cd949545c5d8dc7cf85a9d55bc2890cf3a8c30f4a8dac"
+SWEEP_DIGEST = "4676593f09fff48d7e31e7309bf6b16863eef26a153751e27d32bdbb0e154a05"
 
 # Reductions beyond the sweep, solved with the default root.
 LARGER_REDUCTIONS = [
@@ -143,3 +147,48 @@ def test_visibility_parity_digest():
         records.append([label, rows, [list(c) for c in graph.clean]])
     assert len(records) == 65
     assert _digest(records) == VISIBILITY_DIGEST
+
+
+def sweep_corpus():
+    """(label, labelled segments) for every case of the sweep family.
+
+    2,000 small random sets, six fans over a row, twelve dense lattice sets,
+    and the verifier's segments for the valid 401-point ``[17,17,16]*8``
+    identity embedding with its boundary and for three seeded swap mutants
+    of it (one, two and three random image swaps).
+    """
+    rng = random.Random(61)
+    for case in range(2000):
+        yield ("random", case), random_labelled_segments(rng, 1 + case % 8)
+    for case in range(6):
+        yield ("fan", case), fan_over_row(rng)
+    for case in range(12):
+        segs = random_labelled_segments(rng, rng.randint(40, 80), rng.randint(12, 20))
+        yield ("lattice", case), segs
+    instance, _, _, mapping = solved_reduction(50, [17, 17, 16] * 8)
+    xs, ys = [p.x for p in instance.points], [p.y for p in instance.points]
+    k = len(instance.polygon.vertices)
+    boundary = [e[:4] + (~t, ~((t + 1) % k)) for t, e in enumerate(instance.polygon.edge_boxes)]
+    for swaps in range(4):
+        mutant = list(mapping)
+        for _ in range(swaps):
+            u, w = rng.sample(range(len(mutant)), 2)
+            mutant[u], mutant[w] = mutant[w], mutant[u]
+        edges = [(mutant[u], mutant[v]) for u, v in instance.tree.edges]
+        segs = [(xs[a], ys[a], xs[b], ys[b], a, b) for a, b in edges] + boundary
+        yield ("reduction", swaps), segs
+
+
+def test_sweep_parity_digest():
+    # Each yield's repr pins the event point with its types (int at an
+    # endpoint, Fraction at a crossing) and the index tuples in order.
+    records = []
+    contacts = 0
+    for label, segs in sweep_corpus():
+        yields = [repr(c) for c in plane_contacts(segs)]
+        contacts += len(yields)
+        records.append([label, yields])
+    assert len(records) == 2022
+    assert records[-4][1] == []  # the identity embedding is valid
+    assert all(r[1] for r in records[-3:])
+    assert _digest(records) == SWEEP_DIGEST
