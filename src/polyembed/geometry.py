@@ -15,10 +15,13 @@ without building objects; :func:`classify_segments`,
 verifier all go through it. :func:`plane_contacts` is the one sweep: a
 Bentley–Ottmann sweep that reports, in (x, y) order, every point where
 labelled segments meet where they should not, with the segments that start,
-end and pass there. It finds each event's place in its status by a finger
-search from the last event's, with side tests in inline integer arithmetic
-on line coefficients made once per segment. The verifier builds its whole
-report from it, and its first contact, if any, decides polygon simplicity.
+end and pass there. Where the segment in the last event's status slot ends
+and just one starts, the new one takes that slot in place; other events test
+that slot and its neighbour, then bisect. Side tests are inline integer
+arithmetic on line coefficients made once per segment, and new neighbours go
+to :func:`segment_relation` only if neither lies strictly on one side of the
+other's line. The verifier builds its whole report from it, and its first
+contact, if any, decides polygon simplicity.
 :func:`locate_points` is the one point-location pass: one pass over the
 edges per distinct y among the points, so a row of collinear points costs
 one pass; :func:`point_in_polygon` is its one-point call, and an instance
@@ -226,82 +229,108 @@ def plane_contacts(
     crossing at an endpoint is never queued. The status lists the segments
     that started before the event and end at or after it, from bottom to
     top; a vertical one is the highest of those through a point. At an
-    event p, L ∪ C is the run of status segments through p, found by a
-    gallop from the last event's, by steps 1, 2, 4, ..., and a bisection of
-    the bracket: O(log d) side tests for a move of d places (Bentley and
-    Yao 1976). A test is inline integer arithmetic on the segment's line
-    dx*y - dy*x = k: it passes below p iff dx*Y - dy*X > k*D and holds p
-    iff they are equal, exactly, at endpoints and crossings alike, and a
-    vertical one always holds p. U ∪ C replaces the run, ordered by
-    direction (de Berg et al., Computational Geometry, HandleEventPoint),
-    and each pair this makes adjacent is tested with
-    :func:`segment_relation`. Only a proper crossing ahead of p becomes an
-    event; every other contact is at an endpoint.
+    event p, L ∪ C is the run of status segments through p. A test is
+    inline integer arithmetic on the segment's line dx*y - dy*x = k: it
+    passes below p iff dx*Y - dy*X > k*D and holds p iff they are equal,
+    exactly, at endpoints and crossings alike, and a vertical one always
+    holds p. When the last event's slot holds a segment that ends at p, one
+    segment starts at p and neither neighbour holds p, the run is that one
+    segment and the new one takes its slot, two side tests in all. Otherwise
+    the run is found by testing the last event's slot and its neighbour,
+    then bisecting what is left, and U ∪ C replaces it, ordered by direction
+    (de Berg et al., Computational Geometry, HandleEventPoint). Each pair
+    made adjacent goes to :func:`segment_relation` unless one segment's ends
+    lie strictly on one side of the other's line, which it would call
+    disjoint. Only a proper crossing ahead of p becomes an event; every
+    other contact is at an endpoint.
     """
     segs: list[tuple[int, int, int, int]] = []  # (ax, ay, bx, by), a before b in (x, y) order
     lines: list[tuple[int, int, int]] = []  # (dx, dy, k): the line dx*y - dy*x = k
+    end: list[tuple[int, int]] = []  # (bx, by)
     starts: dict[tuple[int, int], list[int]] = {}
-    ends: dict[tuple[int, int], list[int]] = {}
     owner: dict[tuple[int, int], int] = {}  # point -> its first label
     clash: set[tuple[int, int]] = set()  # points given two labels
     for i, (ax, ay, bx, by, la, lb) in enumerate(segments):
-        if (bx, by) < (ax, ay):
-            ax, ay, bx, by, la, lb = bx, by, ax, ay, lb, la
+        a, b = (ax, ay), (bx, by)
+        if b < a:
+            ax, ay, bx, by, la, lb, a, b = bx, by, ax, ay, lb, la, b, a
         segs.append((ax, ay, bx, by))
         lines.append((bx - ax, by - ay, (bx - ax) * ay - (by - ay) * ax))
-        starts.setdefault((ax, ay), []).append(i)
-        ends.setdefault((bx, by), []).append(i)
-        for point, label in (((ax, ay), la), ((bx, by), lb)):
-            if owner.setdefault(point, label) != label:
-                clash.add(point)
-
-    # An event is (p, X, Y, D) with p = (X / D, Y / D) exact and D > 0; an
-    # endpoint is (p, x, y, 1). Every endpoint is queued from the start, so
-    # no crossing at an endpoint joins the heap: the endpoint's event has it.
-    crossings: list[tuple] = []
-    queued: set[tuple] = set(owner)
-
-    def events() -> Iterator[tuple]:
-        for p in sorted(owner):
-            while crossings and crossings[0][0] < p:
-                yield _pop_crossing(crossings)
-            yield p, *p, 1
-        while crossings:
-            yield _pop_crossing(crossings)
+        end.append(b)
+        starts.setdefault(a, []).append(i)
+        if owner.setdefault(a, la) != la:
+            clash.add(a)
+        if owner.setdefault(b, lb) != lb:
+            clash.add(b)
 
     def lower(s: int, t: int) -> int:
         # Directions that point right or straight up, from lowest to highest.
         return lines[t][0] * lines[s][1] - lines[t][1] * lines[s][0]
 
     by_direction = functools.cmp_to_key(lower)
+    # An event is (p, X, Y, D) with p = (X / D, Y / D) exact and D > 0; an
+    # endpoint is (p, x, y, 1). Every endpoint is queued from the start, so
+    # no crossing at an endpoint joins the heap: the endpoint's event has it.
+    points = sorted(owner)
+    crossings: list[tuple] = []
+    queued: set[tuple] = set(owner)
     status: list[int] = []
-    lo = 0
-    for p, X, Y, D in events():
-        a, b, i, step = -1, len(status), min(lo, len(status) - 1), 1
-        while b - a > 1:  # gallop from the last lo, then bisect (a, b)
-            i = i if a < i < b else (a + b) // 2
-            dx, dy, k = lines[status[i]]
-            a, b, i = (i, b, i + step) if dx * Y - dy * X > k * D else (a, i, i - step)
-            step *= 2
-        lo = hi = b
-        while hi < len(status):  # the run through p, rarely over two segments
-            dx, dy, k = lines[status[hi]]
-            if dx * Y - dy * X != k * D:
-                break
-            hi += 1
-        inside = [s for s in status[lo:hi] if segs[s][2:] != p]
-        begin = starts.get(p, ())
-        new = [*begin, *inside]
-        if len(new) > 1:
-            new.sort(key=by_direction)
-        overlap = len(new) > 1 and any(lower(s, t) == 0 for s, t in zip(new, new[1:]))
-        if inside or overlap or (clash and p in clash):
-            yield p, tuple(begin), tuple(ends.get(p, ())), tuple(inside)
-        status[lo:hi] = new
-        for b in (lo, lo + len(new)) if new else (lo,):  # the new adjacencies
+    lo = j = 0
+    while j < len(points) or crossings:
+        if crossings and (j == len(points) or crossings[0][0] < points[j]):
+            p, X, Y, D = _pop_crossing(crossings)
+        else:
+            p = points[j]
+            (X, Y), D, j = p, 1, j + 1
+        begin, n, adjacent = starts.get(p, ()), len(status), ()
+        if len(begin) == 1 and lo < n and end[status[lo]] == p:
+            # The segment in the last event's slot ends at p and one starts
+            # there: unless a neighbour holds p too, the new one takes the slot.
+            for i in (lo - 1, lo + 1):
+                if 0 <= i < n:
+                    dx, dy, k = lines[status[i]]
+                    if dx * Y - dy * X == k * D:
+                        break
+            else:
+                if clash and p in clash:
+                    yield p, (begin[0],), (status[lo],), ()
+                status[lo] = begin[0]
+                adjacent = (lo, lo + 1)
+        if not adjacent:
+            a, b, i, tests = -1, n, min(lo, n - 1), 0
+            while b - a > 1:  # the last event's slot, its neighbour, then bisect
+                i = i if tests < 2 and a < i < b else (a + b) // 2
+                dx, dy, k = lines[status[i]]
+                a, b, i = (i, b, i + 1) if dx * Y - dy * X > k * D else (a, i, i - 1)
+                tests += 1
+            lo = hi = b
+            while hi < n:  # the run through p, rarely over two segments
+                dx, dy, k = lines[status[hi]]
+                if dx * Y - dy * X != k * D:
+                    break
+                hi += 1
+            inside = [s for s in status[lo:hi] if end[s] != p]
+            ending = tuple(sorted(s for s in status[lo:hi] if end[s] == p))
+            new = [*begin, *inside]
+            if len(new) > 1:
+                new.sort(key=by_direction)
+            overlap = len(new) > 1 and any(lower(s, t) == 0 for s, t in zip(new, new[1:]))
+            if inside or overlap or (clash and p in clash):
+                yield p, tuple(begin), ending, tuple(inside)
+            status[lo:hi] = new
+            adjacent = (lo, lo + len(new)) if new else (lo,)
+        for b in adjacent:  # each new pair of neighbours, unless one is clear of the other's line
             if 0 < b < len(status):
                 s, t = status[b - 1], status[b]
-                if segment_relation(*segs[s], *segs[t]) == CROSSING:
+                (dx, dy, k), (cx, cy, ex, ey) = lines[t], segs[s]
+                d1, d2 = dx * cy - dy * cx - k, dx * ey - dy * ex - k
+                if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
+                    continue
+                (dx, dy, k), (cx, cy, ex, ey) = lines[s], segs[t]
+                d1, d2 = dx * cy - dy * cx - k, dx * ey - dy * ex - k
+                if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
+                    continue
+                if segment_relation(*segs[s], cx, cy, ex, ey) == CROSSING:
                     _push_crossing(lines[s], lines[t], p, crossings, queued)
 
 

@@ -370,3 +370,30 @@ def test_package_import_stays_light():
         check=True,
     )
     assert out.stdout == "[]\n"
+
+
+def test_valid_pipeline_never_loads_fractions(tmp_path):
+    # A valid embedding gives the verifier's sweep no crossing to queue, so
+    # gen, solve and verify of a feasible reduction never import fractions.
+    paths = [str(Path(polyembed.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    inst, meta, emb = (str(tmp_path / name) for name in ("inst.json", "meta.json", "emb.json"))
+    a = ",".join(["6,6,10,7,7,8"] * 5)  # 221 points
+    calls = [
+        ["gen", "--B", "22", "--a", a, "--out", inst, "--meta", meta],
+        ["solve", "--in", inst, "--out", emb],
+        ["verify", "--in", inst, "--embedding", emb],
+    ]
+    code = (
+        "import json, sys\n"
+        "from polyembed.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, 'fractions' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(calls)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] False"

@@ -512,6 +512,28 @@ class TestPlaneContacts:
         [(p, begin, end, inside)] = plane_contacts(segs)
         assert (p, begin, end, sorted(inside)) == ((1, 1), (2,), (), [0, 1])
 
+    # A chain point where one segment ends and the next starts, with the
+    # ended one in the last event's status slot, takes the in-place path.
+    def test_collinear_continuation_through_one_label_yields_nothing(self):
+        segs = [(0, 0, 1, 0, 0, 1), (1, 0, 2, 0, 1, 2), (-1, 5, 3, 5, 3, 4), (-1, -5, 3, -5, 5, 6)]
+        assert checked_plane_contacts(segs) == []
+
+    def test_continuation_with_a_label_clash(self):
+        segs = [(0, 0, 1, 0, 0, 1), (1, 0, 2, 0, 7, 2)]
+        assert checked_plane_contacts(segs) == [((1, 0), (1,), (0,), ())]
+
+    def test_third_segment_through_a_chain_point(self):
+        # 2 passes through (1, 0) from below the chain and from above it.
+        for third in ((0, -1, 2, 1, 3, 4), (0, 1, 2, -1, 3, 4)):
+            segs = [(0, 0, 1, 0, 0, 1), (1, 0, 2, 0, 1, 2), third]
+            assert checked_plane_contacts(segs) == [((1, 0), (1,), (0,), (2,))]
+
+    def test_crossing_found_through_an_in_place_replacement(self):
+        # 3 lies above the chain 0, 1, 2 and crosses only 2, which meets it
+        # when it takes 1's slot at (6, 0).
+        segs = [(0, 0, 4, 0, 0, 1), (4, 0, 6, 0, 1, 2), (6, 0, 8, 4, 2, 3), (2, 6, 10, 2, 4, 5)]
+        assert checked_plane_contacts(segs) == [((Fraction(38, 5), Fraction(16, 5)), (), (), (2, 3))]
+
     def test_matches_pairwise_oracle(self):
         # Each oracle pair is at one yielded point together, each yielded
         # point holds an oracle pair, and the points come in (x, y) order.

@@ -292,12 +292,6 @@ class TestDecideEmbedding:
         assert len(graphs) == 1
         assert "matrix" not in vars(graphs[0])
 
-    def test_negative_time_limit_rejected(self):
-        instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
-        with pytest.raises(ValidationError) as err:
-            decide_embedding(instance, time_limit_ms=-1)
-        assert err.value.code == "InvalidConfig"
-
     def test_config_rejects_negative_values(self):
         instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
         for kwargs in ({"time_limit_ms": -1}, {"root_node": -3}):

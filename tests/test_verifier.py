@@ -7,7 +7,7 @@ from oracles import brute_valid, pairwise_report
 from polyembed.errors import ValidationError
 from polyembed.geometry import Point, SimplePolygon
 from polyembed.model import Embedding, FreeTree, PointSet, Violation, make_instance
-from polyembed import verifier
+from polyembed import geometry, verifier
 from polyembed.reduction import build_instance, validate_3p
 from polyembed.solver import decide_embedding
 from polyembed.verifier import verify_embedding, verify_planar_only
@@ -237,6 +237,22 @@ class TestSweepAndReporter:
         assert verify_planar_only(instance.tree, instance.points, embedding).valid
         m = instance.tree.node_count - 1
         assert calls == [m + len(instance.polygon.vertices), m]
+
+    def test_valid_2501_point_verify_rarely_calls_segment_relation(self, monkeypatch):
+        # Almost every event is a chain point that replaces its status slot
+        # in place, and almost every new neighbour lies clear of the other's
+        # line, so the side prefilter rules it out.
+        instance, _, _, mapping = solved_reduction(50, [17, 17, 16] * 50)
+        calls = []
+        real = geometry.segment_relation
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geometry, "segment_relation", counted)
+        assert verify_embedding(instance, Embedding(tuple(mapping))).valid
+        assert len(calls) < 200
 
     def test_swapped_mapping_reports_through_one_sweep(self, monkeypatch):
         instance, meta = build_instance(validate_3p(22, [6, 6, 10, 7, 7, 8] * 2))
