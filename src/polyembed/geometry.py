@@ -1,7 +1,7 @@
 """Exact integer-arithmetic planar geometry.
 
 Exact direction keys, segment-pair classification, a plane sweep for
-contacts among labelled segments, point location and segment-versus-boundary
+contacts among segments, point location and segment-versus-boundary
 tests inside a simple polygon. Every predicate works on integer
 coordinates, and crossing points are exact rationals; no floating point
 appears anywhere in this module, so all answers are exact. Touching counts
@@ -14,14 +14,16 @@ without building objects; :func:`classify_segments`,
 :func:`segment_hits_boundary`, :func:`plane_contacts`, the solver and the
 verifier all go through it. :func:`plane_contacts` is the one sweep: a
 Bentley–Ottmann sweep that reports, in (x, y) order, every point where
-labelled segments meet where they should not, with the segments that start,
-end and pass there. Where the segment in the last event's status slot ends
-and just one starts, the new one takes that slot in place; other events test
-that slot and its neighbour, then bisect. Side tests are inline integer
-arithmetic on line coefficients made once per segment, and new neighbours go
-to :func:`segment_relation` only if neither lies strictly on one side of the
-other's line. The verifier builds its whole report from it, and its first
-contact, if any, decides polygon simplicity.
+segments meet other than at a shared end, with the segments that start, end
+and pass there; an instance's points are distinct and strictly inside its
+polygon, so a shared end is a shared mapped point or polygon vertex. Where
+the segment in the last event's status slot ends and just one starts, the
+new one takes that slot in place; other events test that slot and its
+neighbour, then bisect. Side tests are inline integer arithmetic on line
+coefficients made once per segment, and new neighbours go to
+:func:`segment_relation` only if neither lies strictly on one side of the
+other's line. The verifier builds its whole report from it, and a polygon
+is simple iff its vertices are distinct and its edges give it no contact.
 :func:`locate_points` is the one point-location pass: one pass over the
 edges per distinct y among the points, so a row of collinear points costs
 one pass; :func:`point_in_polygon` is its one-point call, and an instance
@@ -207,21 +209,23 @@ def classify_segments(s: Segment, t: Segment) -> SegmentRelation:
 
 
 def plane_contacts(
-    segments: Sequence[tuple[int, int, int, int, int, int]],
+    segments: Sequence[tuple[int, ...]],
 ) -> Iterator[tuple[tuple, tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """Every point where segments meet other than at one common, equally
-    labelled endpoint, in (x, y) order, as ``(p, U, L, C)``.
+    """Every point where segments meet other than at a shared endpoint, in
+    (x, y) order, as ``(p, U, L, C)``.
 
-    Each segment is ``(ax, ay, bx, by, label_a, label_b)`` with a != b; the
-    labels name what its endpoints stand for, so two segments may share an
-    endpoint only where both give it the same label. U, L and C hold the
-    indices of the segments that start at p, end at p, and hold p inside
-    them; a segment starts at the lesser of its ends in (x, y) order. p is
+    Each segment is a record whose first four fields are ``(ax, ay, bx, by)``
+    with a != b; further fields, such as a :func:`boxed` record's box, are
+    ignored. Segments may share endpoints freely: the verifier's points are
+    distinct and strictly inside the polygon, and :func:`is_simple` checks
+    that the vertices are distinct first. U, L and C hold the indices of
+    the segments that start at p, end at p, and hold p inside them; a
+    segment starts at the lesser of its ends in (x, y) order. p is
     ``(x, y)``, as ints at an endpoint and as exact ``Fraction`` values at
-    a crossing of two interiors. A point is yielded iff C is not empty, the
-    labels at p disagree, or two segments of U ∪ C have one direction, so
-    that they overlap from p on; each overlapping pair is in U ∪ C together
-    only at the later of their two starts.
+    a crossing of two interiors. A point is yielded iff C is not empty or
+    two segments of U ∪ C have one direction, so that they overlap from p
+    on; each overlapping pair is in U ∪ C together only at the later of
+    their two starts.
 
     A Bentley–Ottmann sweep (1979) over the Shamos–Hoey status (1976).
     Events are the endpoints, in (x, y) order, merged with a heap of the
@@ -248,20 +252,15 @@ def plane_contacts(
     lines: list[tuple[int, int, int]] = []  # (dx, dy, k): the line dx*y - dy*x = k
     end: list[tuple[int, int]] = []  # (bx, by)
     starts: dict[tuple[int, int], list[int]] = {}
-    owner: dict[tuple[int, int], int] = {}  # point -> its first label
-    clash: set[tuple[int, int]] = set()  # points given two labels
-    for i, (ax, ay, bx, by, la, lb) in enumerate(segments):
+    for i, seg in enumerate(segments):
+        ax, ay, bx, by = seg[:4]
         a, b = (ax, ay), (bx, by)
         if b < a:
-            ax, ay, bx, by, la, lb, a, b = bx, by, ax, ay, lb, la, b, a
+            ax, ay, bx, by, a, b = bx, by, ax, ay, b, a
         segs.append((ax, ay, bx, by))
         lines.append((bx - ax, by - ay, (bx - ax) * ay - (by - ay) * ax))
         end.append(b)
         starts.setdefault(a, []).append(i)
-        if owner.setdefault(a, la) != la:
-            clash.add(a)
-        if owner.setdefault(b, lb) != lb:
-            clash.add(b)
 
     def lower(s: int, t: int) -> int:
         # Directions that point right or straight up, from lowest to highest.
@@ -271,9 +270,10 @@ def plane_contacts(
     # An event is (p, X, Y, D) with p = (X / D, Y / D) exact and D > 0; an
     # endpoint is (p, x, y, 1). Every endpoint is queued from the start, so
     # no crossing at an endpoint joins the heap: the endpoint's event has it.
-    points = sorted(owner)
+    # A dict, not a set: input order, nearly sorted along a chain, sorts fast.
+    order = dict.fromkeys(end) | starts
+    points, queued = sorted(order), set(order)
     crossings: list[tuple] = []
-    queued: set[tuple] = set(owner)
     status: list[int] = []
     lo = j = 0
     while j < len(points) or crossings:
@@ -292,8 +292,6 @@ def plane_contacts(
                     if dx * Y - dy * X == k * D:
                         break
             else:
-                if clash and p in clash:
-                    yield p, (begin[0],), (status[lo],), ()
                 status[lo] = begin[0]
                 adjacent = (lo, lo + 1)
         if not adjacent:
@@ -315,7 +313,7 @@ def plane_contacts(
             if len(new) > 1:
                 new.sort(key=by_direction)
             overlap = len(new) > 1 and any(lower(s, t) == 0 for s, t in zip(new, new[1:]))
-            if inside or overlap or (clash and p in clash):
+            if inside or overlap:
                 yield p, tuple(begin), ending, tuple(inside)
             status[lo:hi] = new
             adjacent = (lo, lo + len(new)) if new else (lo,)
@@ -420,10 +418,8 @@ class SimplePolygon:
 
     @functools.cached_property
     def _simple(self) -> bool:
-        edges = self.edge_boxes
-        k = len(edges)
-        labelled = [e[:4] + (t, (t + 1) % k) for t, e in enumerate(edges)]
-        return next(plane_contacts(labelled), None) is None
+        distinct = len(set(self.vertices)) == len(self.vertices)
+        return distinct and next(plane_contacts(self.edge_boxes), None) is None
 
 
 def signed_area2(polygon: SimplePolygon) -> int:
@@ -438,9 +434,9 @@ def signed_area2(polygon: SimplePolygon) -> int:
 
 def is_simple(polygon: SimplePolygon) -> bool:
     """True iff no two non-adjacent edges intersect and adjacent edges meet
-    only at their shared vertex: a :func:`plane_contacts` sweep over the
-    edges, their ends labelled by vertex number, stopped at its first
-    contact, O(k log k) for k edges."""
+    only at their shared vertex: the vertices are distinct, and a
+    :func:`plane_contacts` sweep over the edges, stopped at its first
+    contact, finds none, O(k log k) for k edges."""
     return polygon._simple
 
 

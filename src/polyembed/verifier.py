@@ -6,14 +6,15 @@ disjoint, no edge passes through any other mapped point, and (in the
 polygon-bounded variant) no edge touches the polygon boundary.
 
 Validity and the report both come from one Bentley–Ottmann sweep,
-:func:`plane_contacts`, over the edge images, each end labelled by its point,
-and the boundary edges, labelled by negative vertex numbers. A valid
-embedding gives no contact. Every contact the sweep yields is turned into
-violations where it happens, collected as plain ``(kind, edges, points)``
-tuples in one set, and each distinct one becomes a :class:`Violation` once.
-The report lists them all, in a canonical order, instead of stopping at the
-first, so callers can assert on specific failure kinds. All of it is exact
-integer and rational arithmetic.
+:func:`plane_contacts`, over the edge images and the boundary edges. An
+instance's points are distinct and strictly inside its polygon, so two of
+these segments may share an end only at a shared mapped point or polygon
+vertex, and a valid embedding gives no contact. Every contact the sweep
+yields is turned into violations where it happens, collected as plain
+``(kind, edges, points)`` tuples in one set, and each distinct one becomes a
+:class:`Violation` once. The report lists them all, in a canonical order,
+instead of stopping at the first, so callers can assert on specific failure
+kinds. All of it is exact integer and rational arithmetic.
 """
 
 from __future__ import annotations
@@ -73,24 +74,23 @@ def _verify(tree, points, embedding, polygon) -> VerificationReport:
         )
 
     # Every point is an edge's endpoint (or the tree is one node), so the
-    # embedding is valid iff its edges, labelled by point, and the boundary
-    # edges, labelled by negative vertex numbers, meet only at shared points.
+    # embedding is valid iff its edges, each with its two point indices for
+    # the report, and the boundary edges meet only at shared ends.
     xs, ys = [p.x for p in points], [p.y for p in points]
-    labelled = [
+    segments = [
         (xs[a], ys[a], xs[b], ys[b], a, b)
         for a, b in ((mapping[u], mapping[v]) for u, v in tree.edges)
     ]
-    m = len(labelled)
+    m = len(segments)
     if polygon is not None:
-        k = len(polygon.vertices)
-        labelled += [e[:4] + (~t, ~((t + 1) % k)) for t, e in enumerate(polygon.edge_boxes)]
+        segments += polygon.edge_boxes
     found: set[tuple[str, tuple[int, ...], tuple[int, ...]]] = set()
-    for contact in plane_contacts(labelled):
-        _report_contact(labelled, m, *contact, found)
+    for contact in plane_contacts(segments):
+        _report_contact(segments, m, *contact, found)
     return VerificationReport.from_violations([Violation(*v) for v in found])
 
 
-def _report_contact(labelled, m, p, begin, end, inside, found) -> None:
+def _report_contact(segments, m, p, begin, end, inside, found) -> None:
     """Add the violations at one contact p of the sweep to the set found.
     Segments below m are tree edges, the others boundary edges; begin, end
     and inside are the segments that start at p, end at p and hold p."""
@@ -99,11 +99,11 @@ def _report_contact(labelled, m, p, begin, end, inside, found) -> None:
     if len(edges) < len(at_p):
         for s in edges:
             found.add((KIND_EDGE_HITS_BOUNDARY, (s,), ()))
-    # A tree edge with an end at p makes p a mapped point: its label there.
+    # A tree edge with an end at p makes p a mapped point: its index there.
     ending = next((s for s in (*begin, *end) if s < m), None)
     through = [s for s in inside if s < m]
     if ending is not None:
-        rec = labelled[ending]
+        rec = segments[ending]
         point = rec[4] if rec[:2] == p else rec[5]
         for s in through:
             found.add((KIND_EDGE_THROUGH_POINT, (s,), (point,)))
@@ -115,7 +115,7 @@ def _report_contact(labelled, m, p, begin, end, inside, found) -> None:
     for group, segs in ((0, begin), (1, through)):
         for s in segs:
             if s < m:
-                ax, ay, bx, by = labelled[s][:4]
+                ax, ay, bx, by = segments[s][:4]
                 runs.setdefault(direction_key(bx - ax, by - ay), ([], []))[group].append(s)
     for starting, passing in runs.values():
         for i, s in enumerate(starting):

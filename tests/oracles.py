@@ -95,8 +95,8 @@ def simple_polygon(verts):
 
 
 def plane_contacts(segments):
-    """Every index pair (i, j), i < j, of segments (ax, ay, bx, by, la, lb)
-    that meet other than at one common endpoint carrying one label on both."""
+    """Every index pair (i, j), i < j, of segments whose first four fields
+    are (ax, ay, bx, by) that meet other than at one common endpoint."""
     out = set()
     for i, s in enumerate(segments):
         for j in range(i + 1, len(segments)):
@@ -104,18 +104,12 @@ def plane_contacts(segments):
             a, b, c, d = s[0:2], s[2:4], t[0:2], t[2:4]
             if not segments_share_point(a, b, c, d):
                 continue
-            labels = {a: s[4], b: s[5]}
-            common = [q for q in (c, d) if q in labels]
+            common = [q for q in (c, d) if q in (a, b)]
             if len(common) == 1:
                 q = common[0]
                 far_s = b if q == a else a
                 far_t = d if q == c else c
-                label_t = t[4] if q == c else t[5]
-                if (
-                    labels[q] == label_t
-                    and not between(*c, *d, *far_s)
-                    and not between(*a, *b, *far_t)
-                ):
+                if not between(*c, *d, *far_s) and not between(*a, *b, *far_t):
                     continue
             out.add((i, j))
     return out

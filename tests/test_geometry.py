@@ -19,6 +19,7 @@ from polyembed.geometry import (
     Segment,
     SegmentRelationKind,
     SimplePolygon,
+    boxed,
     classify_segments,
     cross,
     direction_key,
@@ -412,6 +413,18 @@ class TestSimplePolygon:
         flat = SimplePolygon((Point(0, 0), Point(1, 1), Point(2, 2)))
         assert not is_simple(flat)
 
+    def test_pinched_polygon_is_not(self):
+        # Two triangles that meet only at a repeated vertex, (2, 2): no two
+        # edges meet but at a common end, so the distinct-vertex check is
+        # what rejects it.
+        verts = [(0, 0), (4, 0), (2, 2), (4, 4), (0, 4), (2, 2)]
+        pinched = SimplePolygon(tuple(Point(*v) for v in verts))
+        assert not oracles.simple_polygon(verts)
+        assert not is_simple(pinched)
+        with pytest.raises(ValidationError) as err:
+            make_instance(FreeTree(1, ()), PointSet((Point(1, 1),)), pinched)
+        assert err.value.code == "PolygonNotSimple"
+
     def test_straight_chains_allowed(self):
         # collinear consecutive vertices do not break simplicity
         poly = SimplePolygon(
@@ -447,10 +460,6 @@ def meet(segs, i, j):
 
 
 class TestPlaneContact:
-    def test_shared_endpoint_needs_one_label(self):
-        assert not meet([(0, 0, 2, 1, 7, 8), (2, 1, 4, 0, 8, 9)], 0, 1)
-        assert meet([(0, 0, 2, 1, 7, 8), (2, 1, 4, 0, 5, 9)], 0, 1)
-
     def test_endpoint_on_vertical_interior(self):
         # (0, 1) lies inside the vertical segment, which does not end there.
         assert meet([(0, 0, 0, 2, 0, 1), (0, 1, 3, 1, 2, 3)], 0, 1)
@@ -464,9 +473,10 @@ class TestPlaneContact:
 
 
 def random_labelled_segments(rng, count, size=None):
-    """count segments with ends on a small grid, mostly labelled by their
-    position, so crossings, overlaps, vertical segments and label clashes
-    all occur. The grid is size by size, by default 2 to 6."""
+    """count segments with ends on a small grid, so crossings, overlaps and
+    vertical segments all occur. The grid is size by size, by default 2 to 6.
+    Each record carries two label fields after its four coordinates, mostly
+    its ends' positions; :func:`plane_contacts` ignores them."""
     size = size or rng.randint(2, 6)
     segs = []
     while len(segs) < count:
@@ -518,10 +528,6 @@ class TestPlaneContacts:
         segs = [(0, 0, 1, 0, 0, 1), (1, 0, 2, 0, 1, 2), (-1, 5, 3, 5, 3, 4), (-1, -5, 3, -5, 5, 6)]
         assert checked_plane_contacts(segs) == []
 
-    def test_continuation_with_a_label_clash(self):
-        segs = [(0, 0, 1, 0, 0, 1), (1, 0, 2, 0, 7, 2)]
-        assert checked_plane_contacts(segs) == [((1, 0), (1,), (0,), ())]
-
     def test_third_segment_through_a_chain_point(self):
         # 2 passes through (1, 0) from below the chain and from above it.
         for third in ((0, -1, 2, 1, 3, 4), (0, 1, 2, -1, 3, 4)):
@@ -533,6 +539,19 @@ class TestPlaneContacts:
         # when it takes 1's slot at (6, 0).
         segs = [(0, 0, 4, 0, 0, 1), (4, 0, 6, 0, 1, 2), (6, 0, 8, 4, 2, 3), (2, 6, 10, 2, 4, 5)]
         assert checked_plane_contacts(segs) == [((Fraction(38, 5), Fraction(16, 5)), (), (), (2, 3))]
+
+    def test_fields_after_the_coordinates_are_ignored(self):
+        # 4-field records, 6-field ones with clashing labels and boxed
+        # 8-field ones, all with the same coordinates, give the same yields.
+        rng = random.Random(37)
+        for case in range(300):
+            segs = random_labelled_segments(rng, 1 + case % 7)
+            bare = [s[:4] for s in segs]
+            clashing = [s[:4] + (rng.randrange(3), rng.randrange(3)) for s in segs]
+            want = list(plane_contacts(bare))
+            assert list(plane_contacts(segs)) == want, segs
+            assert list(plane_contacts(clashing)) == want, segs
+            assert list(plane_contacts([boxed(*s) for s in bare])) == want, segs
 
     def test_matches_pairwise_oracle(self):
         # Each oracle pair is at one yielded point together, each yielded

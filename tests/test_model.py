@@ -46,6 +46,11 @@ class TestFreeTree:
     def test_single_node(self):
         assert FreeTree(1, ()).node_count == 1
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            FreeTree(0, ())
+        assert err.value.code == "EmptyTree"
+
     def test_cycle_rejected(self):
         with pytest.raises(ValidationError) as err:
             FreeTree(3, ((0, 1), (1, 2), (2, 0)))
@@ -314,6 +319,13 @@ class TestSerialization:
                 deserialize_report,
                 '{"valid":true,"violations":[{"kind":"EdgeHitsBoundary","edges":[0],"points":[]}]}',
                 "valid: expected false with 1 violations",
+            ),
+            (deserialize_report, '{"valid": 1, "violations": []}', "valid: expected a boolean"),
+            (
+                deserialize_report,
+                '{"valid": false, "violations":'
+                ' [{"kind": "EdgeTouchesEdge", "edges": [0, 1], "points": []}]}',
+                "violations[0].kind: unknown kind 'EdgeTouchesEdge'",
             ),
         ],
     )

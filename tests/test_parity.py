@@ -23,7 +23,7 @@ from test_verifier import solved_reduction
 SOLVER_DIGEST = "989cd51d368490842df1233906c541a126fab65adb03335c1b89aecd24b8b893"
 VERIFIER_DIGEST = "0fdaef420c23cae868d891c674b127c8e7dfbe6921a055b525a32704ddf51bdb"
 VISIBILITY_DIGEST = "a0210acf35a0fd1b711cd949545c5d8dc7cf85a9d55bc2890cf3a8c30f4a8dac"
-SWEEP_DIGEST = "4676593f09fff48d7e31e7309bf6b16863eef26a153751e27d32bdbb0e154a05"
+SWEEP_DIGEST = "736a1c3097ec2bf77013b7c3adc153413069870d3d02c7b3e670c2f9d1a8307f"
 
 # Reductions beyond the sweep, solved with the default root.
 LARGER_REDUCTIONS = [
@@ -150,12 +150,13 @@ def test_visibility_parity_digest():
 
 
 def sweep_corpus():
-    """(label, labelled segments) for every case of the sweep family.
+    """(label, segments) for every case of the sweep family.
 
     2,000 small random sets, six fans over a row, twelve dense lattice sets,
     and the verifier's segments for the valid 401-point ``[17,17,16]*8``
     identity embedding with its boundary and for three seeded swap mutants
-    of it (one, two and three random image swaps).
+    of it (one, two and three random image swaps). Each record carries two
+    label fields after its four coordinates; the sweep ignores them.
     """
     rng = random.Random(61)
     for case in range(2000):

@@ -5,6 +5,7 @@ import pytest
 
 from polyembed.errors import ValidationError
 from polyembed.geometry import (
+    COORD_LIMIT,
     Point,
     PointLocation,
     is_simple,
@@ -166,6 +167,12 @@ class TestBuildPolygon:
         with pytest.raises(ValidationError):
             build_polygon(1, 0)
 
+    def test_coordinate_bound(self):
+        # build_instance never gets here: build_points checks the bound first.
+        with pytest.raises(ValidationError) as err:
+            build_polygon(1, COORD_LIMIT)
+        assert err.value.code == "CoordinateOutOfRange"
+
 
 class TestBuildPoints:
     def test_single_group_coordinates(self):
@@ -189,6 +196,11 @@ class TestBuildPoints:
     def test_b_floor(self):
         with pytest.raises(ValidationError):
             build_points(1, 2)
+
+    def test_no_groups_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            build_points(0, 7)
+        assert err.value.code == "InvalidParameter"
 
 
 class TestBuildInstance:
@@ -261,6 +273,16 @@ class TestBruteForce3p:
         assert partition_solves(inst, part)
         assert part == Partition(((0, 1, 3), (2, 4, 5)))
 
+    def test_search_backtracks(self):
+        # The first triple found, (0, 1, 6), leaves 4, 6, 4, 6, 4, 6: no
+        # triple of those sums to 15, so the search undoes it.
+        part = brute_force_3p(validate_3p(15, [5, 5, 4, 6, 4, 6, 5, 4, 6]))
+        assert part == Partition(((0, 2, 3), (1, 4, 5), (6, 7, 8)))
+
+    def test_wrong_group_count_does_not_solve(self):
+        inst = validate_3p(7, [2, 2, 3, 2, 2, 3])
+        assert not partition_solves(inst, Partition(((0, 1, 2),)))
+
     def test_too_large_rejected(self):
         vals = [5, 5, 6] * 6  # 18 values
         with pytest.raises(ValidationError) as err:
@@ -321,6 +343,9 @@ class TestMetaAndPartitionFiles:
             Partition(((2, 1, 0),))
         with pytest.raises(ValidationError):
             Partition(((3, 4, 5), (0, 1, 2)))
+        with pytest.raises(ValidationError, match="do not partition") as err:
+            Partition(((0, 1, 2), (3, 4, 6)))
+        assert err.value.code == "InvalidPartition"
         assert Partition.from_sets([(5, 4, 3), (2, 0, 1)]).sets == (
             (0, 1, 2),
             (3, 4, 5),
@@ -332,6 +357,22 @@ class TestMetaAndPartitionFiles:
                 '{"B": 1000000000000, "n": 1, "v0_node": 0, "path_nodes": [[1], [2], [3]],'
                 ' "group_points": [[1, 2, 3]], "p0_point": 0}'
             )
+        assert err.value.code == "InvalidMeta"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"B": 0}, "must be positive"),
+            ({"n": 0}, "must be positive"),
+            ({"path_nodes": ((1, 2), (), (3, 4, 5, 6, 7))}, "empty path"),
+            ({"group_points": ((1, 2, 3, 4, 5, 6),)}, "groups of exactly"),
+            ({"group_points": ((1, 2, 3, 4, 5, 6, 6),)}, "p0 and groups do not partition"),
+        ],
+        ids=["B", "n", "empty-path", "group-size", "points"],
+    )
+    def test_meta_invariant_branches(self, fields, message):
+        with pytest.raises(ValidationError, match=message) as err:
+            _meta(**fields)
         assert err.value.code == "InvalidMeta"
 
     def test_meta_invariants_enforced(self):
