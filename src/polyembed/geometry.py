@@ -44,8 +44,9 @@ import functools
 import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from operator import attrgetter, eq
 
 from .errors import ValidationError
 
@@ -61,16 +62,58 @@ def exact_ints(values, code: str, what: str) -> tuple[int, ...]:
     exact inputs, so a float, a string or a bool is refused, never converted.
     """
     values = tuple(values)
+    if {int}.issuperset(map(type, values)):
+        return values
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ValidationError(code, f"{what} {v!r} is not an integer")
     return values
 
 
-@dataclass(frozen=True, order=True)
-class Point:
-    x: int
-    y: int
+_set = object.__setattr__
+
+
+class Record:
+    """A frozen value record. A subclass names its fields in ``_fields`` and
+    sets them in ``__init__`` with ``object.__setattr__``, then checks them;
+    assignment and deletion raise ``AttributeError``. Records of one class
+    are equal iff their fields are, compared and hashed through ``_key``,
+    the ``operator.attrgetter`` of ``_fields``."""
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+@functools.total_ordering
+class Point(Record):
+    """A point with exact coordinates, ordered by (x, y)."""
+
+    _fields = ("x", "y")
+
+    def __init__(self, x: int, y: int):
+        _set(self, "x", x)
+        _set(self, "y", y)
+
+    def __lt__(self, other):
+        return self._key(self) < self._key(other) if other.__class__ is Point else NotImplemented
 
 
 def cross(a: Point, b: Point, c: Point) -> int:
@@ -87,16 +130,14 @@ def direction_key(dx: int, dy: int) -> tuple[int, int]:
     return (-dx, -dy) if dx < 0 or (dx == 0 and dy < 0) else (dx, dy)
 
 
-@dataclass(frozen=True)
-class Segment:
-    a: Point
-    b: Point
+class Segment(Record):
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValidationError(
-                "DegenerateSegment", f"segment endpoints coincide at {self.a}"
-            )
+    def __init__(self, a: Point, b: Point):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        if a == b:
+            raise ValidationError("DegenerateSegment", f"segment endpoints coincide at {a}")
 
 
 class SegmentRelationKind(Enum):
@@ -107,16 +148,18 @@ class SegmentRelationKind(Enum):
     COLLINEAR_OVERLAP = "collinear_overlap"
 
 
-@dataclass(frozen=True)
-class SegmentRelation:
+class SegmentRelation(Record):
     """How two closed segments meet; ``point`` is the contact witness.
 
     ``point`` is the shared endpoint for TOUCH_AT_ENDPOINT and the offending
     endpoint for ENDPOINT_ON_INTERIOR; None for the other kinds.
     """
 
-    kind: SegmentRelationKind
-    point: Point | None = None
+    _fields = ("kind", "point")
+
+    def __init__(self, kind: SegmentRelationKind, point: Point | None = None):
+        _set(self, "kind", kind)
+        _set(self, "point", point)
 
 
 # Codes returned by segment_relation. The last four name the endpoint that
@@ -358,8 +401,7 @@ def _pop_crossing(crossings):
     return heappop(crossings)
 
 
-@dataclass(frozen=True)
-class SimplePolygon:
+class SimplePolygon(Record):
     """A closed polygonal cycle; simplicity is checked by :func:`is_simple`.
 
     Construction only enforces the cheap structural invariants (at least
@@ -370,18 +412,24 @@ class SimplePolygon:
     to the reversed copy.
     """
 
-    vertices: tuple[Point, ...]
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        k = len(self.vertices)
+    def __init__(self, vertices: Sequence[Point]):
+        vertices = tuple(vertices)
+        _set(self, "vertices", vertices)
+        k = len(vertices)
         if k < 3:
             raise ValidationError(
                 "TooFewVertices", f"polygon needs at least 3 vertices, got {k}"
             )
-        for i, v in enumerate(self.vertices):
+        xy = list(map(Point._key, vertices))
+        if {int}.issuperset(map(type, chain.from_iterable(xy))) and not any(
+            map(eq, xy, xy[1:] + xy[:1])
+        ):
+            return
+        for i, v in enumerate(vertices):  # only to name the first offender
             exact_ints((v.x, v.y), "NonIntegerCoordinate", f"vertex {i} coordinate")
-            if v == self.vertices[(i + 1) % k]:
+            if v == vertices[(i + 1) % k]:
                 raise ValidationError(
                     "DuplicateConsecutiveVertex",
                     f"vertices {i} and {(i + 1) % k} coincide at {v}",
@@ -505,8 +553,9 @@ def locate_points(points: Sequence[Point], polygon: SimplePolygon) -> list[Point
         # disjoint but for shared ends; the last one starting at or left of
         # x is the only one that can hold it.
         flats.sort()
+        starts = [flat[0] for flat in flats]
         for i, px in row:
-            t = bisect_right(flats, px, key=lambda flat: flat[0]) - 1
+            t = bisect_right(starts, px) - 1
             if px in on_row or (t >= 0 and flats[t][1] >= px):
                 out[i] = PointLocation.ON_BOUNDARY
             elif (len(crossings) - bisect_right(crossings, 2 * px)) % 2:

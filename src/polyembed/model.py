@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
 from itertools import chain, starmap
 from operator import attrgetter
 
@@ -20,7 +19,9 @@ from .geometry import (
     COORD_LIMIT,
     Point,
     PointLocation,
+    Record,
     SimplePolygon,
+    _set,
     exact_ints,
     locate_points,
     normalize_ccw,
@@ -139,8 +140,7 @@ def _points(value, path: str) -> tuple[Point, ...]:
 # ---------------------------------------------------------------------------
 # Domain types
 
-@dataclass(frozen=True)
-class FreeTree:
+class FreeTree(Record):
     """An unrooted tree over node indices 0..node_count-1.
 
     Construction rejects anything that is not a tree: a node or count that
@@ -148,47 +148,44 @@ class FreeTree:
     edge sets.
     """
 
-    node_count: int
-    edges: tuple[tuple[int, int], ...]
+    _fields = ("node_count", "edges")
 
-    def __post_init__(self):
-        n = exact_ints((self.node_count,), "NonIntegerNode", "node count")[0]
-        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
-        exact_ints(chain.from_iterable(self.edges), "NonIntegerNode", "tree node")
+    def __init__(self, node_count: int, edges):
+        _set(self, "node_count", node_count)
+        n = exact_ints((node_count,), "NonIntegerNode", "node count")[0]
+        edges = tuple(map(tuple, edges))
+        _set(self, "edges", edges)
+        exact_ints(chain.from_iterable(edges), "NonIntegerNode", "tree node")
         if n < 1:
             raise ValidationError("EmptyTree", "a tree needs at least one node")
         # Union-find over the nodes the edges touch; a dict keeps its size
         # bounded by the edge list rather than by the declared node count.
+        # Only an edge within one component is looked at again, to name why.
         parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while x in parent:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        seen = set()
-        for u, v in self.edges:
+        for i, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(
                     "NodeIndexOutOfRange", f"edge ({u}, {v}) leaves [0, {n})"
                 )
-            if u == v:
-                raise ValidationError("TreeHasCycle", f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValidationError("TreeHasCycle", f"duplicate edge {key}")
-            seen.add(key)
-            ru, rv = find(u), find(v)
+            ru, rv = u, v
+            while ru in parent:
+                parent[ru] = ru = parent.get(parent[ru], parent[ru])
+            while rv in parent:
+                parent[rv] = rv = parent.get(parent[rv], parent[rv])
             if ru == rv:
+                if u == v:
+                    raise ValidationError("TreeHasCycle", f"self-loop at node {u}")
+                key = (u, v) if u < v else (v, u)
+                if key in {(a, b) if a < b else (b, a) for a, b in edges[:i]}:
+                    raise ValidationError("TreeHasCycle", f"duplicate edge {key}")
                 raise ValidationError(
                     "TreeHasCycle", f"edge ({u}, {v}) closes a cycle"
                 )
             parent[ru] = rv
-        if len(self.edges) != n - 1:
+        if len(edges) != n - 1:
             raise ValidationError(
                 "TreeNotConnected",
-                f"{n} nodes need {n - 1} edges, got {len(self.edges)}",
+                f"{n} nodes need {n - 1} edges, got {len(edges)}",
             )
 
     @functools.cached_property
@@ -203,14 +200,17 @@ class FreeTree:
         return len(self.adjacency[node])
 
 
-@dataclass(frozen=True)
-class PointSet:
-    points: tuple[Point, ...]
+class PointSet(Record):
+    _fields = ("points",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+    def __init__(self, points):
+        points = tuple(points)
+        _set(self, "points", points)
+        xy = list(map(Point._key, points))
+        if {int}.issuperset(map(type, chain.from_iterable(xy))) and len(set(xy)) == len(xy):
+            return
         seen: dict[tuple[int, int], int] = {}
-        for i, p in enumerate(self.points):
+        for i, p in enumerate(points):  # only to name the first offender
             key = x, y = p.x, p.y
             if type(x) is not int or type(y) is not int:  # else exact_ints passes
                 exact_ints(key, "NonIntegerCoordinate", f"point {i} coordinate")
@@ -239,17 +239,15 @@ def check_node_count(node_count: int, point_count: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """A bijection from tree nodes to point indices: mapping[node] = point."""
 
-    mapping: tuple[int, ...]
+    _fields = ("mapping",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "mapping", exact_ints(self.mapping, "NonIntegerImage", "node image")
-        )
-        if sorted(self.mapping) != list(range(len(self.mapping))):
+    def __init__(self, mapping):
+        mapping = exact_ints(mapping, "NonIntegerImage", "node image")
+        _set(self, "mapping", mapping)
+        if sorted(mapping) != list(range(len(mapping))):
             raise ValidationError(
                 "NotBijection",
                 "mapping is not a permutation of the point indices",
@@ -259,25 +257,26 @@ class Embedding:
         return len(self.mapping)
 
 
-@dataclass(frozen=True)
-class EmbeddingInstance:
+class EmbeddingInstance(Record):
     """A decision-problem instance: embed `tree` onto `points` inside `polygon`.
 
     Construction checks every invariant: a simple polygon, stored CCW, one
     point per tree node, and every point strictly inside the polygon.
     """
 
-    tree: FreeTree
-    points: PointSet
-    polygon: SimplePolygon
+    _fields = ("tree", "points", "polygon")
 
-    def __post_init__(self):
-        tree, points = self.tree, self.points
-        polygon = normalize_ccw(self.polygon)
-        object.__setattr__(self, "polygon", polygon)
+    def __init__(self, tree: FreeTree, points: PointSet, polygon: SimplePolygon):
+        _set(self, "tree", tree)
+        _set(self, "points", points)
+        polygon = normalize_ccw(polygon)
+        _set(self, "polygon", polygon)
         check_node_count(tree.node_count, len(points))
-        for i, (p, where) in enumerate(zip(points, locate_points(points.points, polygon))):
-            if where is not PointLocation.INSIDE:
+        where = locate_points(points.points, polygon)
+        if where.count(PointLocation.INSIDE) == len(where):
+            return
+        for i, (p, at) in enumerate(zip(points, where)):  # only to name the first offender
+            if at is not PointLocation.INSIDE:
                 raise ValidationError(
                     "PointOnOrOutsideBoundary",
                     f"point {i} at {p} is not strictly inside the polygon",
@@ -301,8 +300,7 @@ VIOLATION_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One specific way an embedding fails.
 
     ``edges`` are indices into the tree's edge list; ``points`` are indices
@@ -310,26 +308,27 @@ class Violation:
     builds them; only the kind is checked.
     """
 
-    kind: str
-    edges: tuple[int, ...] = ()
-    points: tuple[int, ...] = ()
+    _fields = ("kind", "edges", "points")
 
-    def __post_init__(self):
-        if self.kind not in VIOLATION_KINDS:
-            raise ValueError(f"unknown violation kind {self.kind!r}")
+    def __init__(self, kind: str, edges: tuple[int, ...] = (), points: tuple[int, ...] = ()):
+        _set(self, "kind", kind)
+        _set(self, "edges", edges)
+        _set(self, "points", points)
+        if kind not in VIOLATION_KINDS:
+            raise ValueError(f"unknown violation kind {kind!r}")
 
     def sort_key(self):
         return (self.kind, self.edges, self.points)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    valid: bool
-    violations: tuple[Violation, ...] = field(default=())
+class VerificationReport(Record):
+    _fields = ("valid", "violations")
 
-    def __post_init__(self):
-        object.__setattr__(self, "violations", tuple(self.violations))
-        if self.valid != (len(self.violations) == 0):
+    def __init__(self, valid: bool, violations=()):
+        violations = tuple(violations)
+        _set(self, "valid", valid)
+        _set(self, "violations", violations)
+        if valid != (len(violations) == 0):
             raise ValueError("report validity must match emptiness of violations")
 
     @classmethod

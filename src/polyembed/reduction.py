@@ -8,11 +8,10 @@ provides a small exhaustive 3-partition oracle for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import ValidationError
-from .geometry import COORD_LIMIT, Point, SimplePolygon, exact_ints
+from .geometry import COORD_LIMIT, Point, Record, SimplePolygon, _set, exact_ints
 from .model import (
     Embedding,
     EmbeddingInstance,
@@ -28,8 +27,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ThreePartitionInstance:
+class ThreePartitionInstance(Record):
     """3n values that must split into n triples, each summing to ``target``.
 
     Every value is strictly between target/4 and target/2, so only triples
@@ -37,25 +35,26 @@ class ThreePartitionInstance:
     constraints and names the first one violated.
     """
 
-    target: int
-    values: tuple[int, ...]
+    _fields = ("target", "values")
 
-    def __post_init__(self):
-        target = exact_ints((self.target,), "NonIntegerValue", "3-partition target")[0]
-        vals = exact_ints(self.values, "NonIntegerValue", "3-partition value")
-        object.__setattr__(self, "values", vals)
+    def __init__(self, target: int, values):
+        _set(self, "target", target)
+        target = exact_ints((target,), "NonIntegerValue", "3-partition target")[0]
+        vals = exact_ints(values, "NonIntegerValue", "3-partition value")
+        _set(self, "values", vals)
         if len(vals) == 0 or len(vals) % 3 != 0:
             raise ValidationError(
                 "LengthNotMultipleOf3",
                 f"need a positive multiple of 3 values, got {len(vals)}",
             )
-        for i, a in enumerate(vals):
-            if not (4 * a > target and 2 * a < target):
-                raise ValidationError(
-                    "ElementOutOfRange",
-                    f"a[{i}]={a} is not strictly between {target}/4 and {target}/2",
-                    index=i,
-                )
+        if not (4 * min(vals) > target and 2 * max(vals) < target):
+            for i, a in enumerate(vals):  # only to name the first offender
+                if not (4 * a > target and 2 * a < target):
+                    raise ValidationError(
+                        "ElementOutOfRange",
+                        f"a[{i}]={a} is not strictly between {target}/4 and {target}/2",
+                        index=i,
+                    )
         n = len(vals) // 3
         if sum(vals) != target * n:
             raise ValidationError(
@@ -72,25 +71,25 @@ def validate_3p(target: int, values) -> ThreePartitionInstance:
     return ThreePartitionInstance(target, values)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """n disjoint index triples covering 0..3n-1, in canonical order."""
 
-    sets: tuple[tuple[int, int, int], ...]
+    _fields = ("sets",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(map(tuple, self.sets)))
-        flat = exact_ints(chain.from_iterable(self.sets), "InvalidPartition", "index")
-        for s in self.sets:
+    def __init__(self, sets):
+        sets = tuple(map(tuple, sets))
+        _set(self, "sets", sets)
+        flat = exact_ints(chain.from_iterable(sets), "InvalidPartition", "index")
+        for s in sets:
             if len(s) != 3 or not (s[0] < s[1] < s[2]):
                 raise ValidationError(
                     "InvalidPartition", f"set {s} is not a sorted triple"
                 )
-        if sorted(flat) != list(range(3 * len(self.sets))):
+        if sorted(flat) != list(range(3 * len(sets))):
             raise ValidationError(
                 "InvalidPartition", "sets do not partition the index range"
             )
-        if list(self.sets) != sorted(self.sets):
+        if list(sets) != sorted(sets):
             raise ValidationError(
                 "InvalidPartition", "sets are not in lexicographic order"
             )
@@ -111,8 +110,7 @@ def partition_solves(inst: ThreePartitionInstance, partition: Partition) -> bool
     )
 
 
-@dataclass(frozen=True)
-class ReductionMeta:
+class ReductionMeta(Record):
     """Index bookkeeping tying a generated instance back to its source.
 
     Field names mirror the meta file schema: ``v0_node`` is the tree hub,
@@ -121,45 +119,40 @@ class ReductionMeta:
     ``group_points[g]`` the g-th block of collinear points, left to right.
     """
 
-    B: int
-    n: int
-    v0_node: int
-    path_nodes: tuple[tuple[int, ...], ...]
-    group_points: tuple[tuple[int, ...], ...]
-    p0_point: int
+    _fields = ("B", "n", "v0_node", "path_nodes", "group_points", "p0_point")
 
-    def __post_init__(self):
-        object.__setattr__(self, "path_nodes", tuple(map(tuple, self.path_nodes)))
-        object.__setattr__(self, "group_points", tuple(map(tuple, self.group_points)))
-        exact_ints((self.B, self.n), "InvalidMeta", "B or n")
-        if self.B < 1 or self.n < 1:
+    def __init__(self, B: int, n: int, v0_node: int, path_nodes, group_points, p0_point: int):
+        path_nodes = tuple(map(tuple, path_nodes))
+        group_points = tuple(map(tuple, group_points))
+        _set(self, "B", B)
+        _set(self, "n", n)
+        _set(self, "v0_node", v0_node)
+        _set(self, "path_nodes", path_nodes)
+        _set(self, "group_points", group_points)
+        _set(self, "p0_point", p0_point)
+        exact_ints((B, n), "InvalidMeta", "B or n")
+        if B < 1 or n < 1:
             raise ValidationError("InvalidMeta", "B and n must be positive")
-        total = self.n * self.B + 1
-        if len(self.path_nodes) != 3 * self.n:
+        total = n * B + 1
+        if len(path_nodes) != 3 * n:
             raise ValidationError(
-                "InvalidMeta", f"expected {3 * self.n} paths, got {len(self.path_nodes)}"
+                "InvalidMeta", f"expected {3 * n} paths, got {len(path_nodes)}"
             )
-        covered = [self.v0_node]
-        for path in self.path_nodes:
-            if not path:
-                raise ValidationError("InvalidMeta", "empty path")
-            covered.extend(path)
-        exact_ints(covered, "InvalidMeta", "node index")
+        if not all(path_nodes):
+            raise ValidationError("InvalidMeta", "empty path")
+        covered = exact_ints(chain((v0_node,), *path_nodes), "InvalidMeta", "node index")
         # Lengths first, so an oversized n*B is rejected without allocating.
         if len(covered) != total or sorted(covered) != list(range(total)):
             raise ValidationError(
                 "InvalidMeta", "hub and paths do not partition the node range"
             )
-        if len(self.group_points) != self.n or any(
-            len(g) != self.B for g in self.group_points
-        ):
+        if len(group_points) != n or not {B}.issuperset(map(len, group_points)):
             raise ValidationError(
-                "InvalidMeta", f"expected {self.n} groups of exactly {self.B} points"
+                "InvalidMeta", f"expected {n} groups of exactly {B} points"
             )
-        covered_pts = [self.p0_point]
-        for group in self.group_points:
-            covered_pts.extend(group)
-        exact_ints(covered_pts, "InvalidMeta", "point index")
+        covered_pts = exact_ints(
+            chain((p0_point,), *group_points), "InvalidMeta", "point index"
+        )
         if len(covered_pts) != total or sorted(covered_pts) != list(range(total)):
             raise ValidationError(
                 "InvalidMeta", "p0 and groups do not partition the point range"

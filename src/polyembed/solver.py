@@ -53,13 +53,14 @@ import functools
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from itertools import count, product
 
 from .errors import ValidationError
 from .geometry import (
     DISJOINT,
+    Record,
+    _set,
     boxed,
     cross,
     direction_key,
@@ -78,8 +79,7 @@ class _Expired(Exception):
     """
 
 
-@dataclass(frozen=True)
-class VisibilityGraph:
+class VisibilityGraph(Record):
     """Visibility among points, kept as their clean sightlines.
 
     ``clean[i]`` lists, ascending, the points i sees with no third point of
@@ -89,8 +89,11 @@ class VisibilityGraph:
     on first read. The solver reads neither.
     """
 
-    clean: tuple[tuple[int, ...], ...]
-    points: PointSet
+    _fields = ("clean", "points")
+
+    def __init__(self, clean: tuple[tuple[int, ...], ...], points: PointSet):
+        _set(self, "clean", clean)
+        _set(self, "points", points)
 
     @functools.cached_property
     def runs(self) -> tuple[tuple[int, ...], ...]:
@@ -190,14 +193,16 @@ class SolveStatus(Enum):
     TIMED_OUT = "timed_out"
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(Record):
     """A decision's status, the embedding if EMBEDDED, and ``elapsed_ms``,
     set only on TIMED_OUT."""
 
-    status: SolveStatus
-    embedding: Embedding | None = None
-    elapsed_ms: int | None = None
+    _fields = ("status", "embedding", "elapsed_ms")
+
+    def __init__(self, status: SolveStatus, embedding=None, elapsed_ms=None):
+        _set(self, "status", status)
+        _set(self, "embedding", embedding)
+        _set(self, "elapsed_ms", elapsed_ms)
 
 
 def _rooted(tree: FreeTree, root: int):

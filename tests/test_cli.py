@@ -356,26 +356,45 @@ class TestSharedParser:
         assert after_each[1:] == [after_each[0]] * 9
 
 
-def test_package_import_stays_light():
-    # Every library user and every CLI call pays for `import polyembed`:
-    # the CLI, argparse and fractions load only when something needs them.
+def _fresh_interpreter(code: str, *args: str) -> str:
+    """What ``code`` prints in a new interpreter that imports this checkout."""
     paths = [str(Path(polyembed.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    heavy = "{'polyembed.cli', 'argparse', 'fractions'}"
-    code = f"import sys, polyembed; print(sorted({heavy} & set(sys.modules)))"
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout == "[]\n"
+    return out.stdout
+
+
+def test_package_import_stays_light():
+    # Every library user and every CLI call pays for `import polyembed`:
+    # the CLI, argparse and fractions load only when something needs them,
+    # and the records are plain classes, so dataclasses and inspect never do.
+    cases = [
+        ("polyembed", {"polyembed.cli", "argparse", "fractions", "dataclasses", "inspect"}),
+        ("polyembed.cli", {"fractions", "dataclasses", "inspect"}),
+    ]
+    for module, heavy in cases:
+        code = f"import sys, {module}; print(sorted({heavy} & set(sys.modules)))"
+        assert _fresh_interpreter(code) == "[]\n", module
+
+
+def test_package_import_loads_every_submodule():
+    # No lazy loading: `import polyembed` pays for the whole library at once.
+    code = (
+        "import sys, polyembed\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('polyembed.')))\n"
+    )
+    stems = {p.stem for p in Path(polyembed.__file__).parent.glob("*.py")} - {"__init__", "cli"}
+    assert _fresh_interpreter(code).split() == sorted(f"polyembed.{s}" for s in stems)
 
 
 def test_valid_pipeline_never_loads_fractions(tmp_path):
     # A valid embedding gives the verifier's sweep no crossing to queue, so
     # gen, solve and verify of a feasible reduction never import fractions.
-    paths = [str(Path(polyembed.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     inst, meta, emb = (str(tmp_path / name) for name in ("inst.json", "meta.json", "emb.json"))
     a = ",".join(["6,6,10,7,7,8"] * 5)  # 221 points
     calls = [
@@ -389,11 +408,5 @@ def test_valid_pipeline_never_loads_fractions(tmp_path):
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
         "print(codes, 'fractions' in sys.modules)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(calls)],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.splitlines()[-1] == "[0, 0, 0] False"
+    out = _fresh_interpreter(code, json.dumps(calls))
+    assert out.splitlines()[-1] == "[0, 0, 0] False"

@@ -5,9 +5,17 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from polyembed import geometry
+from polyembed import geometry, model
 from polyembed.errors import ParseError, ValidationError
-from polyembed.geometry import Point, SimplePolygon, signed_area2
+from polyembed.geometry import (
+    Point,
+    Record,
+    Segment,
+    SegmentRelation,
+    SegmentRelationKind,
+    SimplePolygon,
+    signed_area2,
+)
 from polyembed.model import (
     Embedding,
     EmbeddingInstance,
@@ -29,12 +37,15 @@ from polyembed.model import (
     validate_instance,
 )
 from polyembed.reduction import (
+    Partition,
+    ReductionMeta,
+    ThreePartitionInstance,
     build_instance,
     deserialize_meta,
     deserialize_partition,
     validate_3p,
 )
-from polyembed.solver import decide_embedding
+from polyembed.solver import SolveOutcome, SolveStatus, VisibilityGraph, decide_embedding
 
 
 class TestFreeTree:
@@ -514,3 +525,124 @@ class TestEmbeddingInstance:
             calls.clear()
             EmbeddingInstance(tree, pts, SimplePolygon(square))
             assert calls == [4], square
+
+
+# ---------------------------------------------------------------------------
+# The record contract, shared by every model type
+
+
+def _record_cases():
+    """(class, positional args, defaulted trailing fields) for every record.
+
+    Each case is valid, and its defaulted fields take their default values,
+    so omitting them builds an equal record.
+    """
+    tri = SimplePolygon((Point(0, 0), Point(10, 0), Point(0, 10)))
+    pts = PointSet((Point(1, 1), Point(2, 1)))
+    tree = FreeTree(2, ((0, 1),))
+    _, meta = build_instance(validate_3p(7, [2, 2, 3]))
+    return [
+        (Point, (1, 2), 0),
+        (Segment, (Point(0, 0), Point(1, 2)), 0),
+        (SegmentRelation, (SegmentRelationKind.DISJOINT, None), 1),
+        (SimplePolygon, (tri.vertices,), 0),
+        (FreeTree, (3, ((0, 1), (1, 2))), 0),
+        (PointSet, (pts.points,), 0),
+        (Embedding, ((1, 0),), 0),
+        (EmbeddingInstance, (tree, pts, tri), 0),
+        (Violation, ("EdgeCrossesEdge", (), ()), 2),
+        (VerificationReport, (True, ()), 1),
+        (ThreePartitionInstance, (7, (2, 2, 3)), 0),
+        (Partition, (((0, 1, 2),),), 0),
+        (ReductionMeta, tuple(getattr(meta, f) for f in ReductionMeta._fields), 0),
+        (VisibilityGraph, (((1,), (0,)), pts), 0),
+        (SolveOutcome, (SolveStatus.INFEASIBLE, None, None), 2),
+    ]
+
+
+RECORD_CASES = _record_cases()
+
+
+def test_record_cases_cover_every_record_class():
+    from polyembed import reduction, solver
+
+    found = {
+        cls
+        for module in (geometry, model, reduction, solver)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record
+    }
+    assert found == {cls for cls, _, _ in RECORD_CASES}
+    assert len(found) == 15
+
+
+@pytest.mark.parametrize(
+    "cls, args, defaults", RECORD_CASES, ids=[cls.__name__ for cls, _, _ in RECORD_CASES]
+)
+def test_record_contract(cls, args, defaults):
+    record = cls(*args)
+    fields = cls._fields
+    values = tuple(getattr(record, f) for f in fields)
+    # Keyword and positional construction agree, and defaults fill the tail.
+    assert cls(**dict(zip(fields, args))) == record
+    assert cls(*args[: len(args) - defaults]) == record
+    # Equal by value, hashed alike, never equal to a plain tuple.
+    twin = cls(*args)
+    assert twin is not record and twin == record and not twin != record
+    assert hash(twin) == hash(record) and len({twin, record}) == 1
+    assert record != values and values != record
+    assert record != (values[0] if len(values) == 1 else None)  # nor its one field
+    # Frozen: no field or new attribute can be set or deleted.
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, f) for f in fields) == values
+    expect = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+    assert repr(record) == f"{cls.__name__}({expect})"
+
+
+def test_record_reprs():
+    assert repr(Point(1, 2)) == "Point(x=1, y=2)"
+    assert repr(Embedding((1, 0))) == "Embedding(mapping=(1, 0))"
+    assert repr(Violation("EdgeCrossesEdge", (0, 1))) == (
+        "Violation(kind='EdgeCrossesEdge', edges=(0, 1), points=())"
+    )
+    assert repr(SolveOutcome(SolveStatus.TIMED_OUT, elapsed_ms=5)) == (
+        "SolveOutcome(status=<SolveStatus.TIMED_OUT: 'timed_out'>, embedding=None, elapsed_ms=5)"
+    )
+    with pytest.raises(ValidationError) as err:
+        PointSet((Point(3, 4), Point(1, 2), Point(3, 4)))
+    assert str(err.value) == "DuplicatePoint: points 0 and 2 coincide at Point(x=3, y=4)"
+
+
+def test_records_of_different_classes_differ():
+    assert PointSet(()) != Embedding(())
+    assert Embedding((0, 1, 2)) != Partition(((0, 1, 2),))
+    assert Violation("NotBijection") != VerificationReport(True)
+
+
+def test_point_order_is_by_x_then_y():
+    a, b, c = Point(0, 5), Point(1, 0), Point(1, 2)
+    assert a < b < c and c > b > a
+    assert a <= a and a >= a and not a < a and not a > a
+    assert sorted([c, a, b]) == [a, b, c] and max([a, c, b]) == c
+    with pytest.raises(TypeError):
+        a < (0, 6)
+    with pytest.raises(TypeError):
+        Segment(a, b) < Segment(a, c)
+
+
+def test_cached_properties_stay_on_the_instance():
+    tree = FreeTree(3, ((0, 1), (1, 2)))
+    assert tree.adjacency is tree.adjacency
+    assert vars(tree)["adjacency"] == ((1,), (0, 2), (1,))
+    polygon = SimplePolygon((Point(0, 0), Point(10, 0), Point(0, 10)))
+    assert polygon.edge_boxes is polygon.edge_boxes and "edge_boxes" in vars(polygon)
+    graph = VisibilityGraph(((1,), (0,)), PointSet((Point(1, 1), Point(2, 1))))
+    assert graph.runs is graph.runs and graph.matrix is graph.matrix
+    assert graph.runs == ((0, 1),)
+    # A cached value is not a field: equality and hashing ignore it.
+    assert tree == FreeTree(3, ((0, 1), (1, 2)))

@@ -10,10 +10,10 @@ import itertools
 import json
 import random
 
-from polyembed.geometry import plane_contacts
-from polyembed.model import VIOLATION_KINDS, Embedding, serialize_report
+from polyembed.geometry import Point, plane_contacts
+from polyembed.model import VIOLATION_KINDS, Embedding, PointSet, serialize_report
 from polyembed.reduction import build_instance, build_points, build_polygon, validate_3p
-from polyembed.solver import build_visibility_graph, decide_embedding
+from polyembed.solver import build_visibility_graph, check_general_position, decide_embedding
 from polyembed.verifier import verify_embedding
 from test_acceptance import enumerate_3p_sweep
 from test_geometry import fan_over_row, random_labelled_segments
@@ -24,6 +24,7 @@ SOLVER_DIGEST = "989cd51d368490842df1233906c541a126fab65adb03335c1b89aecd24b8b89
 VERIFIER_DIGEST = "0fdaef420c23cae868d891c674b127c8e7dfbe6921a055b525a32704ddf51bdb"
 VISIBILITY_DIGEST = "a0210acf35a0fd1b711cd949545c5d8dc7cf85a9d55bc2890cf3a8c30f4a8dac"
 SWEEP_DIGEST = "736a1c3097ec2bf77013b7c3adc153413069870d3d02c7b3e670c2f9d1a8307f"
+GENERAL_POSITION_DIGEST = "09d9176a9645346c6dff036d2d3b546dceb3792db1e888d44db715a09f6661b7"
 
 # Reductions beyond the sweep, solved with the default root.
 LARGER_REDUCTIONS = [
@@ -193,3 +194,40 @@ def test_sweep_parity_digest():
     assert records[-4][1] == []  # the identity embedding is valid
     assert all(r[1] for r in records[-3:])
     assert _digest(records) == SWEEP_DIGEST
+
+
+def general_position_corpus():
+    """(label, points) for every case of the general-position family.
+
+    600 seeded lattice sets of 3 to 40 distinct points in grids from 4x4 to
+    60x60 and 60 of 41 to 200 points in grids up to 200x200, about four in
+    five with a collinear triple; then, for 18 primes p from 7 to 199,
+    Erdős's points (x, x² mod p), no three of them collinear, with a
+    seeded offset, and again with a seeded lattice point added, which may
+    make collinear triples.
+    """
+    rng = random.Random(43)
+    for case in range(660):
+        if case < 600:
+            w, h, n = rng.randint(4, 60), rng.randint(4, 60), rng.randint(3, 40)
+        else:
+            w, h, n = rng.randint(20, 200), rng.randint(20, 200), rng.randint(41, 200)
+        chosen = rng.sample(range(w * h), min(n, w * h))
+        yield ("lattice", case), [(c % w, c // w) for c in chosen]
+    for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 101, 127, 199):
+        dx, dy = rng.randrange(-50, 50), rng.randrange(-50, 50)
+        pts = [(x + dx, x * x % p + dy) for x in range(p)]
+        yield ("parabola", p), pts
+        extra = (rng.randrange(p) + dx, rng.randrange(p) + dy)
+        if extra not in pts:
+            yield ("parabola+1", p), [*pts[: p // 2], extra, *pts[p // 2 :]]
+
+
+def test_general_position_parity_digest():
+    records = []
+    for label, pts in general_position_corpus():
+        triple = check_general_position(PointSet(Point(x, y) for x, y in pts))
+        records.append([label, None if triple is None else list(triple)])
+    assert len(records) == 696
+    assert sum(r[1] is None for r in records) == 133
+    assert _digest(records) == GENERAL_POSITION_DIGEST

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -67,8 +66,17 @@ class TestValidate3p:
 
 
 def _meta(**fields):
+    # The generated meta with ``fields`` replaced, built by its constructor.
     _, meta = build_instance(validate_3p(7, [2, 2, 3]))
-    return dataclasses.replace(meta, **fields)
+    kept = {
+        "B": meta.B,
+        "n": meta.n,
+        "v0_node": meta.v0_node,
+        "path_nodes": meta.path_nodes,
+        "group_points": meta.group_points,
+        "p0_point": meta.p0_point,
+    }
+    return ReductionMeta(**{**kept, **fields})
 
 
 @pytest.mark.parametrize(
@@ -265,8 +273,11 @@ class TestBruteForce3p:
         part = brute_force_3p(validate_3p(10, [3, 3, 4, 3, 3, 4]))
         assert part == Partition(((0, 1, 2), (3, 4, 5)))
 
-    def test_search_needs_reordering(self):
-        # greedy-first triple (0,1,2) sums wrong, forcing real search
+    def test_finds_lexicographically_first_partition(self):
+        # The first leader's first triple, (0, 1, 2), sums to 9, not 10, so
+        # the search skips it and takes (0, 1, 3); (2, 4, 5) then fits at
+        # once. No triple is undone (test_search_backtracks covers that):
+        # this checks that the first partition found is the least one.
         inst = validate_3p(10, [3, 3, 3, 4, 3, 4])
         part = brute_force_3p(inst)
         assert part is not None
