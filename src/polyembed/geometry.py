@@ -24,14 +24,14 @@ coefficients made once per segment, and new neighbours go to
 :func:`segment_relation` only if neither lies strictly on one side of the
 other's line. The verifier builds its whole report from it, and a polygon
 is simple iff its vertices are distinct and its edges give it no contact.
-:func:`locate_points` is the one point-location pass: one pass over the
-edges per distinct y among the points, so a row of collinear points costs
-one pass; :func:`point_in_polygon` is its one-point call, and an instance
-locates all its points in one call when it is built. :func:`boxed` is the
-one segment record and :meth:`SimplePolygon.blocks` the one
-segment-versus-boundary test; it takes a plain segment, makes its own box,
-and hands :func:`segment_relation` only the edges that meet that box and
-do not lie strictly on one side of the segment's line. Public predicates
+:func:`_locate` is the one point-location pass, on flat coordinates: one
+pass over the edges per distinct y among the points; :func:`locate_points`
+is its form for :class:`Point` records, :func:`point_in_polygon` its
+one-point call, and an instance locates all its points in one call.
+:func:`boxed` is the one segment record and :meth:`SimplePolygon.blocks`
+the one segment-versus-boundary test; it takes a plain segment, makes its
+own box, and hands :func:`segment_relation` only the edges that meet that
+box and do not lie strictly on one side of the segment's line. Public predicates
 validate their polygon; loops over an already-validated instance call
 these flat forms, which check nothing again. The solver's visibility pass
 tests each segment between neighbours on a line once, and the clear ones
@@ -45,7 +45,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from enum import Enum
-from itertools import chain
+from itertools import chain, groupby, repeat
 from operator import attrgetter, eq
 
 from .errors import ValidationError
@@ -78,10 +78,11 @@ class Record:
     sets them in ``__init__`` with ``object.__setattr__``, then checks them;
     assignment and deletion raise ``AttributeError``. Records of one class
     are equal iff their fields are, compared and hashed through ``_key``,
-    the ``operator.attrgetter`` of ``_fields``."""
+    the ``operator.attrgetter`` of ``_fields`` unless the class sets its own."""
 
     def __init_subclass__(cls):
-        cls._key = attrgetter(*cls._fields)
+        if "_key" not in vars(cls):
+            cls._key = attrgetter(*cls._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -514,25 +515,30 @@ class PointLocation(Enum):
 
 
 def locate_points(points: Sequence[Point], polygon: SimplePolygon) -> list[PointLocation]:
-    """Exact location of each point relative to a simple polygon, in order.
-
-    The points are grouped by y, and each row makes one pass over the
-    edges. A horizontal edge on the row is an interval of boundary; every
-    other edge that meets the row does so at one x, kept as an exact key:
-    2x when x is an integer, 2⌊x⌋ + 1 otherwise. An edge with its lower end
-    on or below the row and its upper end above it (the half-open rule)
-    crosses the rightward ray of every point left of its key, so a point
-    off the boundary is inside iff an odd number of keys lie right of it.
-    Each point is then placed by bisection, so a row of m points costs one
-    pass and m lookups.
-    """
+    """Exact location of each point relative to a simple polygon, in order."""
     ensure_simple(polygon)
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for i, p in enumerate(points):
-        rows.setdefault(p.y, []).append((i, p.x))
-    out = [PointLocation.OUTSIDE] * len(points)
-    for py, row in rows.items():
-        crossings: list[int] = []
+    return _locate([p.x for p in points], [p.y for p in points], polygon)
+
+
+def _locate(xs: Sequence[int], ys: Sequence[int], polygon: SimplePolygon) -> list[PointLocation]:
+    """The location of each point (xs[i], ys[i]) relative to a polygon
+    already checked simple.
+
+    One sort groups the points into rows of one y, and each row makes one
+    pass over the edges. A horizontal edge on the row is an interval of
+    boundary; every other edge that meets the row does so at one x. An edge
+    with its lower end on or below the row and its upper end above it (the
+    half-open rule) crosses the rightward ray of every point left of x, so
+    with keys ⌈x⌉ a point off the boundary is inside iff an odd number of
+    keys lie right of it. A row with no horizontal edge and no integer x at
+    one of its points is decided by one C-level pass of bisects; any other
+    row, and one with a point not strictly inside, is placed point by point.
+    """
+    out = [PointLocation.INSIDE] * len(xs)
+    for py, row in groupby(sorted(range(len(ys)), key=ys.__getitem__), ys.__getitem__):
+        row = list(row)
+        row_xs = list(map(xs.__getitem__, row))
+        keys: list[int] = []
         on_row: set[int] = set()  # integer x where a non-horizontal edge meets the row
         flats: list[tuple[int, int]] = []  # horizontal edges on the row
         for ax, ay, bx, by, minx, maxx, miny, maxy in polygon.edge_boxes:
@@ -547,19 +553,22 @@ def locate_points(points: Sequence[Point], polygon: SimplePolygon) -> list[Point
             if r == 0:
                 on_row.add(q)
             if (ay > py) != (by > py):
-                crossings.append(2 * q + (r != 0))
-        crossings.sort()
+                keys.append(q + (r != 0))
+        keys.sort()
+        if not flats and on_row.isdisjoint(row_xs):
+            if all((len(keys) - t) % 2 for t in set(map(bisect_right, repeat(keys), row_xs))):
+                continue
         # Edges of a simple polygon do not overlap, so sorted flats are
         # disjoint but for shared ends; the last one starting at or left of
         # x is the only one that can hold it.
         flats.sort()
         starts = [flat[0] for flat in flats]
-        for i, px in row:
+        for i, px in zip(row, row_xs):
             t = bisect_right(starts, px) - 1
             if px in on_row or (t >= 0 and flats[t][1] >= px):
                 out[i] = PointLocation.ON_BOUNDARY
-            elif (len(crossings) - bisect_right(crossings, 2 * px)) % 2:
-                out[i] = PointLocation.INSIDE
+            elif not (len(keys) - bisect_right(keys, px)) % 2:
+                out[i] = PointLocation.OUTSIDE
     return out
 
 

@@ -1,10 +1,12 @@
 """Core problem types and their canonical, integers-only text format.
 
 Free trees, point sets, embedding instances (tree + points + bounding
-polygon), node-to-point embeddings, and verification reports. Serialization
-is JSON restricted to integers, booleans, and nested arrays/objects; equal
-values always serialize to identical bytes (sorted keys, compact separators,
-one trailing newline), which keeps files diffable and round-trips exact.
+polygon), node-to-point embeddings, and verification reports; a point set
+makes its ``Point`` records on first read, so parsing makes none.
+Serialization is JSON restricted to integers, booleans, and nested
+arrays/objects; equal values always serialize to identical bytes (sorted
+keys, compact separators, one trailing newline), which keeps files diffable
+and round-trips exact.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 from itertools import chain, starmap
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import ParseError, ValidationError
 from .geometry import (
@@ -21,9 +23,9 @@ from .geometry import (
     PointLocation,
     Record,
     SimplePolygon,
+    _locate,
     _set,
     exact_ints,
-    locate_points,
     normalize_ccw,
 )
 
@@ -105,8 +107,11 @@ def _index_rows(value, path: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_indices(row, f"{path}[{i}]") for i, row in enumerate(rows))
 
 
-def _pairs(value, path: str, check, shape: str, lo: int) -> list[tuple[int, int]]:
-    """An array of ``shape`` pairs, each element read by ``check``.
+def _pairs(
+    value, path: str, check=_coordinate, shape: str = "[x, y]", lo: int = -COORD_LIMIT
+) -> list[tuple[int, int]]:
+    """An array of ``shape`` pairs, each element read by ``check``: by
+    default, ``[x, y]`` coordinate pairs.
 
     A pair of two plain ints in ``[lo, COORD_LIMIT]``, which ``check``
     accepts as they are, is taken at once. Any other pair is read again by
@@ -133,10 +138,6 @@ def _pairs(value, path: str, check, shape: str, lo: int) -> list[tuple[int, int]
     return pairs
 
 
-def _points(value, path: str) -> tuple[Point, ...]:
-    return tuple(starmap(Point, _pairs(value, path, _coordinate, "[x, y]", -COORD_LIMIT)))
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 
@@ -155,23 +156,24 @@ class FreeTree(Record):
         n = exact_ints((node_count,), "NonIntegerNode", "node count")[0]
         edges = tuple(map(tuple, edges))
         _set(self, "edges", edges)
-        exact_ints(chain.from_iterable(edges), "NonIntegerNode", "tree node")
+        nodes = exact_ints(chain.from_iterable(edges), "NonIntegerNode", "tree node")
         if n < 1:
             raise ValidationError("EmptyTree", "a tree needs at least one node")
-        # Union-find over the nodes the edges touch; a dict keeps its size
-        # bounded by the edge list rather than by the declared node count.
-        # Only an edge within one component is looked at again, to name why.
-        parent: dict[int, int] = {}
+        # Union-find with path halving: over a list for n - 1 edges, else over
+        # a dict of the nodes the edges touch, bounded by the edge list rather
+        # than by the declared count. Only an edge that closes a cycle is
+        # looked at again, to name why.
+        parent = list(range(n)) if len(edges) == n - 1 else dict(zip(nodes, nodes))
         for i, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(
                     "NodeIndexOutOfRange", f"edge ({u}, {v}) leaves [0, {n})"
                 )
             ru, rv = u, v
-            while ru in parent:
-                parent[ru] = ru = parent.get(parent[ru], parent[ru])
-            while rv in parent:
-                parent[rv] = rv = parent.get(parent[rv], parent[rv])
+            while parent[ru] != ru:
+                parent[ru] = ru = parent[parent[ru]]
+            while parent[rv] != rv:
+                parent[rv] = rv = parent[parent[rv]]
             if ru == rv:
                 if u == v:
                     raise ValidationError("TreeHasCycle", f"self-loop at node {u}")
@@ -201,27 +203,46 @@ class FreeTree(Record):
 
 
 class PointSet(Record):
+    """Distinct points, stored as two int tuples ``xs`` and ``ys`` and compared
+    by them; the :class:`Point` records of ``points`` are made on first read."""
+
     _fields = ("points",)
+    _key = attrgetter("xs", "ys")
 
     def __init__(self, points):
         points = tuple(points)
         _set(self, "points", points)
-        xy = list(map(Point._key, points))
-        if {int}.issuperset(map(type, chain.from_iterable(xy))) and len(set(xy)) == len(xy):
+        self._check(tuple(map(attrgetter("x"), points)), tuple(map(attrgetter("y"), points)))
+
+    @classmethod
+    def _from_xy(cls, xs=(), ys=()) -> "PointSet":
+        """The points (xs[i], ys[i]), checked, with no ``Point`` made yet."""
+        self = cls.__new__(cls)
+        self._check(tuple(xs), tuple(ys))
+        return self
+
+    def _check(self, xs: tuple, ys: tuple) -> None:
+        _set(self, "xs", xs)
+        _set(self, "ys", ys)
+        if {int}.issuperset(map(type, chain(xs, ys))) and len(set(zip(xs, ys))) == len(xs):
             return
         seen: dict[tuple[int, int], int] = {}
-        for i, p in enumerate(points):  # only to name the first offender
-            key = x, y = p.x, p.y
+        for i, key in enumerate(zip(xs, ys)):  # only to name the first offender
+            x, y = key
             if type(x) is not int or type(y) is not int:  # else exact_ints passes
                 exact_ints(key, "NonIntegerCoordinate", f"point {i} coordinate")
             if key in seen:
                 raise ValidationError(
-                    "DuplicatePoint", f"points {seen[key]} and {i} coincide at {p}"
+                    "DuplicatePoint", f"points {seen[key]} and {i} coincide at {Point(x, y)}"
                 )
             seen[key] = i
 
+    @functools.cached_property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(map(Point, self.xs, self.ys))
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
     def __iter__(self):
         return iter(self.points)
@@ -272,15 +293,13 @@ class EmbeddingInstance(Record):
         polygon = normalize_ccw(polygon)
         _set(self, "polygon", polygon)
         check_node_count(tree.node_count, len(points))
-        where = locate_points(points.points, polygon)
-        if where.count(PointLocation.INSIDE) == len(where):
-            return
-        for i, (p, at) in enumerate(zip(points, where)):  # only to name the first offender
-            if at is not PointLocation.INSIDE:
-                raise ValidationError(
-                    "PointOnOrOutsideBoundary",
-                    f"point {i} at {p} is not strictly inside the polygon",
-                )
+        where = _locate(points.xs, points.ys, polygon)
+        if where.count(PointLocation.INSIDE) != len(where):
+            i = next(i for i, at in enumerate(where) if at is not PointLocation.INSIDE)
+            raise ValidationError(
+                "PointOnOrOutsideBoundary",
+                f"point {i} at {points[i]} is not strictly inside the polygon",
+            )
 
 
 KIND_NOT_BIJECTION = "NotBijection"
@@ -333,13 +352,17 @@ class VerificationReport(Record):
 
     @classmethod
     def from_violations(cls, violations) -> "VerificationReport":
-        # Canonical order regardless of how checks were scheduled: sort_key's,
-        # by stable sorts on its fields, last first. A key of one field is
-        # the field itself, so no key tuple is built.
-        ordered = list(set(violations))
-        for name in ("points", "edges", "kind"):
-            ordered.sort(key=attrgetter(name))
-        return cls(valid=not ordered, violations=ordered)
+        return cls._from_tuples(set(map(Violation._key, violations)))
+
+    @classmethod
+    def _from_tuples(cls, found) -> "VerificationReport":
+        """The report of distinct ``(kind, edges, points)`` tuples in their own
+        order, sort_key's, by stable sorts on one field each, last first: a
+        key of ints or of a str compares faster than a tuple of tuples."""
+        ordered = list(found)
+        for field in (2, 1, 0):
+            ordered.sort(key=itemgetter(field))
+        return cls(not ordered, starmap(Violation, ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +383,10 @@ def validate_instance(raw) -> EmbeddingInstance:
     points exactly.
     """
     obj = _expect_object(raw, "instance", {"polygon", "points", "tree_edges"})
-    vertices, pts = _points(obj["polygon"], "polygon"), _points(obj["points"], "points")
+    vertices, pairs = _pairs(obj["polygon"], "polygon"), _pairs(obj["points"], "points")
     edges = _pairs(obj["tree_edges"], "tree_edges", _index, "[u, v]", 0)
-    polygon, points = SimplePolygon(vertices), PointSet(pts)
-    check_node_count(max(map(max, edges), default=0) + 1, len(points))
+    polygon, points = SimplePolygon(starmap(Point, vertices)), PointSet._from_xy(*zip(*pairs))
+    check_node_count(max(chain.from_iterable(edges), default=0) + 1, len(points))
     return make_instance(FreeTree(len(points), edges), points, polygon)
 
 
@@ -373,9 +396,9 @@ def validate_instance(raw) -> EmbeddingInstance:
 def serialize_instance(inst: EmbeddingInstance) -> str:
     return dumps_canonical(
         {
-            "polygon": [[p.x, p.y] for p in inst.polygon.vertices],
-            "points": [[p.x, p.y] for p in inst.points],
-            "tree_edges": [[u, v] for u, v in inst.tree.edges],
+            "polygon": list(map(Point._key, inst.polygon.vertices)),
+            "points": list(zip(inst.points.xs, inst.points.ys)),
+            "tree_edges": inst.tree.edges,
         }
     )
 
@@ -394,18 +417,16 @@ def deserialize_embedding(text: str) -> Embedding:
 
 
 def serialize_point_set(points: PointSet) -> str:
-    return dumps_canonical({"points": [[p.x, p.y] for p in points]})
+    return dumps_canonical({"points": list(zip(points.xs, points.ys))})
 
 
 def deserialize_point_set(text: str) -> PointSet:
     obj = _expect_object(loads_strict(text), "points", {"points"})
-    return PointSet(_points(obj["points"], "points"))
+    return PointSet._from_xy(*zip(*_pairs(obj["points"], "points")))
 
 
 def serialize_tree(tree: FreeTree) -> str:
-    return dumps_canonical(
-        {"node_count": tree.node_count, "tree_edges": [[u, v] for u, v in tree.edges]}
-    )
+    return dumps_canonical({"node_count": tree.node_count, "tree_edges": tree.edges})
 
 
 def deserialize_tree(text: str) -> FreeTree:

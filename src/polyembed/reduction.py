@@ -8,7 +8,7 @@ provides a small exhaustive 3-partition oracle for cross-checking.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import ValidationError
 from .geometry import COORD_LIMIT, Point, Record, SimplePolygon, _set, exact_ints
@@ -225,14 +225,10 @@ def build_points(n: int, B: int) -> tuple[PointSet, tuple[tuple[int, ...], ...]]
         raise ValidationError(
             "CoordinateOutOfRange", f"n*(B+2)={n * (B + 2)} exceeds the coordinate bound"
         )
-    pts: list[Point] = [Point(1, n * (B + 2) - 2)]
-    groups: list[tuple[int, ...]] = []
-    for i in range(1, n + 1):
-        base = (i - 1) * (B + 2)
-        start = len(pts)
-        pts.extend(Point(base + j, 1) for j in range(1, B + 1))
-        groups.append(tuple(range(start, start + B)))
-    return PointSet(tuple(pts)), tuple(groups)
+    xs = chain((1,), *(range(i * (B + 2) + 1, i * (B + 2) + B + 1) for i in range(n)))
+    ys = chain((n * (B + 2) - 2,), repeat(1, n * B))
+    groups = tuple(tuple(range(1 + i * B, 1 + (i + 1) * B)) for i in range(n))
+    return PointSet._from_xy(xs, ys), groups
 
 
 def build_instance(inst: ThreePartitionInstance) -> tuple[EmbeddingInstance, ReductionMeta]:

@@ -104,7 +104,7 @@ class VisibilityGraph(Record):
         on one line. Runs are listed by their first point's index, then by
         their second's.
         """
-        xs, ys, gcd = [p.x for p in self.points], [p.y for p in self.points], math.gcd
+        xs, ys, gcd = self.points.xs, self.points.ys, math.gcd
         ahead: dict[tuple[int, tuple[int, int]], int] = {}  # (point, line) -> next on it
         for i, row in enumerate(self.clean):
             for j in row:
@@ -159,7 +159,7 @@ def build_visibility_graph(
     points, polygon = instance.points, instance.polygon
     n = len(points)
     # The instance validated the polygon, so the loop calls its flat test.
-    xs, ys, blocks, gcd = [p.x for p in points], [p.y for p in points], polygon.blocks, math.gcd
+    xs, ys, blocks, gcd = points.xs, points.ys, polygon.blocks, math.gcd
     clock = time.perf_counter
     clean: list[list[int]] = [[] for _ in range(n)]
     order = sorted(range(n), key=lambda k: (ys[k], xs[k]))
@@ -356,8 +356,7 @@ def decide_embedding(
 
     try:
         graph = build_visibility_graph(instance, deadline=deadline)
-        xs, ys = [p.x for p in points], [p.y for p in points]
-        mapping = _search(tree, root_node, xs, ys, graph.clean, deadline)
+        mapping = _search(tree, root_node, points.xs, points.ys, graph.clean, deadline)
     except _Expired:
         elapsed_ms = int((time.perf_counter() - start) * 1000)
         return SolveOutcome(SolveStatus.TIMED_OUT, elapsed_ms=elapsed_ms)

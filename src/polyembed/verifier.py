@@ -11,10 +11,11 @@ instance's points are distinct and strictly inside its polygon, so two of
 these segments may share an end only at a shared mapped point or polygon
 vertex, and a valid embedding gives no contact. Every contact the sweep
 yields is turned into violations where it happens, collected as plain
-``(kind, edges, points)`` tuples in one set, and each distinct one becomes a
-:class:`Violation` once. The report lists them all, in a canonical order,
-instead of stopping at the first, so callers can assert on specific failure
-kinds. All of it is exact integer and rational arithmetic.
+``(kind, edges, points)`` tuples in one set. The tuples are sorted into a
+canonical order, and each becomes a :class:`Violation` once, in that order.
+The report lists them all instead of stopping at the first, so callers can
+assert on specific failure kinds. All of it is exact integer and rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _verify(tree, points, embedding, polygon) -> VerificationReport:
     # Every point is an edge's endpoint (or the tree is one node), so the
     # embedding is valid iff its edges, each with its two point indices for
     # the report, and the boundary edges meet only at shared ends.
-    xs, ys = [p.x for p in points], [p.y for p in points]
+    xs, ys = points.xs, points.ys
     segments = [
         (xs[a], ys[a], xs[b], ys[b], a, b)
         for a, b in ((mapping[u], mapping[v]) for u, v in tree.edges)
@@ -87,7 +88,7 @@ def _verify(tree, points, embedding, polygon) -> VerificationReport:
     found: set[tuple[str, tuple[int, ...], tuple[int, ...]]] = set()
     for contact in plane_contacts(segments):
         _report_contact(segments, m, *contact, found)
-    return VerificationReport.from_violations([Violation(*v) for v in found])
+    return VerificationReport._from_tuples(found)
 
 
 def _report_contact(segments, m, p, begin, end, inside, found) -> None:

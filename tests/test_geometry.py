@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,7 @@ from polyembed.geometry import (
 from polyembed.model import Embedding, EmbeddingInstance, FreeTree, PointSet, make_instance
 from polyembed.reduction import build_points, build_polygon
 from polyembed.verifier import verify_embedding
-from test_solver import POLYGON_CATALOG
+from test_solver import L_POLYGON, POLYGON_CATALOG
 
 TRIANGLE = SimplePolygon((Point(0, 0), Point(9, 0), Point(0, 9)))
 # build_polygon(2, 7), hardcoded to keep this module self-contained
@@ -336,6 +337,67 @@ class TestPointInPolygon:
                 with pytest.raises(ValidationError) as err:
                     call(bowtie)
                 assert err.value.code == "PolygonNotSimple", name
+
+
+# Four teeth on a base: rows y = 2 and y = 6 hold horizontal edges.
+COMB = [(0, 0), (14, 0), (14, 6), (12, 6), (12, 2), (10, 2), (10, 6), (8, 6)]
+COMB += [(8, 2), (6, 2), (6, 6), (4, 6), (4, 2), (2, 2), (2, 6), (0, 6)]
+
+
+class TestInstanceLocation:
+    """An instance accepts its points iff each is strictly inside, and else
+    names the first one that is not."""
+
+    def draw_instances(self, verts, rng, draws, seen):
+        """Seeded draws of lattice points from a box around the polygon:
+        interior points, and in half the draws one or two more from the
+        boundary or from anywhere in the box. ``seen`` counts the cases the
+        draws reach."""
+        xs, ys = [x for x, _ in verts], [y for _, y in verts]
+        box = [(x, y) for x in range(min(xs) - 1, max(xs) + 2) for y in range(min(ys) - 1, max(ys) + 2)]
+        where = {p: oracles.point_location(verts, p) for p in box}
+        inside = [p for p in box if where[p] == "inside"]
+        boundary = [p for p in box if where[p] == "on_boundary"]
+        if not inside:
+            return
+        flat_rows = {a[1] for a, b in zip(verts, verts[1:] + verts[:1]) if a[1] == b[1]}
+        polygon = SimplePolygon(tuple(Point(*v) for v in verts))
+        for _ in range(draws):
+            pts = rng.sample(inside, rng.randint(1, min(12, len(inside))))
+            if rng.random() < 0.5:
+                pool = [p for p in rng.choice((boundary, box)) if p not in pts]
+                pts += rng.sample(pool, rng.randint(1, 2))
+                rng.shuffle(pts)
+            first = next((i for i, p in enumerate(pts) if where[p] != "inside"), None)
+            tree = FreeTree(len(pts), tuple((i - 1, i) for i in range(1, len(pts))))
+            points = PointSet(tuple(Point(*p) for p in pts))
+            if first is None:
+                make_instance(tree, points, polygon)
+                seen["accepted"] += 1
+                seen["accepted on a row with a horizontal edge"] += any(y in flat_rows for _, y in pts)
+                continue
+            with pytest.raises(ValidationError) as err:
+                make_instance(tree, points, polygon)
+            assert str(err.value) == (
+                f"PointOnOrOutsideBoundary: point {first} at {Point(*pts[first])} "
+                "is not strictly inside the polygon"
+            ), (verts, pts)
+            p = pts[first]
+            seen["on a vertex" if p in verts else where[p]] += 1
+
+    def test_matches_oracle_on_l_comb_and_random_polygons(self):
+        rng, seen = random.Random(29), Counter()
+        for verts in (L_POLYGON, COMB, COMB[::-1]):
+            self.draw_instances(verts, rng, 150, seen)
+        polygons = 0
+        while polygons < 150:
+            verts = random_cycle(rng, rng.randint(4, 9), rng.randint(3, 9))
+            if oracles.simple_polygon(verts):
+                polygons += 1
+                self.draw_instances(verts, rng, 4, seen)
+        for case in ("accepted", "accepted on a row with a horizontal edge", "on a vertex"):
+            assert seen[case] > 40, seen
+        assert seen["on_boundary"] > 40 and seen["outside"] > 40, seen
 
 
 class TestSegmentHitsBoundary:

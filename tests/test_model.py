@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +42,7 @@ from polyembed.reduction import (
     ReductionMeta,
     ThreePartitionInstance,
     build_instance,
+    build_points,
     deserialize_meta,
     deserialize_partition,
     validate_3p,
@@ -92,6 +94,55 @@ class TestFreeTree:
             FreeTree(2, ((0, 5),))
         assert err.value.code == "NodeIndexOutOfRange"
 
+    @pytest.mark.parametrize(
+        "n, edges, code, message",
+        [
+            # The first edge that leaves the range or closes a cycle decides.
+            (4, ((0, 1), (1, 2), (2, 0), (0, 9)), "TreeHasCycle", "edge (2, 0) closes a cycle"),
+            (4, ((0, 1), (1, 2), (2, 0), (0, -1)), "TreeHasCycle", "edge (2, 0) closes a cycle"),
+            (4, ((0, 9), (0, 1), (1, 2), (2, 0)), "NodeIndexOutOfRange", "edge (0, 9) leaves [0, 4)"),
+            (4, ((0, 1), (3, 4), (1, 0)), "NodeIndexOutOfRange", "edge (3, 4) leaves [0, 4)"),
+            (4, ((0, 1), (1, 0), (3, 4)), "TreeHasCycle", "duplicate edge (0, 1)"),
+            # A self-loop or a duplicate with exactly n - 1 edges, and with other counts.
+            (3, ((0, 0), (1, 2)), "TreeHasCycle", "self-loop at node 0"),
+            (3, ((1, 2), (2, 2)), "TreeHasCycle", "self-loop at node 2"),
+            (3, ((0, 1), (1, 0)), "TreeHasCycle", "duplicate edge (0, 1)"),
+            (4, ((2, 3), (1, 0), (0, 1)), "TreeHasCycle", "duplicate edge (0, 1)"),
+            (3, ((0, 0),), "TreeHasCycle", "self-loop at node 0"),
+            (4, ((0, 1), (1, 0)), "TreeHasCycle", "duplicate edge (0, 1)"),
+            (3, ((0, 1), (1, 2), (2, 1)), "TreeHasCycle", "duplicate edge (1, 2)"),
+            # n - 1 edges that close a cycle and leave a node isolated.
+            (4, ((0, 1), (1, 2), (2, 0)), "TreeHasCycle", "edge (2, 0) closes a cycle"),
+            (5, ((0, 4), (1, 2), (2, 3), (3, 1)), "TreeHasCycle", "edge (3, 1) closes a cycle"),
+            (4, ((0, 1), (1, 2)), "TreeNotConnected", "4 nodes need 3 edges, got 2"),
+        ],
+    )
+    def test_error_precedence(self, n, edges, code, message):
+        with pytest.raises(ValidationError) as err:
+            FreeTree(n, edges)
+        assert (err.value.code, str(err.value)) == (code, f"{code}: {message}")
+
+    def test_cycle_under_a_huge_node_count_allocates_nothing_for_it(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as err:
+                FreeTree(10**9, ((0, 1), (1, 0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "TreeHasCycle: duplicate edge (0, 1)"
+        assert peak < 1 << 20
+
+    def test_long_chain_and_star_accepted(self):
+        n = 20_001
+        chain = FreeTree(n, tuple((i, i + 1) for i in range(n - 1)))
+        star = FreeTree(n, tuple((0, i) for i in range(1, n)))
+        assert chain.degree(0) == 1 and chain.degree(n // 2) == 2
+        assert star.degree(0) == n - 1 and star.degree(n - 1) == 1
+        # Path halving must not depend on the order of an edge's ends.
+        FreeTree(n, tuple((i + 1, i) for i in range(n - 1)))
+        FreeTree(n, tuple((i, 0) for i in range(n - 1, 0, -1)))
+
     def test_matches_unionfind_oracle_on_all_small_graphs(self):
         # every subset of possible edges, n <= 6
         for n in range(1, 7):
@@ -126,6 +177,27 @@ class TestPointSet:
     def test_indexing(self):
         ps = PointSet((Point(1, 2), Point(3, 4)))
         assert len(ps) == 2 and ps[1] == Point(3, 4)
+
+    def test_built_and_parsed_point_sets_agree(self):
+        coords = [(1, 2), (-3, 7), (0, 0), (5, 2)]
+        built = PointSet(tuple(Point(x, y) for x, y in coords))
+        parsed = deserialize_point_set(json.dumps({"points": coords}))
+        assert "points" not in vars(parsed)  # no Point is made until asked for
+        assert parsed == built and not parsed != built and hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built) and str(parsed) == str(built)
+        assert parsed.points == built.points and list(parsed) == list(built)
+        assert parsed.points is parsed.points and parsed[3] == Point(5, 2)
+        assert parsed.xs == built.xs == (1, -3, 0, 5) and parsed.ys == built.ys
+        assert PointSet(tuple(Point(x, y) for x, y in coords[::-1])) != parsed
+        # The reduction's points, made from coordinates, against Points and a file.
+        pts, _ = build_points(2, 7)
+        again = PointSet(tuple(Point(p.x, p.y) for p in pts.points))
+        instance, _ = build_instance(validate_3p(7, [2, 2, 3, 2, 2, 3]))
+        parsed = deserialize_instance(serialize_instance(instance)).points
+        assert pts == again == instance.points == parsed
+        assert len({hash(pts), hash(again), hash(parsed)}) == 1
+        assert repr(pts) == repr(again) == repr(parsed)
+        assert serialize_point_set(pts) == serialize_point_set(again)
 
 
 class TestEmbedding:
