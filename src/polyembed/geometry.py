@@ -25,9 +25,9 @@ coefficients made once per segment, and new neighbours go to
 other's line. The verifier builds its whole report from it, and a polygon
 is simple iff its vertices are distinct and its edges give it no contact.
 :func:`_locate` is the one point-location pass, on flat coordinates: one
-pass over the edges per distinct y among the points; :func:`locate_points`
-is its form for :class:`Point` records, :func:`point_in_polygon` its
-one-point call, and an instance locates all its points in one call.
+pass over the edges per distinct y among the points; :func:`point_in_polygon`
+is its form for one :class:`Point` record, and an instance locates all its
+points in one call.
 :func:`boxed` is the one segment record and :meth:`SimplePolygon.blocks`
 the one segment-versus-boundary test; it takes a plain segment, makes its
 own box, and hands :func:`segment_relation` only the edges that meet that
@@ -514,12 +514,6 @@ class PointLocation(Enum):
     OUTSIDE = "outside"
 
 
-def locate_points(points: Sequence[Point], polygon: SimplePolygon) -> list[PointLocation]:
-    """Exact location of each point relative to a simple polygon, in order."""
-    ensure_simple(polygon)
-    return _locate([p.x for p in points], [p.y for p in points], polygon)
-
-
 def _locate(xs: Sequence[int], ys: Sequence[int], polygon: SimplePolygon) -> list[PointLocation]:
     """The location of each point (xs[i], ys[i]) relative to a polygon
     already checked simple.
@@ -573,9 +567,10 @@ def _locate(xs: Sequence[int], ys: Sequence[int], polygon: SimplePolygon) -> lis
 
 
 def point_in_polygon(p: Point, polygon: SimplePolygon) -> PointLocation:
-    """Exact location of p relative to a simple polygon: :func:`locate_points`
-    on one point."""
-    return locate_points((p,), polygon)[0]
+    """Exact location of p relative to a simple polygon: :func:`_locate` on
+    one point."""
+    ensure_simple(polygon)
+    return _locate((p.x,), (p.y,), polygon)[0]
 
 
 def segment_hits_boundary(s: Segment, polygon: SimplePolygon) -> bool:

@@ -298,7 +298,8 @@ class EmbeddingInstance(Record):
             i = next(i for i, at in enumerate(where) if at is not PointLocation.INSIDE)
             raise ValidationError(
                 "PointOnOrOutsideBoundary",
-                f"point {i} at {points[i]} is not strictly inside the polygon",
+                f"point {i} at {Point(points.xs[i], points.ys[i])} is not strictly inside"
+                " the polygon",
             )
 
 
@@ -336,9 +337,6 @@ class Violation(Record):
         if kind not in VIOLATION_KINDS:
             raise ValueError(f"unknown violation kind {kind!r}")
 
-    def sort_key(self):
-        return (self.kind, self.edges, self.points)
-
 
 class VerificationReport(Record):
     _fields = ("valid", "violations")
@@ -356,9 +354,9 @@ class VerificationReport(Record):
 
     @classmethod
     def _from_tuples(cls, found) -> "VerificationReport":
-        """The report of distinct ``(kind, edges, points)`` tuples in their own
-        order, sort_key's, by stable sorts on one field each, last first: a
-        key of ints or of a str compares faster than a tuple of tuples."""
+        """The report of distinct ``(kind, edges, points)`` tuples in canonical
+        order, by stable sorts on one field each, last first: a key of ints
+        or of a str compares faster than a tuple of tuples."""
         ordered = list(found)
         for field in (2, 1, 0):
             ordered.sort(key=itemgetter(field))

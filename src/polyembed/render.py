@@ -34,9 +34,9 @@ def render_svg(
             f"mapping covers {len(embedding)} nodes, tree has {instance.tree.node_count}",
         )
     poly = instance.polygon.vertices
-    pts = instance.points.points
-    all_x = [p.x for p in poly] + [p.x for p in pts]
-    all_y = [p.y for p in poly] + [p.y for p in pts]
+    xs, ys = instance.points.xs, instance.points.ys
+    all_x = [p.x for p in poly] + list(xs)
+    all_y = [p.y for p in poly] + list(ys)
     pad = STYLE["padding"]
     minx, maxx = min(all_x) - pad, max(all_x) + pad
     miny, maxy = min(all_y) - pad, max(all_y) + pad
@@ -54,15 +54,15 @@ def render_svg(
     if embedding is not None:
         mapping = embedding.mapping
         for u, v in instance.tree.edges:
-            a, b = pts[mapping[u]], pts[mapping[v]]
+            a, b = mapping[u], mapping[v]
             lines.append(
-                f'<line x1="{a.x}" y1="{-a.y}" x2="{b.x}" y2="{-b.y}" '
+                f'<line x1="{xs[a]}" y1="{-ys[a]}" x2="{xs[b]}" y2="{-ys[b]}" '
                 f'stroke="{STYLE["edge_stroke"]}" stroke-width="{STYLE["edge_width"]}"/>'
             )
-    for i, p in enumerate(pts):
+    for i, (x, y) in enumerate(zip(xs, ys)):
         fill = STYLE["anchor_fill"] if i == highlight_point else STYLE["point_fill"]
         lines.append(
-            f'<circle cx="{p.x}" cy="{-p.y}" r="{STYLE["point_radius"]}" fill="{fill}"/>'
+            f'<circle cx="{x}" cy="{-y}" r="{STYLE["point_radius"]}" fill="{fill}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

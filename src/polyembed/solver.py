@@ -62,7 +62,6 @@ from .geometry import (
     Record,
     _set,
     boxed,
-    cross,
     direction_key,
     exact_ints,
     segment_relation,
@@ -533,31 +532,21 @@ def _search(
 
     # The placed edges, filed in a uniform grid by the cells they cross. The
     # record of a clean sightline ab, ``[*boxed(...), a, b, its cells, the
-    # last query that tested it]``, is memoized by a * n + b. The grid is
-    # allocated at the first record, so a search that never leaves the root
-    # builds nothing.
+    # last query that tested it]``, is memoized by a * n + b when first tested.
     memo: dict[int, list] = {}
-    grid: list[list[list]] = []  # per cell, the records of its placed edges
+    frame = _grid_frame(pxs, pys)
+    grid: list[list[list]] = [[] for _ in range(frame[3] * frame[4])]  # per cell, placed edges
     queries = count()
-    frame: tuple[int, ...] = ()
-    edge_cells: list[list[int]] = [[] for _ in range(n)]  # per node, its edge's cells
-
-    def sightline(a: int, b: int) -> list:
-        """The record of ab, made and memoized on its first test."""
-        nonlocal frame
-        if not frame:
-            frame = _grid_frame(pxs, pys)
-            grid.extend([] for _ in range(frame[3] * frame[4]))
-        ax, ay, bx, by = pxs[a], pys[a], pxs[b], pys[b]
-        cells = _crossed_cells(ax, ay, bx, by, *frame)
-        rec = memo[a * n + b] = [*boxed(ax, ay, bx, by), a, b, cells, -1]
-        return rec
 
     def admissible(pp: int, p: int) -> bool:
         """Does the sightline pp-p meet no placed edge but at pp? Only the
         edges filed in its cells can meet it. An edge filed in several of
         them is tested once, stamped with this query's number."""
-        rec = memo.get(pp * n + p) or sightline(pp, p)
+        rec = memo.get(pp * n + p)
+        if rec is None:
+            ax, ay, bx, by = pxs[pp], pys[pp], pxs[p], pys[p]
+            cells = _crossed_cells(ax, ay, bx, by, *frame)
+            rec = memo[pp * n + p] = [*boxed(ax, ay, bx, by), pp, p, cells, -1]
         ax, ay, bx, by, minx, maxx, miny, maxy, _, _, cells, _ = rec
         query = next(queries)
         for cell in cells:
@@ -585,8 +574,7 @@ def _search(
         node_point[node] = q
         if depth:
             rec = memo[node_point[parent[node]] * n + q]
-            cells = edge_cells[node] = rec[10]
-            for cell in cells:
+            for cell in rec[10]:
                 grid[cell].append(rec)
 
     def undo(depth: int) -> int:
@@ -600,8 +588,9 @@ def _search(
         for piece in split[depth]:
             for v in piece:
                 comp[v] = home
-        for cell in edge_cells[node]:
-            grid[cell].pop()
+        if depth:
+            for cell in memo[node_point[parent[node]] * n + q][10]:
+                grid[cell].pop()
         return q
 
     # `resume` is the lowest point left to try at `depth`: 0 on a fresh
@@ -649,14 +638,14 @@ def check_general_position(points: PointSet) -> tuple[int, int, int] | None:
     For each anchor i, the points after it are grouped by the direction of
     their offset from it; two in one group are collinear with the anchor.
     """
-    pts = points.points
-    n = len(pts)
+    xs, ys = points.xs, points.ys
+    n = len(xs)
     for i in range(n - 2):
-        ax, ay = pts[i].x, pts[i].y
+        ax, ay = xs[i], ys[i]
         first: dict[tuple[int, int], int] = {}
         best = None
         for k in range(i + 1, n):
-            j = first.setdefault(direction_key(pts[k].x - ax, pts[k].y - ay), k)
+            j = first.setdefault(direction_key(xs[k] - ax, ys[k] - ay), k)
             if j != k and (best is None or j < best[0]):
                 best = (j, k)
         if best is not None:
@@ -671,8 +660,8 @@ def embed_tree_unconstrained(tree: FreeTree, points: PointSet) -> Embedding:
     ``verify_planar_only``.
     """
     check_node_count(tree.node_count, len(points))
-    pts = points.points
-    n = len(pts)
+    xs, ys = points.xs, points.ys
+    n = len(xs)
     if n >= 3:
         triple = check_general_position(points)
         if triple is not None:
@@ -688,17 +677,16 @@ def embed_tree_unconstrained(tree: FreeTree, points: PointSet) -> Embedding:
 
     _, _, children, size, _ = _rooted(tree, 0)
 
-    def angular_sort(anchor_idx: int, block: list[int]) -> list[int]:
-        anchor = pts[anchor_idx]
+    def angular_sort(anchor: int, block: list[int]) -> list[int]:
+        ax, ay = xs[anchor], ys[anchor]
 
         def compare(i: int, j: int) -> int:
-            c = cross(anchor, pts[i], pts[j])
             # equality would mean three collinear points, excluded above
-            return -1 if c > 0 else 1
+            return -1 if (xs[i] - ax) * (ys[j] - ay) > (ys[i] - ay) * (xs[j] - ax) else 1
 
         return sorted(block, key=functools.cmp_to_key(compare))
 
-    root_point = min(range(n), key=lambda i: (pts[i].y, pts[i].x))
+    root_point = min(range(n), key=lambda i: (ys[i], xs[i]))
     mapping[0] = root_point
     rest = [i for i in range(n) if i != root_point]
 

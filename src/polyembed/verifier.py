@@ -36,7 +36,6 @@ from .model import (
     FreeTree,
     PointSet,
     VerificationReport,
-    Violation,
     check_node_count,
 )
 
@@ -70,9 +69,7 @@ def _verify(tree, points, embedding, polygon) -> VerificationReport:
             f"mapping covers {len(mapping)} nodes, tree has {tree.node_count}",
         )
     if offenders:
-        return VerificationReport.from_violations(
-            [Violation(KIND_NOT_BIJECTION, points=tuple(offenders))]
-        )
+        return VerificationReport._from_tuples({(KIND_NOT_BIJECTION, (), tuple(offenders))})
 
     # Every point is an edge's endpoint (or the tree is one node), so the
     # embedding is valid iff its edges, each with its two point indices for

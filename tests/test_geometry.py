@@ -20,12 +20,12 @@ from polyembed.geometry import (
     Segment,
     SegmentRelationKind,
     SimplePolygon,
+    _locate,
     boxed,
     classify_segments,
     cross,
     direction_key,
     is_simple,
-    locate_points,
     normalize_ccw,
     plane_contacts,
     point_in_polygon,
@@ -288,7 +288,7 @@ class TestPointInPolygon:
             ]
             rng.shuffle(lattice)
             poly = SimplePolygon(tuple(Point(*v) for v in verts))
-            got = locate_points([Point(*p) for p in lattice], poly)
+            got = _locate([x for x, _ in lattice], [y for _, y in lattice], poly)
             assert [g.value for g in got] == [
                 oracles.point_location(verts, p) for p in lattice
             ], verts
@@ -307,7 +307,7 @@ class TestPointInPolygon:
             size = max(max(v) for v in verts)
             lattice = [(x, y) for x in range(-1, size + 2) for y in range(-1, size + 2)]
             poly = SimplePolygon(tuple(Point(*v) for v in verts))
-            got = locate_points([Point(*p) for p in lattice], poly)
+            got = _locate([x for x, _ in lattice], [y for _, y in lattice], poly)
             assert [g.value for g in got] == [
                 oracles.point_location(verts, p) for p in lattice
             ], verts
@@ -318,7 +318,6 @@ class TestPointInPolygon:
         # verdict is cached on the polygon object.
         entries = {
             "point_in_polygon": lambda poly: point_in_polygon(Point(1, 1), poly),
-            "locate_points": lambda poly: locate_points([Point(1, 1)], poly),
             "segment_hits_boundary": lambda poly: segment_hits_boundary(
                 Segment(Point(1, 0), Point(1, 2)), poly
             ),

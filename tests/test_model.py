@@ -45,9 +45,19 @@ from polyembed.reduction import (
     build_points,
     deserialize_meta,
     deserialize_partition,
+    extract_partition,
     validate_3p,
 )
-from polyembed.solver import SolveOutcome, SolveStatus, VisibilityGraph, decide_embedding
+from polyembed.render import render_svg
+from polyembed.solver import (
+    SolveOutcome,
+    SolveStatus,
+    VisibilityGraph,
+    check_general_position,
+    decide_embedding,
+    embed_tree_unconstrained,
+)
+from polyembed.verifier import verify_embedding, verify_planar_only
 
 
 class TestFreeTree:
@@ -198,6 +208,31 @@ class TestPointSet:
         assert len({hash(pts), hash(again), hash(parsed)}) == 1
         assert repr(pts) == repr(again) == repr(parsed)
         assert serialize_point_set(pts) == serialize_point_set(again)
+
+    def test_flat_paths_make_no_point(self):
+        # The whole reduction pipeline, on the built and the parsed instance.
+        instance, meta = build_instance(validate_3p(7, [2, 2, 3, 2, 2, 3]))
+        parsed = deserialize_instance(serialize_instance(instance))
+        outcome = decide_embedding(parsed)
+        assert verify_embedding(parsed, outcome.embedding).valid
+        extract_partition(meta, outcome.embedding)
+        render_svg(parsed, outcome.embedding, meta.p0_point)
+        assert "points" not in vars(parsed.points) and "points" not in vars(instance.points)
+        # The free embedder and its general-position check, on a parabola.
+        free = PointSet._from_xy(range(8), [t * t for t in range(8)])
+        tree = FreeTree(8, tuple((t // 2, t) for t in range(1, 8)))
+        assert check_general_position(free) is None
+        assert verify_planar_only(tree, free, embed_tree_unconstrained(tree, free)).valid
+        assert "points" not in vars(free)
+        # A point outside the polygon is named with its coordinates.
+        outside = PointSet._from_xy((1, 9), (1, 1))
+        triangle = SimplePolygon((Point(0, 0), Point(9, 0), Point(0, 9)))
+        with pytest.raises(ValidationError) as err:
+            make_instance(FreeTree(2, ((0, 1),)), outside, triangle)
+        assert str(err.value) == (
+            "PointOnOrOutsideBoundary: point 1 at Point(x=9, y=1) is not strictly inside the polygon"
+        )
+        assert "points" not in vars(outside)
 
 
 class TestEmbedding:

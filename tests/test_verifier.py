@@ -143,7 +143,7 @@ class TestViolationKinds:
         report = verify_planar_only(tree, pts, Embedding((0, 1, 2, 3)))
         assert not report.valid
         assert len(report.violations) > 1
-        keys = [v.sort_key() for v in report.violations]
+        keys = [(v.kind, v.edges, v.points) for v in report.violations]
         assert keys == sorted(keys)
         assert len(set(report.violations)) == len(report.violations)
 
