@@ -24,25 +24,32 @@ coefficients made once per segment, and new neighbours go to
 :func:`segment_relation` only if neither lies strictly on one side of the
 other's line. The verifier builds its whole report from it, and a polygon
 is simple iff its vertices are distinct and its edges give it no contact.
+:func:`_row_cuts` is the one row kernel: one pass over the edges gives
+where they meet a horizontal line, each crossing as its exact floor and
+ceiling from one ``divmod``, and the horizontal edges on the line.
 :func:`_locate` is the one point-location pass, on flat coordinates: one
-pass over the edges per distinct y among the points; :func:`point_in_polygon`
+row kernel pass per distinct y among the points; :func:`point_in_polygon`
 is its form for one :class:`Point` record, and an instance locates all its
 points in one call.
 :func:`boxed` is the one segment record and :meth:`SimplePolygon.blocks`
 the one segment-versus-boundary test; it takes a plain segment, makes its
 own box, and hands :func:`segment_relation` only the edges that meet that
-box and do not lie strictly on one side of the segment's line. Public predicates
-validate their polygon; loops over an already-validated instance call
-these flat forms, which check nothing again. The solver's visibility pass
-tests each segment between neighbours on a line once, and the clear ones
-are the clean sightlines.
+box and do not lie strictly on one side of the segment's line. Its two
+batched forms decide many segments in one pass over the edges, exactly in
+integers: :meth:`SimplePolygon.blocks_row` the gaps between neighbours on
+one row, from the row kernel, and :meth:`SimplePolygon.blocks_fan` the
+segments from one source to targets on one row, from the shadows the
+edges cast on it. Public predicates validate their polygon; loops over an
+already-validated instance call these flat forms, which check nothing
+again. The solver's visibility pass decides each segment between
+neighbours on a line once, and the clear ones are the clean sightlines.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from enum import Enum
 from itertools import chain, groupby, repeat
@@ -465,6 +472,93 @@ class SimplePolygon(Record):
                 return True
         return False
 
+    def blocks_row(self, y: int, xs: Sequence[int]) -> bytearray:
+        """Entry t is 1 iff the closed segment from (xs[t], y) to
+        (xs[t + 1], y) shares a point with the boundary; ``xs`` ascending.
+
+        One :func:`_row_cuts` pass decides every gap. A crossing at x lies
+        in the gap [xa, xb] iff ⌈x⌉ ≤ xb and ⌊x⌋ ≥ xa: the gap that starts
+        at the last xa ≤ ⌊x⌋, and for an integer x at xa also the one ending
+        there. A horizontal edge on the row blocks every gap it overlaps.
+        """
+        _, ints, fracs, flats = _row_cuts(self.edge_boxes, y)
+        m = len(xs)
+        out = bytearray(max(m - 1, 0))
+        for x in fracs:
+            t = bisect_right(xs, x)
+            if 0 < t < m:
+                out[t - 1] = 1
+        for x in ints:
+            t = bisect_right(xs, x)
+            if 0 < t < m:
+                out[t - 1] = 1
+            if t > 1 and xs[t - 1] == x:
+                out[t - 2] = 1
+        for a, b in flats:
+            for t in range(max(bisect_left(xs, a) - 1, 0), min(bisect_right(xs, b), m - 1)):
+                out[t] = 1
+        return out
+
+    def blocks_fan(self, sx: int, sy: int, y: int, xs: Sequence[int]) -> bytearray:
+        """Entry t is 1 iff the closed segment from (sx, sy) to (xs[t], y)
+        shares a point with the boundary; ``xs`` ascending, y != sy, and
+        (sx, sy) strictly inside the polygon.
+
+        One pass over the edges. Each casts a shadow on the row: the central
+        projection from the source of its part strictly past the source's
+        level and up to the row, where an end beyond the row is replaced by
+        the edge's crossing with it. A segment to the row meets the edge iff
+        its end is in that shadow. An edge that reaches the source's level
+        has a shadow unbounded toward the side where it reaches it, the sign
+        of a cross product; the other end is an exact rational, so its
+        integer targets are [⌈lo⌉, ⌊hi⌋]. The shadows are merged, and each
+        merged interval marks its targets by two bisects.
+        """
+        out = bytearray(len(xs))
+        if not xs:
+            return out
+        # Heights u are measured from the source toward the row, so shadows
+        # come from 0 < u <= h, and offsets p from sx; a shadow is kept as
+        # its integer targets, and an unbounded side stops at the last one.
+        sign = 1 if y > sy else -1
+        h = (y - sy) * sign
+        first, last = xs[0] - sx, xs[-1] - sx
+        spans = []
+        for ax, ay, bx, by, _, _, _, _ in self.edge_boxes:
+            ua, ub = (ay - sy) * sign, (by - sy) * sign
+            if ua > ub:
+                ax, ua, bx, ub = bx, ub, ax, ua
+            if ub <= 0 or ua > h:
+                continue
+            pa, pb = ax - sx, bx - sx
+            if ub > h:  # b lies past the row: its crossing with the row
+                fb, r = divmod(pa * (ub - h) + pb * (h - ua), ub - ua)
+            else:
+                fb, r = divmod(pb * h, ub)
+            cb = fb + (r != 0)
+            if ua > 0:
+                fa, r = divmod(pa * h, ua)
+                ca = fa + (r != 0)
+                lo, hi = (ca if ca < cb else cb), (fa if fa > fb else fb)
+            elif pa * ub > ua * pb:  # the edge reaches the source's level right of it
+                lo, hi = cb, last
+            else:
+                lo, hi = first, fb
+            if lo <= hi:
+                spans.append([lo, hi])
+        merged = []
+        for span in sorted(spans):
+            if merged and span[0] <= merged[-1][1]:
+                if span[1] > merged[-1][1]:
+                    merged[-1][1] = span[1]
+            else:
+                merged.append(span)
+        for lo, hi in merged:
+            i, j = bisect_left(xs, lo + sx), bisect_right(xs, hi + sx)
+            if i < j:
+                out[i:j] = b"\x01" * (j - i)
+        return out
+
     @functools.cached_property
     def _simple(self) -> bool:
         distinct = len(set(self.vertices)) == len(self.vertices)
@@ -514,41 +608,59 @@ class PointLocation(Enum):
     OUTSIDE = "outside"
 
 
+def _row_cuts(edges, y: int) -> tuple[list[int], list[int], list[int], list[tuple[int, int]]]:
+    """Where the boundary edges meet the line at height y: one pass, as
+    ``(keys, ints, fracs, flats)``.
+
+    A horizontal edge on the line is an interval ``(minx, maxx)`` of
+    ``flats``. Every other edge that meets it does so at one x, from one
+    ``divmod``: an integer x goes to ``ints`` and any other x's ⌊x⌋ to
+    ``fracs``. ``keys`` holds ⌈x⌉ of each edge that crosses the line by the
+    half-open rule, one end on or below it and the other above.
+    :func:`_locate` and :meth:`SimplePolygon.blocks_row` share this pass.
+    """
+    keys: list[int] = []
+    ints: list[int] = []
+    fracs: list[int] = []
+    flats: list[tuple[int, int]] = []
+    for ax, ay, bx, by, minx, maxx, miny, maxy in edges:
+        if miny > y or maxy < y:
+            continue
+        if ay == by:
+            flats.append((minx, maxx))
+            continue
+        q, r = divmod(ax * (by - ay) + (y - ay) * (bx - ax), by - ay)
+        if r:
+            fracs.append(q)
+        else:
+            ints.append(q)
+        if (ay > y) != (by > y):
+            keys.append(q + (r != 0))
+    return keys, ints, fracs, flats
+
+
 def _locate(xs: Sequence[int], ys: Sequence[int], polygon: SimplePolygon) -> list[PointLocation]:
     """The location of each point (xs[i], ys[i]) relative to a polygon
     already checked simple.
 
     One sort groups the points into rows of one y, and each row makes one
-    pass over the edges. A horizontal edge on the row is an interval of
-    boundary; every other edge that meets the row does so at one x. An edge
-    with its lower end on or below the row and its upper end above it (the
-    half-open rule) crosses the rightward ray of every point left of x, so
-    with keys ⌈x⌉ a point off the boundary is inside iff an odd number of
-    keys lie right of it. A row with no horizontal edge and no integer x at
-    one of its points is decided by one C-level pass of bisects; any other
-    row, and one with a point not strictly inside, is placed point by point.
+    :func:`_row_cuts` pass over the edges. A horizontal edge on the row is an
+    interval of boundary; every other edge that meets the row does so at one
+    x. An edge that crosses the row by the half-open rule crosses the
+    rightward ray of every point left of x, so with keys ⌈x⌉ a point off the
+    boundary is inside iff an odd number of keys lie right of it. A row with
+    no horizontal edge and no integer x at one of its points is decided by
+    one C-level pass of bisects; any other row, and one with a point not
+    strictly inside, is placed point by point.
     """
     out = [PointLocation.INSIDE] * len(xs)
+    edges = polygon.edge_boxes
     for py, row in groupby(sorted(range(len(ys)), key=ys.__getitem__), ys.__getitem__):
         row = list(row)
         row_xs = list(map(xs.__getitem__, row))
-        keys: list[int] = []
-        on_row: set[int] = set()  # integer x where a non-horizontal edge meets the row
-        flats: list[tuple[int, int]] = []  # horizontal edges on the row
-        for ax, ay, bx, by, minx, maxx, miny, maxy in polygon.edge_boxes:
-            if miny > py or maxy < py:
-                continue
-            if ay == by:
-                flats.append((minx, maxx))
-                continue
-            # The edge meets the row at x = num / (by - ay).
-            num = ax * (by - ay) + (py - ay) * (bx - ax)
-            q, r = divmod(num, by - ay)
-            if r == 0:
-                on_row.add(q)
-            if (ay > py) != (by > py):
-                keys.append(q + (r != 0))
+        keys, ints, _, flats = _row_cuts(edges, py)
         keys.sort()
+        on_row = set(ints)  # integer x on a non-horizontal edge
         if not flats and on_row.isdisjoint(row_xs):
             if all((len(keys) - t) % 2 for t in set(map(bisect_right, repeat(keys), row_xs))):
                 continue

@@ -32,13 +32,16 @@ when that local check fails and other components exist. The tiling search
 refutes a state at once when some capacity is no subset sum of its sizes.
 Every prune drops only what cannot complete, so verdicts and first-found
 embeddings do not depend on them. The clean sightlines come from the
-visibility pass, which tests each point's segment to its nearest later
-neighbour on every line through it, so each neighbour pair once, and keeps
-only the clear ones; in (y, x) order the neighbour along a point's own row
-is the next point, so only later rows are grouped by direction. A time
-limit is checked in every phase: once per point of that pass and before
-each of its boundary tests, before every candidate trial, and once every 64
-new states of the tiling search.
+visibility pass, which decides each pair of neighbours on a line once and
+keeps the clear ones: a row's consecutive pairs in one batch, from that
+row's boundary crossings, and a point's nearest later neighbour on each
+line into later rows found by keying offsets by direction. Those keyed
+pairs that share a source on a sparser row and a denser target row form a
+fan, decided by one shadow pass over the edges when it is large; every
+other pair gets a boundary test of its own. A time limit is checked in
+every phase: once per point of that pass and before each of its batches
+and boundary tests, before every candidate trial, and once every 64 new
+states of the tiling search.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -54,7 +57,7 @@ import math
 import time
 from bisect import bisect_left
 from enum import Enum
-from itertools import count, product
+from itertools import count, groupby, product
 
 from .errors import ValidationError
 from .geometry import (
@@ -134,55 +137,124 @@ class VisibilityGraph(Record):
         return tuple(map(tuple, rows))
 
 
+_FAN_BATCH = 24  # the fewest targets decided as one fan; see build_visibility_graph
+
+
 def build_visibility_graph(
     instance: EmbeddingInstance, *, deadline: float = math.inf
 ) -> VisibilityGraph:
     """Exact clean sightlines of an instance's points.
 
-    Points are taken in (y, x) order. Every point after i lies ahead of it
-    (greater y, or equal y and greater x), so the reduced offset
-    ``(dx // g, dy // g)`` with ``g = gcd(dx, dy)`` names the line through
-    both, and the first later point on a line is i's neighbour on it. The
-    later points of i's own row all lie on the line (1, 0), and the nearest
-    is the next point in order, so only the later rows are keyed: a set of
-    points on few horizontal lines, as in the reduction, keys few pairs.
-    Only the segment to each neighbour is tested, so each neighbour pair is
-    tested once, and the clear neighbour pairs are the clean sightlines.
-    The pass keeps nothing else: the runs and the matrix are derived from
-    the clean lists when read. The instance guarantees a simple polygon
-    with every point strictly inside, so nothing is checked again. The
-    clock is read once per point and before each boundary test, since one
-    point can test thousands of lines; past ``deadline`` (a
-    ``time.perf_counter`` value) :class:`_Expired` is raised.
+    Points are taken in (y, x) order. Along a row the neighbour of a point
+    is the next one, and each row with two or more points decides all its
+    neighbour pairs at once with :meth:`~polyembed.geometry.SimplePolygon.blocks_row`,
+    one pass over the edges. Every point after i on a later row lies ahead of
+    it, so the reduced offset ``(dx // g, dy // g)`` with ``g = gcd(dx, dy)``
+    names the line through both, and the first later point on a line is i's
+    neighbour on it; only the later rows are keyed, so points on few rows,
+    as in the reduction, key few pairs.
+
+    A pair across rows has a source, its point on the row with fewer points
+    (the earlier point on a tie), and a target on the other row. One
+    source's targets on one row form a fan, and a fan of ``_FAN_BATCH`` or
+    more targets is decided by
+    :meth:`~polyembed.geometry.SimplePolygon.blocks_fan`, one pass over the
+    edges; only a row of that many points can hold such a fan, so the pairs
+    of points above the highest such row are never grouped. On the
+    reduction the row is one batch and the anchor's pairs one fan. Every
+    other pair gets one :meth:`~polyembed.geometry.SimplePolygon.blocks`
+    call. On any polygon the shadow pass costs about as much as five
+    ``blocks`` calls, as both are linear in the edges, but grouping costs
+    each pair about a third of a ``blocks`` call on a small polygon, so
+    the threshold is set where lattice draws in small polygons run no
+    slower than with no fans at all.
+
+    Each neighbour pair is decided once, and the clear ones are the clean
+    sightlines. The pass keeps nothing else: the runs and the matrix are
+    derived from the clean lists when read. The instance guarantees a simple
+    polygon with every point strictly inside, so nothing is checked again.
+    The clock is read once per point and before each batch and each single
+    boundary test, since one point can test thousands of lines; past
+    ``deadline`` (a ``time.perf_counter`` value) :class:`_Expired` is raised.
     """
     points, polygon = instance.points, instance.polygon
     n = len(points)
-    # The instance validated the polygon, so the loop calls its flat test.
+    # The instance validated the polygon, so the loops call its flat tests.
     xs, ys, blocks, gcd = points.xs, points.ys, polygon.blocks, math.gcd
     clock = time.perf_counter
     clean: list[list[int]] = [[] for _ in range(n)]
     order = sorted(range(n), key=lambda k: (ys[k], xs[k]))
+    size = {}  # points per row
+    for y, row in groupby(order, ys.__getitem__):
+        row = list(row)
+        size[y] = len(row)
+        if len(row) > 1:  # the row's neighbour pairs, in one batch
+            if clock() >= deadline:
+                raise _Expired
+            for a, b, hit in zip(row, row[1:], polygon.blocks_row(y, [xs[j] for j in row])):
+                if not hit:
+                    clean[a].append(b)
+                    clean[b].append(a)
+    # A fan's targets lie on one row, so only a row of _FAN_BATCH points can
+    # hold a batch, and only the pairs of points up to the highest such row
+    # are grouped.
+    top = max((y for y, k in size.items() if k >= _FAN_BATCH), default=None)
+    fans: dict[tuple[int, int], list[int]] = {}  # (source, target row) -> targets, decided last
     row_end = 0  # one past the last point of i's row in `order`
     for t, i in enumerate(order):
         if clock() >= deadline:
             raise _Expired
         xi, yi = xs[i], ys[i]
         if t == row_end:
-            while row_end < n and ys[order[row_end]] == yi:
-                row_end += 1
+            row_end += size[yi]
         later = order[: row_end - 1 : -1]  # the later rows, reversed: the nearest is written last
         nearest = {
             (dx // (g := gcd(dx, dy)), dy // g): j
             for j, dx, dy in zip(later, [xs[j] - xi for j in later], [ys[j] - yi for j in later])
         }
-        if t + 1 < row_end:
-            nearest[1, 0] = order[t + 1]
-        for b in nearest.values():
+        single = nearest.values()  # the pairs tested one by one
+        if top is not None and yi <= top:
+            # A later source on a sparser row gathers its fan over i's row;
+            # i's own fans, one per later row as dense as its own, are
+            # complete here, and a small one is tested pair by pair.
+            single, here, mine = [], size[yi], {}
+            for b in nearest.values():
+                yb = ys[b]
+                there = size[yb]
+                if here < _FAN_BATCH and there < _FAN_BATCH:
+                    single.append(b)
+                elif there < here:
+                    fans.setdefault((b, yi), []).append(i)
+                else:
+                    mine.setdefault(yb, []).append(b)
+            for y, targets in mine.items():
+                if len(targets) < _FAN_BATCH:
+                    single += targets
+                else:
+                    fans[i, y] = targets
+        for b in single:
             if clock() >= deadline:
                 raise _Expired
             if not blocks(xi, yi, xs[b], ys[b]):
                 clean[i].append(b)
                 clean[b].append(i)
+    for (s, y), targets in fans.items():
+        sx, sy = xs[s], ys[s]
+        if len(targets) >= _FAN_BATCH:
+            if clock() >= deadline:
+                raise _Expired
+            targets.sort(key=xs.__getitem__)
+            hits = polygon.blocks_fan(sx, sy, y, [xs[j] for j in targets])
+        else:
+            hits = []
+            for j in targets:
+                if clock() >= deadline:
+                    raise _Expired
+                hits.append(blocks(sx, sy, xs[j], y))
+        for j, hit in zip(targets, hits):
+            if not hit:
+                clean[s].append(j)
+                clean[j].append(s)
     return VisibilityGraph(tuple(tuple(sorted(c)) for c in clean), points)
 
 
@@ -351,7 +423,8 @@ def decide_embedding(
     except OverflowError:
         deadline = math.inf
     if root_node is None:
-        root_node = max(range(n), key=lambda v: (tree.degree(v), -v))
+        degrees = list(map(len, tree.adjacency))
+        root_node = degrees.index(max(degrees))
 
     try:
         graph = build_visibility_graph(instance, deadline=deadline)

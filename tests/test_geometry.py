@@ -36,7 +36,7 @@ from polyembed.geometry import (
 from polyembed.model import Embedding, EmbeddingInstance, FreeTree, PointSet, make_instance
 from polyembed.reduction import build_points, build_polygon
 from polyembed.verifier import verify_embedding
-from test_solver import L_POLYGON, POLYGON_CATALOG
+from test_solver import COMB, L_POLYGON, POLYGON_CATALOG
 
 TRIANGLE = SimplePolygon((Point(0, 0), Point(9, 0), Point(0, 9)))
 # build_polygon(2, 7), hardcoded to keep this module self-contained
@@ -338,11 +338,6 @@ class TestPointInPolygon:
                 assert err.value.code == "PolygonNotSimple", name
 
 
-# Four teeth on a base: rows y = 2 and y = 6 hold horizontal edges.
-COMB = [(0, 0), (14, 0), (14, 6), (12, 6), (12, 2), (10, 2), (10, 6), (8, 6)]
-COMB += [(8, 2), (6, 2), (6, 6), (4, 6), (4, 2), (2, 2), (2, 6), (0, 6)]
-
-
 class TestInstanceLocation:
     """An instance accepts its points iff each is strictly inside, and else
     names the first one that is not."""
@@ -438,6 +433,107 @@ class TestSegmentHitsBoundary:
                 want = any(oracles.segments_share_point(p, q, c, d) for c, d in edges)
                 got = segment_hits_boundary(Segment(Point(*p), Point(*q)), poly)
                 assert got == want, (verts, p, q)
+
+
+SLANTED = [(0, 0), (4, 2), (8, 0), (10, 4), (7, 3), (4, 5), (2, 3), (0, 5)]
+
+
+class TestBatchedBoundaryTests:
+    """``blocks_row`` and ``blocks_fan`` decide many segments in one pass over
+    the edges; each entry must be what ``blocks`` and the oracle say of its
+    own segment."""
+
+    def oracle(self, verts, p, q):
+        edges = list(zip(verts, verts[1:] + verts[:1]))
+        return any(oracles.segments_share_point(p, q, c, d) for c, d in edges)
+
+    def polygons(self):
+        for verts in (*POLYGON_CATALOG, L_POLYGON, COMB, SLANTED):
+            for cycle in (verts, verts[::-1]):
+                yield cycle, SimplePolygon(tuple(Point(*v) for v in cycle))
+
+    def test_row_kernel_matches_per_gap_tests(self):
+        # Every row across each polygon's box, with seeded sets of x from a
+        # wider box: points inside, outside, on edges and on vertices.
+        rng = random.Random(61)
+        for verts, polygon in self.polygons():
+            xs, ys = [x for x, _ in verts], [y for _, y in verts]
+            span = range(min(xs) - 2, max(xs) + 3)
+            for y in range(min(ys) - 1, max(ys) + 2):
+                for _ in range(4):
+                    row = sorted(rng.sample(span, rng.randint(0, 12)))
+                    got, gaps = list(polygon.blocks_row(y, row)), list(zip(row, row[1:]))
+                    assert got == [polygon.blocks(a, y, b, y) for a, b in gaps], (verts, y, row)
+                    assert got == [self.oracle(verts, (a, y), (b, y)) for a, b in gaps]
+
+    def test_fan_kernel_matches_per_target_tests(self):
+        # Seeded sources strictly inside, every other row of the box above
+        # and below them, and seeded targets anywhere on that row.
+        rng = random.Random(67)
+        for verts, polygon in self.polygons():
+            xs, ys = [x for x, _ in verts], [y for _, y in verts]
+            box = [(x, y) for x in range(min(xs), max(xs) + 1) for y in range(min(ys), max(ys) + 1)]
+            inside = [p for p in box if oracles.point_location(verts, p) == "inside"]
+            span = range(min(xs) - 3, max(xs) + 4)
+            for sx, sy in rng.sample(inside, min(5, len(inside))):
+                for y in range(min(ys) - 1, max(ys) + 2):
+                    if y == sy:
+                        continue
+                    row = sorted(rng.sample(span, rng.randint(1, 10)))
+                    got = list(polygon.blocks_fan(sx, sy, y, row))
+                    assert got == [polygon.blocks(sx, sy, x, y) for x in row], (verts, sx, sy, y, row)
+                    assert got == [self.oracle(verts, (sx, sy), (x, y)) for x in row]
+
+    def test_ray_through_a_vertex_is_blocked(self):
+        # From (12, 3), the ray to (4, 1) grazes the notch's peak (8, 2), so
+        # it is blocked, and x = 4 is also the integer end of that shadow;
+        # the ray to (3, 1) passes above the peak.
+        got = NOTCHED.blocks_fan(12, 3, 1, list(range(1, 12)))
+        assert list(got) == [0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0]
+        # In the L, the ray from (30, 8) to (18, 24) grazes the reflex
+        # vertex (24, 16), where the shadows of both its edges end.
+        polygon = SimplePolygon(tuple(Point(*v) for v in L_POLYGON))
+        assert list(polygon.blocks_fan(30, 8, 24, [17, 18, 19])) == [0, 1, 1]
+
+    def test_horizontal_edge_on_the_target_row(self):
+        # The comb's row y = 2 holds the floors of its three slots, [2, 4],
+        # [6, 8] and [10, 12]: every gap between the teeth overlaps one, and
+        # a fan from below is blocked exactly at the targets on a floor.
+        comb = SimplePolygon(tuple(Point(*v) for v in COMB))
+        assert list(comb.blocks_row(2, [1, 5, 9, 13])) == [1, 1, 1]
+        assert list(comb.blocks_row(1, [1, 5, 9, 13])) == [0, 0, 0]
+        assert list(comb.blocks_fan(5, 1, 2, [1, 3, 5, 7, 9])) == [0, 1, 0, 1, 0]
+
+    def test_edge_across_the_source_level_casts_an_unbounded_shadow(self):
+        # From (2, 2) to the row y = 10 of the notched triangle: the left
+        # side and the hypotenuse both cross y = 2, so their shadows run
+        # without bound to the left of x = 0 and to the right of x = 8.
+        got = NOTCHED.blocks_fan(2, 2, 10, list(range(-3, 13)))
+        assert list(got) == [1, 1, 1, 1] + [0] * 7 + [1] * 5
+        assert all(NOTCHED.blocks(2, 2, x, 10) == bool(hit) for x, hit in zip(range(-3, 13), got))
+
+    def test_target_rows_above_and_below_the_source(self):
+        # From (5, 4) the notch blocks the rays down to (8, 1) and (9, 1),
+        # both on its sides; upward, nothing blocks the rays to row 8 that
+        # stay left of the hypotenuse.
+        below = NOTCHED.blocks_fan(5, 4, 1, list(range(1, 16)))
+        assert [x for x, hit in zip(range(1, 16), below) if hit] == [8, 9]
+        above = NOTCHED.blocks_fan(5, 4, 8, list(range(0, 13)))
+        assert [x for x, hit in zip(range(0, 13), above) if hit] == [0, 10, 11, 12]
+        for y, got in ((1, below), (8, above)):
+            row = range(1, 16) if y == 1 else range(0, 13)
+            assert list(got) == [NOTCHED.blocks(5, 4, x, y) for x in row]
+
+    def test_target_at_a_shadow_integer_end(self):
+        # From (30, 8) in the L, the vertical edge above (24, 16) casts
+        # [18, 24] on y = 24, the top edge of the foot [18, 50], and the
+        # foot's right side, across the source's level, [50, ∞): the
+        # targets 18, 24, 50 and 51 are blocked, 17 is not.
+        polygon = SimplePolygon(tuple(Point(*v) for v in L_POLYGON))
+        row = [17, 18, 24, 50, 51]
+        got = list(polygon.blocks_fan(30, 8, 24, row))
+        assert got == [0, 1, 1, 1, 1]
+        assert got == [polygon.blocks(30, 8, x, 24) for x in row]
 
 
 class TestVisible:

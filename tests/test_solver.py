@@ -79,6 +79,9 @@ def transposed(instance):
 
 
 L_POLYGON = [(0, 0), (40, 0), (40, 16), (24, 16), (24, 32), (0, 32)]
+# Four teeth on a base: rows y = 2 and y = 6 hold horizontal edges.
+COMB = [(0, 0), (14, 0), (14, 6), (12, 6), (12, 2), (10, 2), (10, 6), (8, 6)]
+COMB += [(8, 2), (6, 2), (6, 6), (4, 6), (4, 2), (2, 2), (2, 6), (0, 6)]
 
 
 def near_partition(rng, target, n):
@@ -135,22 +138,53 @@ class TestVisibilityGraph:
         assert all(vg.matrix[i][i] for i in range(len(pts)))
 
     @pytest.mark.parametrize(
-        "b, a, tests", [(50, [17, 17, 16] * 8, 799), (22, [6, 6, 10, 7, 7, 8] * 5, 439)]
+        "b, a, tests",
+        [
+            (50, [17, 17, 16] * 8, 799),
+            (22, [6, 6, 10, 7, 7, 8] * 5, 439),
+            (50, [17, 17, 16] * 160, 15_999),
+        ],
     )
     def test_one_boundary_test_per_neighbour_pair(self, monkeypatch, b, a, tests):
-        # 401 and 221 points: one test per pair of neighbours on a line,
-        # not one per pair of points (80,200 and 24,310).
-        calls = []
-        blocks = SimplePolygon.blocks
+        # 401, 221 and 8001 points: each pair of neighbours on a line is
+        # decided once, not each pair of points (80,200 and 24,310 at the
+        # first two). The row's pairs are one row batch and the anchor's
+        # pairs one fan, so no pair is left to a boundary test of its own,
+        # which would make the pass quadratic again.
+        decided, rows, fans = [], [], []
+        blocks, blocks_row, blocks_fan = (
+            SimplePolygon.blocks,
+            SimplePolygon.blocks_row,
+            SimplePolygon.blocks_fan,
+        )
 
-        def counted(polygon, *seg):
-            calls.append(seg)
-            return blocks(polygon, *seg)
+        def one(polygon, ax, ay, bx, by):
+            decided.append(frozenset([(ax, ay), (bx, by)]))
+            return blocks(polygon, ax, ay, bx, by)
+
+        def row(polygon, y, xs):
+            rows.append(len(xs))
+            decided.extend(frozenset([(a, y), (b, y)]) for a, b in zip(xs, xs[1:]))
+            return blocks_row(polygon, y, xs)
+
+        def fan(polygon, sx, sy, y, xs):
+            fans.append(((sx, sy), len(xs)))
+            decided.extend(frozenset([(sx, sy), (x, y)]) for x in xs)
+            return blocks_fan(polygon, sx, sy, y, xs)
 
         instance, _ = build_instance(validate_3p(b, a))
-        monkeypatch.setattr(SimplePolygon, "blocks", counted)
+        monkeypatch.setattr(SimplePolygon, "blocks", one)
+        monkeypatch.setattr(SimplePolygon, "blocks_row", row)
+        monkeypatch.setattr(SimplePolygon, "blocks_fan", fan)
         build_visibility_graph(instance)
-        assert len(calls) == tests
+        xs, ys = instance.points.xs, instance.points.ys
+        anchor, line = (xs[0], ys[0]), sorted(zip(xs[1:], ys[1:]))
+        want = {frozenset(pair) for pair in zip(line, line[1:])}
+        want |= {frozenset([anchor, p]) for p in line}
+        assert len(decided) == len(set(decided)) == len(want) == tests
+        assert set(decided) == want
+        assert rows == [len(line)]
+        assert fans == [(anchor, len(line))]
 
     @pytest.mark.parametrize("flip, calls", [(False, 400), (True, 80_199)])
     def test_row_neighbours_are_not_keyed(self, monkeypatch, flip, calls):
@@ -191,6 +225,42 @@ class TestVisibilityGraph:
                 matrix, clean = visibility(verts, chosen)
                 assert [list(r) for r in graph.matrix] == matrix, (verts, chosen)
                 assert [list(c) for c in graph.clean] == clean, (verts, chosen)
+
+    def test_matches_oracle_with_fans_in_the_comb(self, monkeypatch):
+        # The comb scaled by 3, with three full rows of 41 points across its
+        # base and a sparse apex in its teeth. Each long row is a fan's
+        # target row: from every apex point, and from the points of a lower
+        # long row, so fans decide pairs outside the reduction.
+        sources = []
+        blocks_fan = SimplePolygon.blocks_fan
+
+        def fan(polygon, sx, sy, y, xs):
+            sources.append((sx, sy))
+            return blocks_fan(polygon, sx, sy, y, xs)
+
+        monkeypatch.setattr(SimplePolygon, "blocks_fan", fan)
+        verts = [(3 * x, 3 * y) for x, y in COMB]
+        polygon = SimplePolygon(tuple(Point(x, y) for x, y in verts))
+        teeth = [
+            (x, y)
+            for x in range(1, 42)
+            for y in range(7, 18)
+            if point_location(verts, (x, y)) == "inside"
+        ]
+        for seed in range(3):
+            rng = random.Random(seed)
+            rows = rng.sample(range(1, 6), 3)
+            apex = rng.sample(teeth, 4)
+            chosen = [(x, y) for y in rows for x in range(1, 42)] + apex
+            rng.shuffle(chosen)
+            sources.clear()
+            points = PointSet(tuple(Point(x, y) for x, y in chosen))
+            graph = build_visibility_graph(path_instance(points, polygon))
+            matrix, clean = visibility(verts, chosen)
+            assert [list(c) for c in graph.clean] == clean, seed
+            assert [list(r) for r in graph.matrix] == matrix, seed
+            assert set(apex) <= set(sources), seed
+            assert any(y == min(rows) for _, y in sources), seed
 
     def test_matches_oracle_on_dense_lattice_points(self):
         # Every interior lattice point, so rays from a point hold many points
