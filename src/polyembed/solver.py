@@ -13,8 +13,9 @@ at least d clean sightlines (the degree filter of subgraph matching). A
 partial placement then survives only if the new edge meets the placed
 edges at the parent's image alone. The placed edges are filed in a
 uniform grid of about n cells over the points' bounding box, each in every
-cell its closed segment meets (an exact integer supercover walk), so a new
-edge is tested only against the edges filed in its own cells; an edge is
+cell its closed segment meets (an exact integer supercover walk), or only in
+the one half-open cell that holds both its endpoints, so a new edge is
+tested only against the edges filed in its own cells; an edge is
 filed when placed and taken out when undone, in stack order, and each
 clean sightline's cells are found once per search. Interchangeable sibling
 subtrees additionally get ascending root images, which skips permutations of
@@ -22,11 +23,14 @@ identical chains without ever skipping the first solution the plain order
 would find. A placement is also dropped when the pending subtree sizes
 cannot exactly tile the clean-sightline components of the free points; a
 disconnected clean-sightline graph is refuted before the root. Each free
-point carries its component's label, and the tiling that accepted the
-previous placement is kept per depth, keyed by label. A placement with one
-free neighbour cannot split its component and searches nothing; one with
-more searches its component from them, and when it splits, every piece but
-the largest gets a fresh label, which undo puts back in stack order. The
+point carries its component's label, and one witness, keyed by label, holds
+the tiling that accepted the last placement; each check that accepts
+changes it in place and records per depth what undo restores, in stack
+order. A placement with one free neighbour cannot split its component and
+searches nothing; one with more searches its component from them, and when
+it splits, every piece but the largest gets a fresh label. A component that
+stays in one piece needs no tiling search: its sizes, less the placed
+subtree and plus its children's, fill it by construction. A split
 component's sizes are re-tiled into the pieces, and a full tiling runs only
 when that local check fails and other components exist. The tiling search
 refutes a state at once when some capacity is no subset sum of its sizes.
@@ -481,6 +485,25 @@ def _crossed_cells(
     return cells
 
 
+def _sightline_cells(
+    ax: int, ay: int, bx: int, by: int, frame: tuple[int, int, int, int, int]
+) -> list[int]:
+    """The grid cells a sightline ab is filed in: the one half-open cell
+    ``[x0 + col * side, x0 + (col + 1) * side)`` by the same in y that holds
+    both endpoints, if there is one, else :func:`_crossed_cells`.
+
+    A half-open cell is convex and shares no point with another, so a
+    sightline inside one meets another edge only in it, and that edge is
+    filed there too: in the closed box of each point it meets, or in its own
+    one half-open cell.
+    """
+    x0, y0, side, cols, _ = frame
+    cell = (ay - y0) // side * cols + (ax - x0) // side
+    if cell == (by - y0) // side * cols + (bx - x0) // side:
+        return [cell]
+    return _crossed_cells(ax, ay, bx, by, *frame)
+
+
 def _flood(piece: list[int], seen: bytearray, adj) -> list[int]:
     """Extend ``piece``, whose points are marked in ``seen``, by every point
     reachable from it through unmarked ones, marking them; a breadth-first
@@ -525,18 +548,18 @@ def _search(
     seen[0] = 1
     if len(_flood([0], seen, clean_adj)) < n:
         return None
-    # comp[v] labels free point v's clean-sightline component, and witness[d]
-    # tiles those components by the pending subtree sizes before order[d] is
-    # placed: each label maps to (its point count, the sizes that fill it).
-    # Both are set by the check that accepted order[d - 1]'s current image.
-    # split[d] holds the pieces relabelled by the check that accepted
-    # order[d]'s image; they all had that point's label, so undo restores
-    # them from it. Before the root, the whole tree fills the one component.
+    # comp[v] labels free point v's clean-sightline component, and witness
+    # tiles those components by the pending subtree sizes: each label maps to
+    # (its point count, the sizes that fill it). The check that accepts
+    # order[d]'s image changes both in place and leaves in log[d] what undo
+    # restores: the old entry of that point's label, the labels added, and
+    # the pieces relabelled, which all had that label. After a full tiling
+    # the entry is the whole old witness and the labels added are None.
+    # Before the root, the whole tree fills the one component.
     comp = [0] * n
     fresh = count(1)
-    split: list[list[list[int]]] = [[]] * n  # only ever rebound, never mutated
-    witness: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(n + 1)]
-    witness[0] = {0: (n, (n,))}
+    witness: dict[int, tuple[int, tuple[int, ...]]] = {0: (n, (n,))}
+    log: list[tuple] = [()] * n
 
     def completion_feasible(depth: int, p: int) -> bool:
         """Could placing `order[depth]` at point `p` still extend to a full embedding?
@@ -553,14 +576,15 @@ def _search(
         written only if the check accepts. The component's witness sizes,
         less the placed subtree and plus its children's subtrees, are tiled
         into the pieces; every other component keeps its entry, so a local
-        tiling proves a global one. All pending sizes are tiled into all
-        components only when the local tiling fails or cannot start and
-        other components exist.
+        tiling proves a global one. When the component stays in one piece
+        those sizes sum to its points by construction, so the local check
+        is only that the placed subtree's size is among the component's (and,
+        when nothing of it is left, that no size is). All pending sizes are
+        tiled into all components only when the local tiling fails or cannot
+        start and other components exist.
         """
         home = comp[p]
-        old = witness[depth]
-        new = dict(old)
-        points, fill = new.pop(home)
+        points, fill = witness[home]
         free = [q for q in clean_adj[p] if not used[q]]
         keys, caps, moved = ([home], [points - 1], []) if free else ([], [], [])
         if len(free) > 1:
@@ -578,29 +602,37 @@ def _search(
                 caps = list(map(len, pieces))
         node = order[depth]
         kids = [size[c] for c in children[node]]
-        fill = list(fill)
         parts = None
         if size[node] in fill:
-            fill.remove(size[node])
-            parts = _tiling(tuple(sorted(fill + kids, reverse=True)), caps, deadline)
+            rest = list(fill)
+            rest.remove(size[node])
+            rest += kids
+            if moved:
+                parts = _tiling(tuple(sorted(rest, reverse=True)), caps, deadline)
+            elif free:  # one piece, which these sizes sum to
+                parts = [tuple(rest)]
+            elif not rest:  # nothing left of the component
+                parts = []
         if parts is None:
-            if not new:
+            if len(witness) == 1:
                 return False
-            pending = [s for _, f in old.values() for s in f]
+            pending = [s for _, f in witness.values() for s in f]
             pending.remove(size[node])
             pending += kids
-            keys += new
-            caps += [c for c, _ in new.values()]
+            others = [label for label in witness if label != home]
+            keys += others
+            caps += [witness[label][0] for label in others]
             parts = _tiling(tuple(sorted(pending, reverse=True)), caps, deadline)
             if parts is None:
                 return False
-            new = {}
-        new.update(zip(keys, zip(caps, parts)))
-        witness[depth + 1] = new
+            log[depth] = (dict(witness), None, moved)
+            witness.clear()
+        else:
+            log[depth] = (witness.pop(home), keys[1:], moved)
+        witness.update(zip(keys, zip(caps, parts)))
         for label, piece in zip(keys[1:], moved):
             for v in piece:
                 comp[v] = label
-        split[depth] = moved
         return True
 
     # The placed edges, filed in a uniform grid by the cells they cross. The
@@ -618,7 +650,7 @@ def _search(
         rec = memo.get(pp * n + p)
         if rec is None:
             ax, ay, bx, by = pxs[pp], pys[pp], pxs[p], pys[p]
-            cells = _crossed_cells(ax, ay, bx, by, *frame)
+            cells = _sightline_cells(ax, ay, bx, by, frame)
             rec = memo[pp * n + p] = [*boxed(ax, ay, bx, by), pp, p, cells, -1]
         ax, ay, bx, by, minx, maxx, miny, maxy, _, _, cells, _ = rec
         query = next(queries)
@@ -651,16 +683,25 @@ def _search(
                 grid[cell].append(rec)
 
     def undo(depth: int) -> int:
-        """Take back order[depth]'s placement and return its point. Edges are
-        placed and undone in stack order, so each is last in its cells, and
-        the pieces its check relabelled get back the label of its point."""
+        """Take back order[depth]'s placement and return its point. Edges and
+        witness changes are made and undone in stack order, so each edge is
+        last in its cells, and the pieces its check relabelled get back the
+        label of its point."""
         node = order[depth]
         q = node_point[node]
         used[q] = 0
         home = comp[q]
-        for piece in split[depth]:
+        entry, added, moved = log[depth]
+        for piece in moved:
             for v in piece:
                 comp[v] = home
+        if added is None:  # a full tiling replaced the witness
+            witness.clear()
+            witness.update(entry)
+        else:
+            for label in added:
+                del witness[label]
+            witness[home] = entry
         if depth:
             for cell in memo[node_point[parent[node]] * n + q][10]:
                 grid[cell].pop()

@@ -15,7 +15,14 @@ from oracles import (
 )
 from polyembed import solver
 from polyembed.errors import ValidationError
-from polyembed.geometry import Point, PointLocation, SimplePolygon, point_in_polygon
+from polyembed.geometry import (
+    DISJOINT,
+    Point,
+    PointLocation,
+    SimplePolygon,
+    point_in_polygon,
+    segment_relation,
+)
 from polyembed.model import FreeTree, PointSet, make_instance
 from polyembed.reduction import (
     build_instance,
@@ -30,6 +37,7 @@ from polyembed.solver import (
     _crossed_cells,
     _Expired,
     _rooted,
+    _sightline_cells,
     _tiling,
     build_visibility_graph,
     check_general_position,
@@ -772,6 +780,80 @@ def test_crossed_cells_match_brute_force():
         assert sorted(walk) == want, (ax, ay, bx, by, x0, y0, side, cols, rows)
 
 
+def _segment_in_grid(rng, kind, x0, y0, side, cols, rows, through=None):
+    """A random integer segment with both ends in the grid's extent, of the
+    kinds the brute-force walk test draws, or of kind 5, at most two units
+    across (mostly inside one cell). With ``through``, a point of the
+    extent, the segment passes through it or ends at it instead. None if 20
+    draws give no such segment, as a grid of one cell has no corner to
+    corner one."""
+    w, h = cols * side - 1, rows * side - 1
+    for _ in range(20):
+        if through is not None:
+            cx, cy = through
+            dx, dy = rng.randint(-3, 3), rng.randint(-3, 3)
+            s, t = rng.randint(0, 3), rng.randint(1, 3)
+            ax, ay, bx, by = cx - s * dx, cy - s * dy, cx + t * dx, cy + t * dy
+        elif kind == 4:  # corner to corner
+            ax, bx = (x0 + side * rng.randint(0, cols - 1) for _ in range(2))
+            ay, by = (y0 + side * rng.randint(0, rows - 1) for _ in range(2))
+        else:
+            ax, ay = x0 + rng.randint(0, w), y0 + rng.randint(0, h)
+            bx, by = x0 + rng.randint(0, w), y0 + rng.randint(0, h)
+            if kind == 1:  # vertical, on a cell line every other time
+                bx = ax = x0 + side * rng.randint(0, cols - 1) if rng.random() < 0.5 else ax
+            elif kind == 2:  # horizontal, likewise
+                by = ay = y0 + side * rng.randint(0, rows - 1) if rng.random() < 0.5 else ay
+            elif kind == 3:  # through a cell corner
+                return _segment_in_grid(
+                    rng, 0, x0, y0, side, cols, rows,
+                    (x0 + side * rng.randint(0, cols - 1), y0 + side * rng.randint(0, rows - 1)),
+                )
+            elif kind == 5:  # short
+                bx, by = ax + rng.randint(-2, 2), ay + rng.randint(-2, 2)
+        inside = all(x0 <= x <= x0 + w for x in (ax, bx)) and all(
+            y0 <= y <= y0 + h for y in (ay, by)
+        )
+        if inside and (ax, ay) != (bx, by):
+            return ax, ay, bx, by
+
+
+def test_sightline_cells_share_a_cell_where_segments_meet():
+    # Random integer segment pairs in random grids, drawn as in the walk
+    # test above plus short ones; the second meets the first at one of its
+    # lattice points two times in three. Two segments that meet must be
+    # filed in a common cell, both when one of them lies in one half-open
+    # cell and is filed only there, and when neither does.
+    rng = random.Random(12)
+    one_cell = meets = 0
+    for trial in range(4000):
+        frame = (
+            rng.randint(-30, 10),
+            rng.randint(-30, 10),
+            rng.choice((1, 2, 2, 3, 5, 7)),
+            rng.randint(1, 8),
+            rng.randint(1, 8),
+        )
+        first = _segment_in_grid(rng, trial % 6, *frame)
+        if first is None:
+            continue
+        ax, ay, bx, by = first
+        g = math.gcd(bx - ax, by - ay)
+        t = rng.randint(0, g)
+        through = (ax + t * (bx - ax) // g, ay + t * (by - ay) // g)
+        second = None
+        while second is None:
+            second = _segment_in_grid(
+                rng, rng.randrange(6), *frame, through if trial % 3 else None
+            )
+        cells = [_sightline_cells(*seg, frame) for seg in (first, second)]
+        one_cell += sum(len(c) == 1 for c in cells)
+        if segment_relation(*first, *second) != DISJOINT:
+            meets += 1
+            assert set(cells[0]) & set(cells[1]), (first, second, frame)
+    assert one_cell > 1000 and meets > 2000, (one_cell, meets)
+
+
 def test_search_tests_each_candidate_against_nearby_edges(monkeypatch):
     # 2501 points: the grid leaves under 4 segment tests per point, where a
     # scan of every placed edge made 175,125.
@@ -808,6 +890,27 @@ def test_search_reads_few_clean_rows():
     root = max(range(2501), key=lambda v: (tree.degree(v), -v))
     assert solver._search(tree, root, xs, ys, clean, math.inf) is not None
     assert 0 < Counted.reads < 5 * 2501
+
+
+def test_chain_placements_skip_the_tiling_search(monkeypatch):
+    # A chain node placed next to its predecessor leaves its component in
+    # one piece, which needs no tiling search: only the hub's check at the
+    # root and the checks that split the component call it (2501 and 221
+    # calls when every check did).
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _tiling(*args)
+
+    monkeypatch.setattr(solver, "_tiling", counted)
+    instance, _ = build_instance(validate_3p(50, [17, 17, 16] * 50))
+    assert decide_embedding(instance).status is SolveStatus.EMBEDDED
+    assert 0 < len(calls) <= 50
+    calls.clear()
+    instance, _ = build_instance(validate_3p(22, [6, 6, 10, 7, 7, 8] * 5))
+    assert decide_embedding(instance).status is SolveStatus.EMBEDDED
+    assert len(calls) == 5
 
 class TestGeneralPosition:
     def test_collinear_triple_found(self):
