@@ -511,8 +511,8 @@ class SimplePolygon(Record):
         its end is in that shadow. An edge that reaches the source's level
         has a shadow unbounded toward the side where it reaches it, the sign
         of a cross product; the other end is an exact rational, so its
-        integer targets are [⌈lo⌉, ⌊hi⌋]. The shadows are merged, and each
-        merged interval marks its targets by two bisects.
+        integer targets are [⌈lo⌉, ⌊hi⌋]. Each shadow marks its targets by
+        two bisects; shadows may overlap, and a target marked twice stays 1.
         """
         out = bytearray(len(xs))
         if not xs:
@@ -523,7 +523,6 @@ class SimplePolygon(Record):
         sign = 1 if y > sy else -1
         h = (y - sy) * sign
         first, last = xs[0] - sx, xs[-1] - sx
-        spans = []
         for ax, ay, bx, by, _, _, _, _ in self.edge_boxes:
             ua, ub = (ay - sy) * sign, (by - sy) * sign
             if ua > ub:
@@ -544,16 +543,6 @@ class SimplePolygon(Record):
                 lo, hi = cb, last
             else:
                 lo, hi = first, fb
-            if lo <= hi:
-                spans.append([lo, hi])
-        merged = []
-        for span in sorted(spans):
-            if merged and span[0] <= merged[-1][1]:
-                if span[1] > merged[-1][1]:
-                    merged[-1][1] = span[1]
-            else:
-                merged.append(span)
-        for lo, hi in merged:
             i, j = bisect_left(xs, lo + sx), bisect_right(xs, hi + sx)
             if i < j:
                 out[i:j] = b"\x01" * (j - i)

@@ -198,9 +198,6 @@ class FreeTree(Record):
             neigh[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in neigh)
 
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
-
 
 class PointSet(Record):
     """Distinct points, stored as two int tuples ``xs`` and ``ys`` and compared
@@ -347,10 +344,6 @@ class VerificationReport(Record):
         _set(self, "violations", violations)
         if valid != (len(violations) == 0):
             raise ValueError("report validity must match emptiness of violations")
-
-    @classmethod
-    def from_violations(cls, violations) -> "VerificationReport":
-        return cls._from_tuples(set(map(Violation._key, violations)))
 
     @classmethod
     def _from_tuples(cls, found) -> "VerificationReport":

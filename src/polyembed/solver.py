@@ -25,10 +25,12 @@ cannot exactly tile the clean-sightline components of the free points; a
 disconnected clean-sightline graph is refuted before the root. Each free
 point carries its component's label, and one witness, keyed by label, holds
 the tiling that accepted the last placement; each check that accepts
-changes it in place and records per depth what undo restores, in stack
-order. A placement with one free neighbour cannot split its component and
-searches nothing; one with more searches its component from them, and when
-it splits, every piece but the largest gets a fresh label. A component that
+changes it in place and records per depth, in one shape, what undo
+restores in stack order: the placed point's old entry, the fresh labels,
+the old entries a full tiling rewrote, and the relabelled pieces. A
+placement with one free neighbour cannot split its component and searches
+nothing; one with more searches its component from them, and when it
+splits, every piece but the largest gets a fresh label. A component that
 stays in one piece needs no tiling search: its sizes, less the placed
 subtree and plus its children's, fill it by construction. A split
 component's sizes are re-tiled into the pieces, and a full tiling runs only
@@ -340,19 +342,16 @@ def _tiling(
     """The sizes that fill each capacity in an exact tiling, or None if none exists.
 
     ``sizes`` is sorted descending; ``caps`` may come in any order, and entry
-    i of the result lists the sizes that fill ``caps[i]``. One capacity needs
-    only a sum. Otherwise the first size goes into one capacity of each
-    distinct value that can hold it, largest first, and the rest are tiled
-    into what remains. A state is refuted at once when some capacity is no
-    subset sum of its sizes (the cheap test of bin completion); up to
-    ``_REFUTED_LIMIT`` refuted states of this call are kept so that none is
-    searched twice. The search keeps its own stack, one frame per size
-    placed, so long size lists do not recurse, and on success the frames are
-    the tiling. The clock is read once every 64 new states; past
-    ``deadline`` it raises :class:`_Expired`.
+    i of the result lists the sizes that fill ``caps[i]``. The first size
+    goes into one capacity of each distinct value that can hold it, largest
+    first, and the rest are tiled into what remains. A state is refuted at
+    once when some capacity is no subset sum of its sizes (the cheap test of
+    bin completion); up to ``_REFUTED_LIMIT`` refuted states of this call
+    are kept so that none is searched twice. The search keeps its own stack,
+    one frame per size placed, so long size lists do not recurse, and on
+    success the frames are the tiling. The clock is read once every 64 new
+    states; past ``deadline`` it raises :class:`_Expired`.
     """
-    if len(caps) == 1:
-        return [sizes] if sum(sizes) == caps[0] else None
     failed: set = set()
     stack: list[list] = []  # frames: [(sizes, caps), index of the next cap]
     state = (sizes, tuple(sorted(caps, reverse=True)))
@@ -453,19 +452,28 @@ def _grid_frame(xs: list[int], ys: list[int]) -> tuple[int, int, int, int, int]:
     return x0, y0, side, width // side + 1, height // side + 1
 
 
-def _crossed_cells(
-    ax: int, ay: int, bx: int, by: int, x0: int, y0: int, side: int, cols: int, rows: int
+def _sightline_cells(
+    ax: int, ay: int, bx: int, by: int, frame: tuple[int, int, int, int, int]
 ) -> list[int]:
-    """Flat indices ``row * cols + col`` of the grid cells whose closed box
-    meets the closed segment ab, each once, clipped to the grid.
+    """Flat indices ``row * cols + col`` of the grid cells a sightline ab is
+    filed in, each once, clipped to the grid. Cell (col, row) is the box
+    ``[x0 + col * side, x0 + (col + 1) * side]`` by the same in y.
 
-    Cell (col, row) is the box ``[x0 + col * side, x0 + (col + 1) * side]`` by
-    the same in y. An exact integer supercover walk (Amanatides & Woo 1987,
-    without floats): in each column the segment's y runs between its values at
-    the column's two x bounds, kept scaled by ``bx - ax`` so they stay
-    integers, and the rows between them follow by floor division, since for
-    integers ``ceil(t / d) - 1 == (t - 1) // d``.
+    When one half-open cell, a box less its upper sides, holds both
+    endpoints, ab is filed there alone: a half-open cell is convex and
+    shares no point with another, so ab meets another edge only in it, and
+    that edge is filed there too, in the closed box of each point it meets
+    or in its own one half-open cell. Any other ab is filed in every cell
+    whose closed box meets it, by an exact integer supercover walk
+    (Amanatides & Woo 1987, without floats): in each column the segment's y
+    runs between its values at the column's two x bounds, kept scaled by
+    ``bx - ax`` so they stay integers, and the rows between them follow by
+    floor division, since for integers ``ceil(t / d) - 1 == (t - 1) // d``.
     """
+    x0, y0, side, cols, rows = frame
+    cell = (ay - y0) // side * cols + (ax - x0) // side
+    if cell == (by - y0) // side * cols + (bx - x0) // side:
+        return [cell]
     if bx < ax:
         ax, ay, bx, by = bx, by, ax, ay
     ax, bx, ay, by = ax - x0, bx - x0, ay - y0, by - y0
@@ -483,25 +491,6 @@ def _crossed_cells(
         first, last = max(0, (lo - 1) // den), min(rows - 1, hi // den)
         cells.extend(range(first * cols + col, last * cols + col + 1, cols))
     return cells
-
-
-def _sightline_cells(
-    ax: int, ay: int, bx: int, by: int, frame: tuple[int, int, int, int, int]
-) -> list[int]:
-    """The grid cells a sightline ab is filed in: the one half-open cell
-    ``[x0 + col * side, x0 + (col + 1) * side)`` by the same in y that holds
-    both endpoints, if there is one, else :func:`_crossed_cells`.
-
-    A half-open cell is convex and shares no point with another, so a
-    sightline inside one meets another edge only in it, and that edge is
-    filed there too: in the closed box of each point it meets, or in its own
-    one half-open cell.
-    """
-    x0, y0, side, cols, _ = frame
-    cell = (ay - y0) // side * cols + (ax - x0) // side
-    if cell == (by - y0) // side * cols + (bx - x0) // side:
-        return [cell]
-    return _crossed_cells(ax, ay, bx, by, *frame)
 
 
 def _flood(piece: list[int], seen: bytearray, adj) -> list[int]:
@@ -552,9 +541,9 @@ def _search(
     # tiles those components by the pending subtree sizes: each label maps to
     # (its point count, the sizes that fill it). The check that accepts
     # order[d]'s image changes both in place and leaves in log[d] what undo
-    # restores: the old entry of that point's label, the labels added, and
-    # the pieces relabelled, which all had that label. After a full tiling
-    # the entry is the whole old witness and the labels added are None.
+    # restores: the old entry of that point's label, the fresh labels added,
+    # the old entries of the other labels a full tiling rewrote (none after
+    # a local one), and the pieces relabelled, which all had that label.
     # Before the root, the whole tree fills the one component.
     comp = [0] * n
     fresh = count(1)
@@ -600,9 +589,10 @@ def _search(
                 moved = pieces[1:]
                 keys += [next(fresh) for _ in moved]
                 caps = list(map(len, pieces))
+        added = keys[1:]
         node = order[depth]
         kids = [size[c] for c in children[node]]
-        parts = None
+        parts, replaced = None, ()
         if size[node] in fill:
             rest = list(fill)
             rest.remove(size[node])
@@ -619,16 +609,13 @@ def _search(
             pending = [s for _, f in witness.values() for s in f]
             pending.remove(size[node])
             pending += kids
-            others = [label for label in witness if label != home]
-            keys += others
-            caps += [witness[label][0] for label in others]
+            replaced = [(label, entry) for label, entry in witness.items() if label != home]
+            keys += [label for label, _ in replaced]
+            caps += [entry[0] for _, entry in replaced]
             parts = _tiling(tuple(sorted(pending, reverse=True)), caps, deadline)
             if parts is None:
                 return False
-            log[depth] = (dict(witness), None, moved)
-            witness.clear()
-        else:
-            log[depth] = (witness.pop(home), keys[1:], moved)
+        log[depth] = (witness.pop(home), added, replaced, moved)
         witness.update(zip(keys, zip(caps, parts)))
         for label, piece in zip(keys[1:], moved):
             for v in piece:
@@ -691,17 +678,14 @@ def _search(
         q = node_point[node]
         used[q] = 0
         home = comp[q]
-        entry, added, moved = log[depth]
+        entry, added, replaced, moved = log[depth]
         for piece in moved:
             for v in piece:
                 comp[v] = home
-        if added is None:  # a full tiling replaced the witness
-            witness.clear()
-            witness.update(entry)
-        else:
-            for label in added:
-                del witness[label]
-            witness[home] = entry
+        for label in added:
+            del witness[label]
+        witness.update(replaced)
+        witness[home] = entry
         if depth:
             for cell in memo[node_point[parent[node]] * n + q][10]:
                 grid[cell].pop()
@@ -776,19 +760,15 @@ def embed_tree_unconstrained(tree: FreeTree, points: PointSet) -> Embedding:
     check_node_count(tree.node_count, len(points))
     xs, ys = points.xs, points.ys
     n = len(xs)
-    if n >= 3:
-        triple = check_general_position(points)
-        if triple is not None:
-            i, j, k = triple
-            raise ValidationError(
-                "GeneralPositionViolated",
-                f"points {i}, {j}, {k} are collinear",
-                indices=triple,
-            )
+    triple = check_general_position(points)
+    if triple is not None:
+        i, j, k = triple
+        raise ValidationError(
+            "GeneralPositionViolated",
+            f"points {i}, {j}, {k} are collinear",
+            indices=triple,
+        )
     mapping = [-1] * n
-    if n == 1:
-        return Embedding((0,))
-
     _, _, children, size, _ = _rooted(tree, 0)
 
     def angular_sort(anchor: int, block: list[int]) -> list[int]:

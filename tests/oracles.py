@@ -315,7 +315,7 @@ def pairwise_report(tree, points, mapping, polygon=None):
 
     _check_edge_pairs(segs, violations)
     _check_points_on_edges(tree.edges, mapping, index, violations)
-    return VerificationReport.from_violations(violations)
+    return VerificationReport._from_tuples(set(map(Violation._key, violations)))
 
 
 def _check_edge_pairs(segs, violations) -> None:

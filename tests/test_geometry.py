@@ -535,6 +535,19 @@ class TestBatchedBoundaryTests:
         assert got == [0, 1, 1, 1, 1]
         assert got == [polygon.blocks(30, 8, x, 24) for x in row]
 
+    def test_nested_and_overlapping_shadows(self):
+        # From (1, 3) in the comb's first tooth to the base's row y = 1: the
+        # right side and the tooth walls right of the source cross its
+        # level, so they cast [3, ∞), [7, ∞), [11, ∞), [14, ∞) and [15, ∞),
+        # which nest; the slot floors cast [3, 7], [11, 15] and [19, 23],
+        # inside or across them, and the left side casts (-∞, 0]. Each
+        # shadow marks its own targets: only 1 and 2 are seen.
+        comb = SimplePolygon(tuple(Point(*v) for v in COMB))
+        row = list(range(-3, 18))
+        got = list(comb.blocks_fan(1, 3, 1, row))
+        assert got == [1, 1, 1, 1, 0, 0] + [1] * 15
+        assert got == [comb.blocks(1, 3, x, 1) for x in row]
+
 
 class TestVisible:
     # Two interior points see each other iff their segment misses the boundary.

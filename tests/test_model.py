@@ -63,7 +63,7 @@ from polyembed.verifier import verify_embedding, verify_planar_only
 class TestFreeTree:
     def test_small_valid(self):
         tree = FreeTree(4, ((0, 1), (1, 2), (1, 3)))
-        assert tree.degree(1) == 3
+        assert len(tree.adjacency[1]) == 3
         assert tree.adjacency[0] == (1,)
 
     def test_single_node(self):
@@ -147,8 +147,8 @@ class TestFreeTree:
         n = 20_001
         chain = FreeTree(n, tuple((i, i + 1) for i in range(n - 1)))
         star = FreeTree(n, tuple((0, i) for i in range(1, n)))
-        assert chain.degree(0) == 1 and chain.degree(n // 2) == 2
-        assert star.degree(0) == n - 1 and star.degree(n - 1) == 1
+        assert len(chain.adjacency[0]) == 1 and len(chain.adjacency[n // 2]) == 2
+        assert len(star.adjacency[0]) == n - 1 and len(star.adjacency[n - 1]) == 1
         # Path halving must not depend on the order of an edge's ends.
         FreeTree(n, tuple((i + 1, i) for i in range(n - 1)))
         FreeTree(n, tuple((i, 0) for i in range(n - 1, 0, -1)))
@@ -494,11 +494,8 @@ class TestSerialization:
         assert deserialize_tree(serialize_tree(tree)) == tree
 
     def test_report_roundtrip(self):
-        report = VerificationReport.from_violations(
-            [
-                Violation("EdgeCrossesEdge", edges=(0, 2)),
-                Violation("EdgeThroughMappedPoint", edges=(1,), points=(4,)),
-            ]
+        report = VerificationReport._from_tuples(
+            {("EdgeCrossesEdge", (0, 2), ()), ("EdgeThroughMappedPoint", (1,), (4,))}
         )
         assert deserialize_report(serialize_report(report)) == report
 
@@ -536,8 +533,8 @@ class TestSerialization:
 
 class TestReportInvariants:
     def test_valid_iff_no_violations(self):
-        assert VerificationReport.from_violations([]).valid
-        rep = VerificationReport.from_violations([Violation("EdgeHitsBoundary", edges=(0,))])
+        assert VerificationReport._from_tuples(set()).valid
+        rep = VerificationReport._from_tuples({("EdgeHitsBoundary", (0,), ())})
         assert not rep.valid
         with pytest.raises(ValueError):
             VerificationReport(valid=True, violations=(Violation("EdgeHitsBoundary", edges=(0,)),))
@@ -549,7 +546,7 @@ class TestReportInvariants:
     def test_from_violations_sorts_and_dedupes(self):
         a = Violation("EdgeHitsBoundary", edges=(3,))
         b = Violation("EdgeCrossesEdge", edges=(0, 1))
-        rep = VerificationReport.from_violations([a, b, a])
+        rep = VerificationReport._from_tuples(set(map(Violation._key, [a, b, a])))
         assert rep.violations == (b, a)
 
 

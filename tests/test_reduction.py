@@ -127,7 +127,7 @@ class TestBuildTree:
     def test_example_shape(self):
         tree, paths = build_tree(validate_3p(7, [2, 2, 3]))
         assert tree.node_count == 8
-        assert tree.degree(0) == 3
+        assert len(tree.adjacency[0]) == 3
         assert [len(p) for p in paths] == [2, 2, 3]
         # heads are adjacent to the hub
         for path in paths:

@@ -34,7 +34,6 @@ from polyembed.reduction import (
 )
 from polyembed.solver import (
     SolveStatus,
-    _crossed_cells,
     _Expired,
     _rooted,
     _sightline_cells,
@@ -476,7 +475,7 @@ def test_subset_sum_test_refutes_near_partition():
 
 
 def test_tiling_check_handles_long_size_lists():
-    # Two capacities, so the search runs (one would take the sum shortcut).
+    # 1,200 sizes, one stack frame each, do not recurse.
     assert _tiling((1,) * 1200, [600, 600]) == [(1,) * 600, (1,) * 600]
 
 
@@ -732,42 +731,33 @@ def _box_meets_segment(ax, ay, bx, by, x0, y0, x1, y1):
 
 def test_crossed_cells_match_brute_force():
     # Random integer segments in random grids, negative origins and cells of
-    # side 1 included: general ones, vertical and horizontal ones, half of
-    # them along cell lines, ones through a cell corner and ones from corner
-    # to corner. The walk must list each cell whose closed box meets the
-    # closed segment, once, and nothing else; so it also stays inside the
-    # segment's box of cells.
+    # side 1 included, of every kind _segment_in_grid draws. A segment whose
+    # ends share a half-open cell is filed in that cell alone. Any other
+    # must be filed in each cell whose closed box meets the closed segment,
+    # once, and nothing else; so the walk also stays inside the segment's
+    # box of cells.
     rng = random.Random(11)
-    for trial in range(3000):
-        kind = trial % 5
-        while True:
-            side = rng.choice((1, 1, 2, 3, 5, 7))
-            cols, rows = rng.randint(1, 8), rng.randint(1, 8)
-            x0, y0 = rng.randint(-30, 10), rng.randint(-30, 10)
-            w, h = cols * side - 1, rows * side - 1  # the points' extent in the grid
-            if kind == 4:  # corner to corner
-                ax, bx = (x0 + side * rng.randint(0, cols - 1) for _ in range(2))
-                ay, by = (y0 + side * rng.randint(0, rows - 1) for _ in range(2))
-            else:
-                ax, bx = (x0 + rng.randint(0, w) for _ in range(2))
-                ay, by = (y0 + rng.randint(0, h) for _ in range(2))
-                on_line = trial % 2
-                if kind == 1:  # vertical, on a cell line every other time
-                    bx = ax = x0 + side * rng.randint(0, cols - 1) if on_line else ax
-                elif kind == 2:  # horizontal, likewise
-                    by = ay = y0 + side * rng.randint(0, rows - 1) if on_line else ay
-                elif kind == 3:  # through a cell corner
-                    cx = x0 + side * rng.randint(0, cols - 1)
-                    cy = y0 + side * rng.randint(0, rows - 1)
-                    dx, dy = rng.randint(-3, 3), rng.randint(-3, 3)
-                    s, t = rng.randint(1, 3), rng.randint(1, 3)
-                    ax, ay, bx, by = cx - s * dx, cy - s * dy, cx + t * dx, cy + t * dy
-            inside = all(x0 <= x <= x0 + w for x in (ax, bx)) and all(
-                y0 <= y <= y0 + h for y in (ay, by)
-            )
-            if inside and (ax, ay) != (bx, by):
-                break
-        walk = _crossed_cells(ax, ay, bx, by, x0, y0, side, cols, rows)
+    one_cell = walked = 0
+    for trial in range(3600):
+        frame = (
+            rng.randint(-30, 10),
+            rng.randint(-30, 10),
+            rng.choice((1, 1, 2, 3, 5, 7)),
+            rng.randint(1, 8),
+            rng.randint(1, 8),
+        )
+        seg = _segment_in_grid(rng, trial % 6, *frame)
+        if seg is None:
+            continue
+        ax, ay, bx, by = seg
+        x0, y0, side, cols, rows = frame
+        cells = _sightline_cells(ax, ay, bx, by, frame)
+        cell_a = ((ay - y0) // side, (ax - x0) // side)
+        if cell_a == ((by - y0) // side, (bx - x0) // side):
+            one_cell += 1
+            assert cells == [cell_a[0] * cols + cell_a[1]], (seg, frame)
+            continue
+        walked += 1
         want = [
             r * cols + c
             for r in range(rows)
@@ -777,16 +767,17 @@ def test_crossed_cells_match_brute_force():
                 x0 + c * side, y0 + r * side, x0 + (c + 1) * side, y0 + (r + 1) * side,
             )
         ]
-        assert sorted(walk) == want, (ax, ay, bx, by, x0, y0, side, cols, rows)
+        assert sorted(cells) == want, (seg, frame)
+    assert one_cell > 300 and walked > 2000, (one_cell, walked)
 
 
 def _segment_in_grid(rng, kind, x0, y0, side, cols, rows, through=None):
-    """A random integer segment with both ends in the grid's extent, of the
-    kinds the brute-force walk test draws, or of kind 5, at most two units
-    across (mostly inside one cell). With ``through``, a point of the
-    extent, the segment passes through it or ends at it instead. None if 20
-    draws give no such segment, as a grid of one cell has no corner to
-    corner one."""
+    """A random integer segment with both ends in the grid's extent, of
+    ``kind`` 0 general, 1 vertical, 2 horizontal, 3 through a cell corner,
+    4 corner to corner, or 5 at most two units across (mostly inside one
+    cell). With ``through``, a point of the extent, the segment passes
+    through it or ends at it instead. None if 20 draws give no such segment,
+    as a grid of one cell has no corner to corner one."""
     w, h = cols * side - 1, rows * side - 1
     for _ in range(20):
         if through is not None:
@@ -887,7 +878,7 @@ def test_search_reads_few_clean_rows():
     tree, points = instance.tree, instance.points
     clean = Counted(build_visibility_graph(instance).clean)
     xs, ys = [p.x for p in points], [p.y for p in points]
-    root = max(range(2501), key=lambda v: (tree.degree(v), -v))
+    root = max(range(2501), key=lambda v: (len(tree.adjacency[v]), -v))
     assert solver._search(tree, root, xs, ys, clean, math.inf) is not None
     assert 0 < Counted.reads < 5 * 2501
 
@@ -911,6 +902,26 @@ def test_chain_placements_skip_the_tiling_search(monkeypatch):
     instance, _ = build_instance(validate_3p(22, [6, 6, 10, 7, 7, 8] * 5))
     assert decide_embedding(instance).status is SolveStatus.EMBEDDED
     assert len(calls) == 5
+
+
+def test_undo_restores_the_tiling_witness(monkeypatch):
+    # Two comb draws whose searches backtrack through thousands of tiling
+    # checks, in about 0.1 s each. A fresh label kept past the undo of the
+    # split that made it leaves a stale entry in the witness, and both
+    # searches then run out of time.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _tiling(*args)
+
+    monkeypatch.setattr(solver, "_tiling", counted)
+    for seed, want in ((0, 1626), (5, 2666)):
+        calls.clear()
+        outcome = decide_embedding(lattice_draw(seed, COMB), time_limit_ms=2000)
+        assert outcome.status is SolveStatus.INFEASIBLE, seed
+        assert len(calls) == want, seed
+
 
 class TestGeneralPosition:
     def test_collinear_triple_found(self):
