@@ -39,15 +39,17 @@ refutes a state at once when some capacity is no subset sum of its sizes.
 Every prune drops only what cannot complete, so verdicts and first-found
 embeddings do not depend on them. The clean sightlines come from the
 visibility pass, which decides each pair of neighbours on a line once and
-keeps the clear ones: a row's consecutive pairs in one batch, from that
-row's boundary crossings, and a point's nearest later neighbour on each
-line into later rows found by keying offsets by direction. Those keyed
+keeps the clear ones. It works along rows, or along columns when they hold
+more pairs of points, and sweeps toward the end row that holds more points:
+a row's consecutive pairs in one batch, from that row's boundary crossings,
+and a point's nearest neighbour on each line into later rows found by
+keying offsets by direction, so the last row keys nothing. Those keyed
 pairs that share a source on a sparser row and a denser target row form a
 fan, decided by one shadow pass over the edges when it is large; every
 other pair gets a boundary test of its own. A time limit is checked in
-every phase: once per point of that pass and before each of its batches
-and boundary tests, before every candidate trial, and once every 64 new
-states of the tiling search.
+every phase: once per point that keys in that pass and before each of its
+batches and boundary tests, before every candidate trial, and once every
+64 new states of the tiling search.
 
 ``embed_tree_unconstrained`` handles the polygon-free case for points in
 general position by recursive angular splitting: the root goes to the
@@ -68,7 +70,9 @@ from itertools import count, groupby, product
 from .errors import ValidationError
 from .geometry import (
     DISJOINT,
+    Point,
     Record,
+    SimplePolygon,
     _set,
     boxed,
     direction_key,
@@ -151,49 +155,101 @@ def build_visibility_graph(
 ) -> VisibilityGraph:
     """Exact clean sightlines of an instance's points.
 
-    Points are taken in (y, x) order. Along a row the neighbour of a point
-    is the next one, and each row with two or more points decides all its
-    neighbour pairs at once with :meth:`~polyembed.geometry.SimplePolygon.blocks_row`,
-    one pass over the edges. Every point after i on a later row lies ahead of
-    it, so the reduced offset ``(dx // g, dy // g)`` with ``g = gcd(dx, dy)``
-    names the line through both, and the first later point on a line is i's
-    neighbour on it; only the later rows are keyed, so points on few rows,
-    as in the reduction, key few pairs.
+    The pass keys along rows, the lines of one y, in a frame chosen from
+    the input. When the columns hold more pairs of points than the rows
+    (the sum over columns of the squared number of points on each exceeds
+    that over rows), it works mirrored in y = x, where the columns are
+    rows: the coordinates are swapped, the polygon's vertices mirrored, and
+    the kernels run unchanged. On a tie it keeps the rows. It then sweeps
+    the rows toward the end row that holds more points, up on a tie, and
+    stops before the last row, which has no later row to key. A pair across
+    two rows that hold as many points takes the lower point as its fan
+    source, so the same fans form in either direction.
+    :func:`_clean_sightlines` is the pass in the chosen frame; its clean
+    lists are the same in any frame and either direction. On the reduction
+    the sweep runs from the anchor down to the row, so the anchor alone
+    keys, one pair per row point, and a transposed reduction is keyed along
+    its columns the same way.
 
-    A pair across rows has a source, its point on the row with fewer points
-    (the earlier point on a tie), and a target on the other row. One
-    source's targets on one row form a fan, and a fan of ``_FAN_BATCH`` or
-    more targets is decided by
-    :meth:`~polyembed.geometry.SimplePolygon.blocks_fan`, one pass over the
-    edges; only a row of that many points can hold such a fan, so the pairs
-    of points above the highest such row are never grouped. On the
-    reduction the row is one batch and the anchor's pairs one fan. Every
-    other pair gets one :meth:`~polyembed.geometry.SimplePolygon.blocks`
-    call. On any polygon the shadow pass costs about as much as five
-    ``blocks`` calls, as both are linear in the edges, but grouping costs
-    each pair about a third of a ``blocks`` call on a small polygon, so
-    the threshold is set where lattice draws in small polygons run no
-    slower than with no fans at all.
-
-    Each neighbour pair is decided once, and the clear ones are the clean
-    sightlines. The pass keeps nothing else: the runs and the matrix are
-    derived from the clean lists when read. The instance guarantees a simple
-    polygon with every point strictly inside, so nothing is checked again.
-    The clock is read once per point and before each batch and each single
-    boundary test, since one point can test thousands of lines; past
+    The pass keeps nothing but the clean lists: the runs and the matrix are
+    derived from them when read. The instance guarantees a simple polygon
+    with every point strictly inside, so nothing is checked again. Past
     ``deadline`` (a ``time.perf_counter`` value) :class:`_Expired` is raised.
     """
     points, polygon = instance.points, instance.polygon
-    n = len(points)
+    xs, ys = points.xs, points.ys
+    rows: dict[int, int] = {}  # points per line of one y
+    cols: dict[int, int] = {}  # and of one x
+    for x, y in zip(xs, ys):
+        rows[y] = rows.get(y, 0) + 1
+        cols[x] = cols.get(x, 0) + 1
+    if sum(k * k for k in cols.values()) > sum(k * k for k in rows.values()):
+        # The frame mirrored in y = x, whose rows are the columns.
+        xs, ys, rows = ys, xs, cols
+        polygon = SimplePolygon(tuple(Point(v.y, v.x) for v in polygon.vertices))
+    up = rows[max(rows)] >= rows[min(rows)]
+    return VisibilityGraph(_clean_sightlines(xs, ys, polygon, up, deadline), points)
+
+
+def _clean_sightlines(
+    xs: tuple[int, ...],
+    ys: tuple[int, ...],
+    polygon: SimplePolygon,
+    up: bool,
+    deadline: float = math.inf,
+) -> tuple[tuple[int, ...], ...]:
+    """The clean lists of the points (xs[i], ys[i]), keyed along rows and
+    swept up (``up``) or down; the same lists either way. ``polygon`` is
+    simple, in either orientation, with every point strictly inside.
+
+    Along a row the neighbour of a point is the next one, and each row with
+    two or more points decides all its neighbour pairs at once with
+    :meth:`~polyembed.geometry.SimplePolygon.blocks_row`, one pass over the
+    edges. Every point on a later row in the sweep lies ahead of a point i,
+    so the reduced offset ``(dx // g, dy // g)`` with ``g = gcd(dx, dy)``,
+    ``dy`` measured in the sweep's direction so that it is positive, names
+    the line through both, and the first later point on a line is i's
+    neighbour on it. Only the later rows are keyed, and the last row keys
+    nothing, so points on few rows, as in the reduction, key few pairs.
+
+    A pair across rows has a source, its point on the row with fewer points
+    (the lower point on a tie), and a target on the other row. One source's
+    targets on one row form a fan, and a fan of ``_FAN_BATCH`` or more
+    targets is decided by
+    :meth:`~polyembed.geometry.SimplePolygon.blocks_fan`, one pass over the
+    edges; only a row of that many points can hold such a fan, so the pairs
+    of points past the last such row in the sweep are never grouped. On the
+    reduction the row is one batch and the anchor's pairs one fan. Every
+    other pair gets one :meth:`~polyembed.geometry.SimplePolygon.blocks`
+    call, lower end first. On any polygon the shadow pass costs about as
+    much as five ``blocks`` calls, as both are linear in the edges, but
+    grouping costs each pair about a third of a ``blocks`` call on a small
+    polygon, so the threshold is set where lattice draws in small polygons
+    run no slower than with no fans at all.
+
+    Each neighbour pair is decided once, and the clear ones are the clean
+    sightlines. The clock is read once per point that keys and before each
+    batch and each single boundary test, since one point can test thousands
+    of lines; past ``deadline`` :class:`_Expired` is raised.
+    """
+    n = len(xs)
     # The instance validated the polygon, so the loops call its flat tests.
-    xs, ys, blocks, gcd = points.xs, points.ys, polygon.blocks, math.gcd
-    clock = time.perf_counter
+    blocks, gcd, clock = polygon.blocks, math.gcd, time.perf_counter
     clean: list[list[int]] = [[] for _ in range(n)]
-    order = sorted(range(n), key=lambda k: (ys[k], xs[k]))
+    # The rows in sweep order, each in ascending x.
+    sign = 1 if up else -1
+    order = sorted(range(n), key=lambda k: (sign * ys[k], xs[k]))
     size = {}  # points per row
+    # A fan's targets lie on one row, so only a row of _FAN_BATCH points can
+    # hold a batch, and only the pairs of points up to the last such row in
+    # the sweep are grouped: those before `top` in `order`.
+    top = end = 0
     for y, row in groupby(order, ys.__getitem__):
         row = list(row)
         size[y] = len(row)
+        end += len(row)
+        if len(row) >= _FAN_BATCH:
+            top = end
         if len(row) > 1:  # the row's neighbour pairs, in one batch
             if clock() >= deadline:
                 raise _Expired
@@ -201,35 +257,37 @@ def build_visibility_graph(
                 if not hit:
                     clean[a].append(b)
                     clean[b].append(a)
-    # A fan's targets lie on one row, so only a row of _FAN_BATCH points can
-    # hold a batch, and only the pairs of points up to the highest such row
-    # are grouped.
-    top = max((y for y, k in size.items() if k >= _FAN_BATCH), default=None)
     fans: dict[tuple[int, int], list[int]] = {}  # (source, target row) -> targets, decided last
     row_end = 0  # one past the last point of i's row in `order`
-    for t, i in enumerate(order):
+    for t, i in enumerate(order[: n - size[ys[order[-1]]]]):  # the last row keys nothing
+        if t == row_end:  # the first point of its row: what the row's points share
+            yi = ys[i]
+            here = size[yi]
+            row_end += here
+            later = order[: row_end - 1 : -1]  # the later rows, reversed: the nearest is written last
+            dys = [ys[j] - yi for j in later] if up else [yi - ys[j] for j in later]
+            # A later source on a sparser row gathers its fan over i's row; on
+            # a tie the lower point is the source, the later one when sweeping
+            # down.
+            cut = here + (not up)
         if clock() >= deadline:
             raise _Expired
-        xi, yi = xs[i], ys[i]
-        if t == row_end:
-            row_end += size[yi]
-        later = order[: row_end - 1 : -1]  # the later rows, reversed: the nearest is written last
+        xi = xs[i]
         nearest = {
             (dx // (g := gcd(dx, dy)), dy // g): j
-            for j, dx, dy in zip(later, [xs[j] - xi for j in later], [ys[j] - yi for j in later])
+            for j, dx, dy in zip(later, [xs[j] - xi for j in later], dys)
         }
         single = nearest.values()  # the pairs tested one by one
-        if top is not None and yi <= top:
-            # A later source on a sparser row gathers its fan over i's row;
-            # i's own fans, one per later row as dense as its own, are
+        if t < top:
+            # i's own fans, one per later row it is the source for, are
             # complete here, and a small one is tested pair by pair.
-            single, here, mine = [], size[yi], {}
+            single, mine = [], {}
             for b in nearest.values():
                 yb = ys[b]
                 there = size[yb]
                 if here < _FAN_BATCH and there < _FAN_BATCH:
                     single.append(b)
-                elif there < here:
+                elif there < cut:
                     fans.setdefault((b, yi), []).append(i)
                 else:
                     mine.setdefault(yb, []).append(b)
@@ -238,12 +296,22 @@ def build_visibility_graph(
                     single += targets
                 else:
                     fans[i, y] = targets
-        for b in single:
-            if clock() >= deadline:
-                raise _Expired
-            if not blocks(xi, yi, xs[b], ys[b]):
-                clean[i].append(b)
-                clean[b].append(i)
+        # Each test takes the lower end first; one loop per direction keeps
+        # the choice out of the loop.
+        if up:
+            for b in single:
+                if clock() >= deadline:
+                    raise _Expired
+                if not blocks(xi, yi, xs[b], ys[b]):
+                    clean[i].append(b)
+                    clean[b].append(i)
+        else:
+            for b in single:
+                if clock() >= deadline:
+                    raise _Expired
+                if not blocks(xs[b], ys[b], xi, yi):
+                    clean[i].append(b)
+                    clean[b].append(i)
     for (s, y), targets in fans.items():
         sx, sy = xs[s], ys[s]
         if len(targets) >= _FAN_BATCH:
@@ -261,7 +329,7 @@ def build_visibility_graph(
             if not hit:
                 clean[s].append(j)
                 clean[j].append(s)
-    return VisibilityGraph(tuple(tuple(sorted(c)) for c in clean), points)
+    return tuple(tuple(sorted(c)) for c in clean)
 
 
 class SolveStatus(Enum):

@@ -5,17 +5,26 @@ incidences, so the solver must return the same status and mapping.
 Relabelling points or tree nodes must keep the verdict, and the embedding
 found for the relabelled instance, carried back, must verify on the
 original. Mirroring an instance in the line y = x must keep its clean
-sightlines and visible runs.
+sightlines and visible runs, and so must keying the visibility pass along
+columns instead of rows, or sweeping its rows down instead of up.
 """
 
 import random
 
+from oracles import point_location
 from polyembed.geometry import Point, SimplePolygon
 from polyembed.model import EmbeddingInstance, FreeTree, PointSet
-from polyembed.solver import build_visibility_graph, decide_embedding
+from polyembed.solver import _clean_sightlines, build_visibility_graph, decide_embedding
 from polyembed.verifier import verify_embedding
 from test_parity import visibility_corpus
-from test_solver import POLYGON_CATALOG, random_bounded_instance, transposed
+from test_solver import (
+    COMB,
+    L_POLYGON,
+    POLYGON_CATALOG,
+    path_instance,
+    random_bounded_instance,
+    transposed,
+)
 
 # (a, b, c, d) maps (x, y) to (a*x + b*y, c*x + d*y).
 LATTICE_SYMMETRIES = [
@@ -96,3 +105,41 @@ def test_transposition_keeps_visibility():
         got = build_visibility_graph(transposed(instance))
         assert got.clean == want.clean, label
         assert set(map(frozenset, got.runs)) == set(map(frozenset, want.runs)), label
+
+
+def lattice_draws():
+    """(label, instance) for seeded lattice draws with many points on both
+    rows and columns: 200 points in the L, and three full rows of 41 points
+    across the comb scaled by 3 plus four points in its teeth."""
+
+    def instance(chosen, verts):
+        points = PointSet(tuple(Point(x, y) for x, y in chosen))
+        return path_instance(points, SimplePolygon(tuple(Point(x, y) for x, y in verts)))
+
+    in_l = [
+        (x, y) for x in range(41) for y in range(33) if point_location(L_POLYGON, (x, y)) == "inside"
+    ]
+    comb = [(3 * x, 3 * y) for x, y in COMB]
+    teeth = [
+        (x, y) for x in range(1, 42) for y in range(7, 18) if point_location(comb, (x, y)) == "inside"
+    ]
+    for seed in range(2):
+        rng = random.Random(seed)
+        yield ("L", seed), instance(rng.sample(in_l, 200), L_POLYGON)
+        rows = rng.sample(range(1, 6), 3)
+        chosen = [(x, y) for y in rows for x in range(1, 42)] + rng.sample(teeth, 4)
+        yield ("comb", seed), instance(chosen, comb)
+
+
+def test_keying_frame_and_sweep_keep_clean_lists():
+    # The pass keys in one frame and sweeps one way, as it chooses; its
+    # keying core must find the same clean lists along rows and, mirrored in
+    # y = x, along columns, sweeping up and down. The comb's three long rows
+    # hold equally many points, so its fans follow the tie rule both ways.
+    for label, instance in [*visibility_corpus(), *lattice_draws()]:
+        xs, ys, polygon = instance.points.xs, instance.points.ys, instance.polygon
+        mirrored = SimplePolygon(tuple(Point(v.y, v.x) for v in polygon.vertices))
+        want = build_visibility_graph(instance).clean
+        for up in (True, False):
+            assert _clean_sightlines(xs, ys, polygon, up) == want, (label, "rows", up)
+            assert _clean_sightlines(ys, xs, mirrored, up) == want, (label, "columns", up)

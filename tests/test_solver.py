@@ -71,18 +71,24 @@ def path_instance(points, polygon):
     return make_instance(FreeTree(n, tuple((i - 1, i) for i in range(1, n))), points, polygon)
 
 
-def transposed(instance):
-    """The instance mirrored in the line y = x, with the same point and node
-    indices; the instance re-orients the mirrored polygon."""
+def moved(instance, move):
+    """The instance with every point and polygon vertex (x, y) taken to
+    ``move(x, y)``, with the same point and node indices; the instance
+    re-orients the moved polygon."""
 
-    def swap(p):
-        return Point(p.y, p.x)
+    def point(p):
+        return Point(*move(p.x, p.y))
 
     return make_instance(
         instance.tree,
-        PointSet(tuple(map(swap, instance.points))),
-        SimplePolygon(tuple(map(swap, instance.polygon.vertices))),
+        PointSet(tuple(map(point, instance.points))),
+        SimplePolygon(tuple(map(point, instance.polygon.vertices))),
     )
+
+
+def transposed(instance):
+    """The instance mirrored in the line y = x."""
+    return moved(instance, lambda x, y: (y, x))
 
 
 L_POLYGON = [(0, 0), (40, 0), (40, 16), (24, 16), (24, 32), (0, 32)]
@@ -193,17 +199,21 @@ class TestVisibilityGraph:
         assert rows == [len(line)]
         assert fans == [(anchor, len(line))]
 
-    @pytest.mark.parametrize("flip, calls", [(False, 400), (True, 80_199)])
-    def test_row_neighbours_are_not_keyed(self, monkeypatch, flip, calls):
-        # 401 points, all but the anchor on one row. Each row point keys only
-        # the anchor, and its row neighbour is the next point. Transposed,
-        # the anchor shares a row with one point and every other row holds
-        # one point, so all 401 * 400 / 2 pairs but that one are keyed.
-        # Either way the 792 clean sightlines are found: 400 to the anchor
-        # and 49 along each group of 50.
+    @pytest.mark.parametrize("mirror_y", [False, True])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_row_neighbours_are_not_keyed(self, monkeypatch, flip, mirror_y):
+        # 401 points, all but the anchor on one row, as given or mirrored in
+        # y = x (flip), in y = 0 (mirror_y) or in both. The pass keys along
+        # the line that holds the row, columns when flipped, and sweeps
+        # toward it, so only the anchor keys, and only the row's 400 points;
+        # the row's neighbour pairs are its batch. Each way the 792 clean
+        # sightlines are found: 400 to the anchor and 49 along each group
+        # of 50.
         instance, _ = build_instance(validate_3p(50, [17, 17, 16] * 8))
         if flip:
             instance = transposed(instance)
+        if mirror_y:
+            instance = moved(instance, lambda x, y: (x, -y))
         keyed = []
         gcd = math.gcd
 
@@ -213,7 +223,7 @@ class TestVisibilityGraph:
 
         monkeypatch.setattr(math, "gcd", counted)
         graph = build_visibility_graph(instance)
-        assert len(keyed) == calls
+        assert len(keyed) == 400
         assert sum(map(len, graph.clean)) == 2 * 792
 
     def test_pass_builds_no_runs(self):
@@ -403,11 +413,14 @@ class TestDecideEmbedding:
         assert outcome.elapsed_ms >= 500
 
     def test_deadline_expires_inside_precompute(self):
-        # A 4001-point reduction, transposed so that each row but one holds
-        # one point: it builds in about 0.1 s, but its visibility pass keys
-        # all pairs but one and takes about 2.5 s, so both the 50 ms and
-        # the 0.5 s limit run out in the pass.
-        instance = transposed(build_instance(validate_3p(50, [17, 17, 16] * 80))[0])
+        # A 4001-point reduction turned by 45 degrees, (x, y) -> (x - y,
+        # x + y), so that its lines lie on neither axis and nearly every row
+        # and column holds one point: it builds in under 0.1 s, but its
+        # visibility pass keys all pairs and takes about 2 s, so both the
+        # 50 ms and the 0.5 s limit run out in the pass.
+        instance = moved(
+            build_instance(validate_3p(50, [17, 17, 16] * 80))[0], lambda x, y: (x - y, x + y)
+        )
         start = time.perf_counter()
         outcome = decide_embedding(instance, time_limit_ms=50)
         assert outcome.status is SolveStatus.TIMED_OUT
@@ -811,10 +824,10 @@ def _segment_in_grid(rng, kind, x0, y0, side, cols, rows, through=None):
 
 def test_sightline_cells_share_a_cell_where_segments_meet():
     # Random integer segment pairs in random grids, drawn as in the walk
-    # test above plus short ones; the second meets the first at one of its
-    # lattice points two times in three. Two segments that meet must be
-    # filed in a common cell, both when one of them lies in one half-open
-    # cell and is filed only there, and when neither does.
+    # test above; the second meets the first at one of its lattice points
+    # two times in three. Two segments that meet must be filed in a common
+    # cell, both when one of them lies in one half-open cell and is filed
+    # only there, and when neither does.
     rng = random.Random(12)
     one_cell = meets = 0
     for trial in range(4000):
