@@ -221,11 +221,11 @@ def _clean_sightlines(
     of points past the last such row in the sweep are never grouped. On the
     reduction the row is one batch and the anchor's pairs one fan. Every
     other pair gets one :meth:`~polyembed.geometry.SimplePolygon.blocks`
-    call, lower end first. On any polygon the shadow pass costs about as
-    much as five ``blocks`` calls, as both are linear in the edges, but
-    grouping costs each pair about a third of a ``blocks`` call on a small
-    polygon, so the threshold is set where lattice draws in small polygons
-    run no slower than with no fans at all.
+    call. On any polygon the shadow pass costs about as much as five
+    ``blocks`` calls, as both are linear in the edges, but grouping costs
+    each pair about a third of a ``blocks`` call on a small polygon, so
+    the threshold is set where lattice draws in small polygons run no
+    slower than with no fans at all.
 
     Each neighbour pair is decided once, and the clear ones are the clean
     sightlines. The clock is read once per point that keys and before each
@@ -296,22 +296,12 @@ def _clean_sightlines(
                     single += targets
                 else:
                     fans[i, y] = targets
-        # Each test takes the lower end first; one loop per direction keeps
-        # the choice out of the loop.
-        if up:
-            for b in single:
-                if clock() >= deadline:
-                    raise _Expired
-                if not blocks(xi, yi, xs[b], ys[b]):
-                    clean[i].append(b)
-                    clean[b].append(i)
-        else:
-            for b in single:
-                if clock() >= deadline:
-                    raise _Expired
-                if not blocks(xs[b], ys[b], xi, yi):
-                    clean[i].append(b)
-                    clean[b].append(i)
+        for b in single:
+            if clock() >= deadline:
+                raise _Expired
+            if not blocks(xi, yi, xs[b], ys[b]):
+                clean[i].append(b)
+                clean[b].append(i)
     for (s, y), targets in fans.items():
         sx, sy = xs[s], ys[s]
         if len(targets) >= _FAN_BATCH:

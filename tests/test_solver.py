@@ -208,22 +208,32 @@ class TestVisibilityGraph:
         # toward it, so only the anchor keys, and only the row's 400 points;
         # the row's neighbour pairs are its batch. Each way the 792 clean
         # sightlines are found: 400 to the anchor and 49 along each group
-        # of 50.
+        # of 50. Keying the anchor from every row point would also make 400
+        # gcd calls, so the clock reads pin who keys: one for the row's
+        # batch, one for the anchor's keying and one for its fan, where a
+        # sweep away from the row reads it once more per row point.
         instance, _ = build_instance(validate_3p(50, [17, 17, 16] * 8))
         if flip:
             instance = transposed(instance)
         if mirror_y:
             instance = moved(instance, lambda x, y: (x, -y))
-        keyed = []
-        gcd = math.gcd
+        keyed, reads = [], []
+        gcd, clock = math.gcd, time.perf_counter
 
         def counted(a, b):
             keyed.append((a, b))
             return gcd(a, b)
 
+        def read():
+            reads.append(None)
+            return clock()
+
         monkeypatch.setattr(math, "gcd", counted)
+        monkeypatch.setattr(time, "perf_counter", read)
         graph = build_visibility_graph(instance)
+        monkeypatch.undo()
         assert len(keyed) == 400
+        assert len(reads) == 3
         assert sum(map(len, graph.clean)) == 2 * 792
 
     def test_pass_builds_no_runs(self):
