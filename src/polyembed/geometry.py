@@ -1,48 +1,24 @@
 """Exact integer-arithmetic planar geometry.
 
-Exact direction keys, segment-pair classification, a plane sweep for
-contacts among segments, point location and segment-versus-boundary
-tests inside a simple polygon. Every predicate works on integer
-coordinates, and crossing points are exact rationals; no floating point
-appears anywhere in this module, so all answers are exact. Touching counts
-as intersecting throughout: a segment that merely grazes the polygon
-boundary "hits" it. :func:`cross` is the orientation kernel.
+Every predicate works on integer coordinates, and crossing points are exact
+rationals; no floating point appears in this module. :func:`exact_ints` is
+the package's integer rule. Touching counts as intersecting throughout: a
+segment that merely grazes the polygon boundary "hits" it.
 
-:func:`segment_relation` is the one place that decides how two closed
-segments meet. It takes flat integer coordinates so hot loops can call it
-without building objects; :func:`classify_segments`,
-:func:`segment_hits_boundary`, :func:`plane_contacts`, the solver and the
-verifier all go through it. :func:`plane_contacts` is the one sweep: a
-Bentley–Ottmann sweep that reports, in (x, y) order, every point where
-segments meet other than at a shared end, with the segments that start, end
-and pass there; an instance's points are distinct and strictly inside its
-polygon, so a shared end is a shared mapped point or polygon vertex. Where
-the segment in the last event's status slot ends and just one starts, the
-new one takes that slot in place; other events test that slot and its
-neighbour, then bisect. Side tests are inline integer arithmetic on line
-coefficients made once per segment, and new neighbours go to
-:func:`segment_relation` only if neither lies strictly on one side of the
-other's line. The verifier builds its whole report from it, and a polygon
-is simple iff its vertices are distinct and its edges give it no contact.
-:func:`_row_cuts` is the one row kernel: one pass over the edges gives
-where they meet a horizontal line, each crossing as its exact floor and
-ceiling from one ``divmod``, and the horizontal edges on the line.
-:func:`_locate` is the one point-location pass, on flat coordinates: one
-row kernel pass per distinct y among the points; :func:`point_in_polygon`
-is its form for one :class:`Point` record, and an instance locates all its
-points in one call.
-:func:`boxed` is the one segment record and :meth:`SimplePolygon.blocks`
-the one segment-versus-boundary test; it takes a plain segment, makes its
-own box, and hands :func:`segment_relation` only the edges that meet that
-box and do not lie strictly on one side of the segment's line. Its two
-batched forms decide many segments in one pass over the edges, exactly in
-integers: :meth:`SimplePolygon.blocks_row` the gaps between neighbours on
-one row, from the row kernel, and :meth:`SimplePolygon.blocks_fan` the
-segments from one source to targets on one row, from the shadows the
-edges cast on it. Public predicates validate their polygon; loops over an
-already-validated instance call these flat forms, which check nothing
-again. The solver's visibility pass decides each segment between
-neighbours on a line once, and the clear ones are the clean sightlines.
+- :func:`segment_relation` decides how two closed segments meet, on flat
+  coordinates; :func:`classify_segments` is its form for two
+  :class:`Segment` records.
+- :func:`plane_contacts` is the one sweep for the contacts among many
+  segments. The verifier's report and :func:`is_simple` come from it.
+- :class:`SimplePolygon` holds a polygon. :meth:`SimplePolygon.blocks` tests
+  one segment against its boundary, and :meth:`SimplePolygon.blocks_row`
+  and :meth:`SimplePolygon.blocks_fan` decide many in one pass over the
+  edges; :func:`segment_hits_boundary` is the form for a :class:`Segment`.
+- :func:`_locate` locates many points with the row kernel
+  :func:`_row_cuts`, and :func:`point_in_polygon` one :class:`Point`.
+
+Public predicates validate their polygon and coordinates; loops over an
+already-validated instance call the flat forms, which check nothing again.
 """
 
 from __future__ import annotations
@@ -144,6 +120,7 @@ class Segment(Record):
     def __init__(self, a: Point, b: Point):
         _set(self, "a", a)
         _set(self, "b", b)
+        exact_ints((a.x, a.y, b.x, b.y), "NonIntegerCoordinate", "segment coordinate")
         if a == b:
             raise ValidationError("DegenerateSegment", f"segment endpoints coincide at {a}")
 
@@ -671,7 +648,8 @@ def point_in_polygon(p: Point, polygon: SimplePolygon) -> PointLocation:
     """Exact location of p relative to a simple polygon: :func:`_locate` on
     one point."""
     ensure_simple(polygon)
-    return _locate((p.x,), (p.y,), polygon)[0]
+    x, y = exact_ints((p.x, p.y), "NonIntegerCoordinate", "point coordinate")
+    return _locate((x,), (y,), polygon)[0]
 
 
 def segment_hits_boundary(s: Segment, polygon: SimplePolygon) -> bool:

@@ -8,7 +8,7 @@ provides a small exhaustive 3-partition oracle for cross-checking.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 
 from .errors import ValidationError
 from .geometry import COORD_LIMIT, Point, Record, SimplePolygon, _set, exact_ints
@@ -191,6 +191,7 @@ def build_polygon(n: int, B: int) -> SimplePolygon:
     (B+1+k(B+2), 0), (B+1+k(B+2), 2), (B+3+k(B+2), 0); then the far base
     corner (n(B+2), 0) and the apex (0, n(B+2)). Exactly 3n vertices.
     """
+    n, B = exact_ints((n, B), "InvalidParameter", "parameter")
     if n < 1 or B < 1:
         raise ValidationError("InvalidParameter", "n and B must be positive")
     if n * (B + 2) > COORD_LIMIT:
@@ -215,6 +216,7 @@ def build_points(n: int, B: int) -> tuple[PointSet, tuple[tuple[int, ...], ...]]
     x = (i-1)(B+2)+1 .. (i-1)(B+2)+B. Requires B >= 3 so the anchor sits
     strictly below the hypotenuse and strictly above the notch peaks.
     """
+    n, B = exact_ints((n, B), "InvalidParameter", "parameter")
     if n < 1:
         raise ValidationError("InvalidParameter", "n must be positive")
     if B < 3:
@@ -304,24 +306,18 @@ def brute_force_3p(inst: ThreePartitionInstance) -> Partition | None:
     target = inst.target
     values = inst.values
 
-    def search(remaining: list[int], acc: list[tuple[int, int, int]]):
+    def search(remaining: list[int]) -> list[tuple[int, int, int]] | None:
         if not remaining:
-            return list(acc)
-        lead = remaining[0]
-        rest = remaining[1:]
-        for jj in range(len(rest)):
-            vj = values[rest[jj]]
-            for kk in range(jj + 1, len(rest)):
-                if values[lead] + vj + values[rest[kk]] == target:
-                    acc.append((lead, rest[jj], rest[kk]))
-                    nxt = [x for t, x in enumerate(rest) if t != jj and t != kk]
-                    found = search(nxt, acc)
-                    if found is not None:
-                        return found
-                    acc.pop()
+            return []
+        lead, *rest = remaining
+        for j, k in combinations(rest, 2):
+            if values[lead] + values[j] + values[k] == target:
+                found = search([x for x in rest if x != j and x != k])
+                if found is not None:
+                    return [(lead, j, k), *found]
         return None
 
-    triples = search(list(range(m)), [])
+    triples = search(list(range(m)))
     if triples is None:
         return None
     partition = Partition.from_sets(triples)

@@ -9,6 +9,7 @@ integer.
 from __future__ import annotations
 
 from .errors import ValidationError
+from .geometry import exact_ints
 from .model import Embedding, EmbeddingInstance
 
 STYLE = {
@@ -33,6 +34,8 @@ def render_svg(
             "MappingLengthMismatch",
             f"mapping covers {len(embedding)} nodes, tree has {instance.tree.node_count}",
         )
+    if highlight_point is not None:
+        exact_ints((highlight_point,), "InvalidConfig", "highlight_point")
     poly = instance.polygon.vertices
     xs, ys = instance.points.xs, instance.points.ys
     all_x = [p.x for p in poly] + list(xs)

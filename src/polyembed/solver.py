@@ -1,61 +1,12 @@
 """Exact decision procedures for tree embeddings.
 
-``decide_embedding`` is a complete backtracking search for the
-polygon-bounded problem: nodes are placed in depth-first order from a
-max-degree root, and candidate points are tried in ascending index order.
-The root's candidates are all points; every other node's come from clean
-sightlines to its parent's image: pairs of mutually visible points with no
-third point of the instance between them. One candidate loop serves both.
-Excluding edges that cover a point not yet placed is safe: every point must
-eventually be used, so such an edge can never extend to a valid embedding.
-For the same reason a node of tree degree d is tried only at points with
-at least d clean sightlines (the degree filter of subgraph matching). A
-partial placement then survives only if the new edge meets the placed
-edges at the parent's image alone. The placed edges are filed in a
-uniform grid of about n cells over the points' bounding box, each in every
-cell its closed segment meets (an exact integer supercover walk), or only in
-the one half-open cell that holds both its endpoints, so a new edge is
-tested only against the edges filed in its own cells; an edge is
-filed when placed and taken out when undone, in stack order, and each
-clean sightline's cells are found once per search. Interchangeable sibling
-subtrees additionally get ascending root images, which skips permutations of
-identical chains without ever skipping the first solution the plain order
-would find. A placement is also dropped when the pending subtree sizes
-cannot exactly tile the clean-sightline components of the free points; a
-disconnected clean-sightline graph is refuted before the root. Each free
-point carries its component's label, and one witness, keyed by label, holds
-the tiling that accepted the last placement; each check that accepts
-changes it in place and records per depth, in one shape, what undo
-restores in stack order: the placed point's old entry, the fresh labels,
-the old entries a full tiling rewrote, and the relabelled pieces. A
-placement with one free neighbour cannot split its component and searches
-nothing; one with more searches its component from them, and when it
-splits, every piece but the largest gets a fresh label. A component that
-stays in one piece needs no tiling search: its sizes, less the placed
-subtree and plus its children's, fill it by construction. A split
-component's sizes are re-tiled into the pieces, and a full tiling runs only
-when that local check fails and other components exist. The tiling search
-refutes a state at once when some capacity is no subset sum of its sizes.
-Every prune drops only what cannot complete, so verdicts and first-found
-embeddings do not depend on them. The clean sightlines come from the
-visibility pass, which decides each pair of neighbours on a line once and
-keeps the clear ones. It works along rows, or along columns when they hold
-more pairs of points, and sweeps toward the end row that holds more points:
-a row's consecutive pairs in one batch, from that row's boundary crossings,
-and a point's nearest neighbour on each line into later rows found by
-keying offsets by direction, so the last row keys nothing. Those keyed
-pairs that share a source on a sparser row and a denser target row form a
-fan, decided by one shadow pass over the edges when it is large; every
-other pair gets a boundary test of its own. A time limit is checked in
-every phase: once per point that keys in that pass and before each of its
-batches and boundary tests, before every candidate trial, and once every
-64 new states of the tiling search.
-
-``embed_tree_unconstrained`` handles the polygon-free case for points in
-general position by recursive angular splitting: the root goes to the
-bottom-most point, the rest are sorted by angle, and each child subtree gets
-a contiguous angular block whose least-angle point (a hull point of the
-block) becomes the child's image.
+- :func:`build_visibility_graph` finds the clean sightlines: the pairs of
+  points that see each other inside the polygon with no third point of the
+  instance between them. :func:`_clean_sightlines` is the pass.
+- :func:`decide_embedding` decides the polygon-bounded problem by the
+  complete backtracking search :func:`_search` over those sightlines.
+- :func:`embed_tree_unconstrained` embeds any tree on points in general
+  position, with no polygon.
 """
 
 from __future__ import annotations
@@ -64,8 +15,9 @@ import functools
 import math
 import time
 from bisect import bisect_left
+from collections import Counter
 from enum import Enum
-from itertools import count, groupby, product
+from itertools import count, groupby
 
 from .errors import ValidationError
 from .geometry import (
@@ -97,8 +49,8 @@ class VisibilityGraph(Record):
     ``clean[i]`` lists, ascending, the points i sees with no third point of
     ``points`` on the open segment between them. Two distinct points see
     each other iff clean sightlines along their common line join them, so
-    ``runs`` and ``matrix`` are derived from ``clean`` and the coordinates
-    on first read. The solver reads neither.
+    ``matrix`` is derived from ``clean`` and the coordinates on first read.
+    The solver does not read it.
     """
 
     _fields = ("clean", "points")
@@ -108,42 +60,28 @@ class VisibilityGraph(Record):
         _set(self, "points", points)
 
     @functools.cached_property
-    def runs(self) -> tuple[tuple[int, ...], ...]:
-        """The maximal runs of mutually visible points, built on first read.
+    def matrix(self) -> tuple[tuple[bool, ...], ...]:
+        """Symmetric visibility matrix, diagonal True, built on first read.
 
-        A run is two or more collinear points that all see each other, in
-        (y, x) order along their line: a maximal chain of clean sightlines
-        on one line. Runs are listed by their first point's index, then by
-        their second's.
+        Each clean sightline is keyed by its reduced direction at its lower
+        end (its left end on a row). Following a point's key along the line
+        reaches every point it sees that way.
         """
         xs, ys, gcd = self.points.xs, self.points.ys, math.gcd
-        ahead: dict[tuple[int, tuple[int, int]], int] = {}  # (point, line) -> next on it
+        ahead: dict[tuple[int, int], dict[int, int]] = {}  # line -> {point: next on it}
         for i, row in enumerate(self.clean):
             for j in row:
                 dx, dy = xs[j] - xs[i], ys[j] - ys[i]
                 if dy > 0 or (dy == 0 and dx > 0):
                     g = gcd(dx, dy)
-                    ahead[i, (dx // g, dy // g)] = j
-        inner = {(j, line) for (_, line), j in ahead.items()}
-        runs = []
-        for (i, line), j in ahead.items():
-            if (i, line) in inner:
-                continue
-            run = [i, j]
-            while (j, line) in ahead:
-                j = ahead[j, line]
-                run.append(j)
-            runs.append(tuple(run))
-        return tuple(runs)
-
-    @functools.cached_property
-    def matrix(self) -> tuple[tuple[bool, ...], ...]:
-        """Symmetric visibility matrix, diagonal True, built from ``runs`` on first read."""
+                    ahead.setdefault((dx // g, dy // g), {})[i] = j
         n = len(self.clean)
         rows = [[False] * i + [True] + [False] * (n - 1 - i) for i in range(n)]
-        for run in self.runs:
-            for a, b in product(run, run):
-                rows[a][b] = True
+        for nxt in ahead.values():
+            for i, j in nxt.items():
+                while j is not None:
+                    rows[i][j] = rows[j][i] = True
+                    j = nxt.get(j)
         return tuple(map(tuple, rows))
 
 
@@ -171,18 +109,14 @@ def build_visibility_graph(
     keys, one pair per row point, and a transposed reduction is keyed along
     its columns the same way.
 
-    The pass keeps nothing but the clean lists: the runs and the matrix are
-    derived from them when read. The instance guarantees a simple polygon
-    with every point strictly inside, so nothing is checked again. Past
-    ``deadline`` (a ``time.perf_counter`` value) :class:`_Expired` is raised.
+    The pass keeps nothing but the clean lists; the matrix is derived from
+    them when read. The instance guarantees a simple polygon with every
+    point strictly inside, so nothing is checked again. Past ``deadline``
+    (a ``time.perf_counter`` value) :class:`_Expired` is raised.
     """
     points, polygon = instance.points, instance.polygon
     xs, ys = points.xs, points.ys
-    rows: dict[int, int] = {}  # points per line of one y
-    cols: dict[int, int] = {}  # and of one x
-    for x, y in zip(xs, ys):
-        rows[y] = rows.get(y, 0) + 1
-        cols[x] = cols.get(x, 0) + 1
+    rows, cols = Counter(ys), Counter(xs)  # points per line of one y, and of one x
     if sum(k * k for k in cols.values()) > sum(k * k for k in rows.values()):
         # The frame mirrored in y = x, whose rows are the columns.
         xs, ys, rows = ys, xs, cols
@@ -575,12 +509,24 @@ def _search(
 
     ``pxs`` and ``pys`` are the point coordinates in index order, flat so the
     inner loops make no attribute lookups; ``clean_adj`` holds the ascending
-    clean-sightline lists. A disconnected clean-sightline graph returns None
-    at once; otherwise every free point carries the label of its component,
-    which the tiling check reads, splits and relabels, and undo restores.
-    The clock is read before each candidate trial and, inside the tiling
-    check, once every 64 new states; past ``deadline`` :class:`_Expired` is
-    raised.
+    clean-sightline lists. Nodes are placed in the depth-first order of
+    :func:`_rooted` from ``root``, each at the first point, in ascending
+    index order, that passes every check. A node's candidates are the clean
+    sightlines from its parent's image: an edge that covers a point can
+    never be part of an embedding, since every point is used. A node of
+    tree degree d goes only to a point with at least d clean sightlines.
+    The new edge may meet the placed ones only at the parent's image
+    (``admissible``, over the grid cells of :func:`_sightline_cells`), and
+    the pending subtree sizes must still tile the clean-sightline
+    components of the free points (``completion_feasible``). Every free
+    point carries its component's label, which that check reads, splits
+    and relabels, and undo restores; a disconnected graph returns None at
+    once. Interchangeable sibling subtrees take ascending images, which
+    never skips the first embedding the plain order would find.
+    Every check drops only placements that cannot complete, so verdicts and
+    first-found embeddings do not depend on them. The clock is read before
+    each candidate trial and, inside the tiling check, once every 64 new
+    states; past ``deadline`` :class:`_Expired` is raised.
     """
     n = tree.node_count
     order, parent, children, size, prev_iso = _rooted(tree, root)
@@ -812,8 +758,11 @@ def check_general_position(points: PointSet) -> tuple[int, int, int] | None:
 def embed_tree_unconstrained(tree: FreeTree, points: PointSet) -> Embedding:
     """Planar embedding of any free tree onto general-position points.
 
-    Always succeeds under the preconditions; the output satisfies
-    ``verify_planar_only``.
+    Recursive angular splitting: the root goes to the bottom-most point, the
+    rest are sorted by angle around it, and each child subtree gets a
+    contiguous angular block, whose least-angle point (a hull point of the
+    block) becomes the child's image. Always succeeds under the
+    preconditions; the output satisfies ``verify_planar_only``.
     """
     check_node_count(tree.node_count, len(points))
     xs, ys = points.xs, points.ys

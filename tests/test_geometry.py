@@ -154,6 +154,16 @@ class TestClassifySegments:
         with pytest.raises(ValidationError):
             Segment(Point(1, 1), Point(1, 1))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(Point(0, 0.5), Point(2, 2)), (Point(0, 0), Point(True, 2)), (Point(0, 0), Point(2, "2"))],
+        ids=["float", "bool", "string"],
+    )
+    def test_non_integer_endpoint_rejected(self, a, b):
+        with pytest.raises(ValidationError) as err:
+            classify_segments(Segment(Point(0, 2), Point(2, 0)), Segment(a, b))
+        assert err.value.code == "NonIntegerCoordinate"
+
     @given(points, points, points, points)
     def test_symmetric_in_arguments(self, a, b, c, d):
         if a == b or c == d:
@@ -235,6 +245,14 @@ class TestPointInPolygon:
     def test_edge_point_is_boundary(self):
         assert point_in_polygon(Point(4, 0), TRIANGLE) is PointLocation.ON_BOUNDARY
         assert point_in_polygon(Point(4, 5), TRIANGLE) is PointLocation.ON_BOUNDARY
+
+    @pytest.mark.parametrize(
+        "p", [Point(1.5, 1), Point(1, True), Point("1", 1)], ids=["float", "bool", "string"]
+    )
+    def test_non_integer_point_rejected(self, p):
+        with pytest.raises(ValidationError) as err:
+            point_in_polygon(p, TRIANGLE)
+        assert err.value.code == "NonIntegerCoordinate"
 
     def test_agrees_with_halfplane_test_on_convex_polygons(self):
         convex = [
@@ -412,6 +430,16 @@ class TestSegmentHitsBoundary:
         for p in (Point(0, 0), Point(4, 0), Point(3, 6), Point(0, 5)):
             assert point_in_polygon(p, TRIANGLE) is PointLocation.ON_BOUNDARY
             assert segment_hits_boundary(Segment(p, Point(1, 1)), TRIANGLE)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(Point(1.5, 1), Point(2, 1)), (Point(1, 1), Point(2, True)), (Point(1, 1), Point("2", 1))],
+        ids=["float", "bool", "string"],
+    )
+    def test_non_integer_endpoint_rejected(self, a, b):
+        with pytest.raises(ValidationError) as err:
+            segment_hits_boundary(Segment(a, b), TRIANGLE)
+        assert err.value.code == "NonIntegerCoordinate"
 
     def test_agrees_with_oracle_on_lattice(self):
         # Every ordered pair of lattice points, inside, outside and on the

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -175,6 +177,15 @@ class TestBuildPolygon:
         with pytest.raises(ValidationError):
             build_polygon(1, 0)
 
+    @pytest.mark.parametrize(
+        "n, B", [(2.5, 7), (True, 7), (2, "7")], ids=["n-float", "n-bool", "B-string"]
+    )
+    def test_non_integer_parameters_rejected(self, n, B):
+        # Nothing is converted: True is not one group.
+        with pytest.raises(ValidationError) as err:
+            build_polygon(n, B)
+        assert err.value.code == "InvalidParameter"
+
     def test_coordinate_bound(self):
         # build_instance never gets here: build_points checks the bound first.
         with pytest.raises(ValidationError) as err:
@@ -208,6 +219,14 @@ class TestBuildPoints:
     def test_no_groups_rejected(self):
         with pytest.raises(ValidationError) as err:
             build_points(0, 7)
+        assert err.value.code == "InvalidParameter"
+
+    @pytest.mark.parametrize(
+        "n, B", [(2, 7.0), (True, 7), (2, "7")], ids=["B-float", "n-bool", "B-string"]
+    )
+    def test_non_integer_parameters_rejected(self, n, B):
+        with pytest.raises(ValidationError) as err:
+            build_points(n, B)
         assert err.value.code == "InvalidParameter"
 
 
@@ -289,6 +308,39 @@ class TestBruteForce3p:
         # triple of those sums to 15, so the search undoes it.
         part = brute_force_3p(validate_3p(15, [5, 5, 4, 6, 4, 6, 5, 4, 6]))
         assert part == Partition(((0, 2, 3), (1, 4, 5), (6, 7, 8)))
+
+    def test_least_of_all_partitions_on_seeded_inputs(self):
+        # 120 seeded inputs of 6 to 12 values, drawn in range with the right
+        # sum: most have several partitions, some one and some none. The
+        # oracle's answer is the least of every partition enumerated here.
+        rng = random.Random(5)
+        kinds = Counter()
+        while sum(kinds.values()) < 120:
+            m, target = 3 * rng.randint(2, 4), rng.randint(13, 31)
+            lo, hi = target // 4 + 1, (target - 1) // 2
+            values = [rng.randint(lo, hi) for _ in range(m - 1)]
+            values.append(target * m // 3 - sum(values))
+            if not lo <= values[-1] <= hi:
+                continue
+            triples = [
+                t for t in itertools.combinations(range(m), 3)
+                if sum(values[i] for i in t) == target
+            ]
+
+            def covers(free):
+                # Every partition of `free`, by the triple of its least index.
+                if not free:
+                    yield ()
+                    return
+                for t in triples:
+                    if t[0] == min(free) and free.issuperset(t):
+                        yield from ((t,) + rest for rest in covers(free - set(t)))
+
+            partitions = list(covers(frozenset(range(m))))
+            kinds[min(len(partitions), 2)] += 1
+            want = Partition(min(partitions)) if partitions else None
+            assert brute_force_3p(validate_3p(target, values)) == want, (target, values)
+        assert all(kinds[k] for k in (0, 1, 2)), kinds
 
     def test_wrong_group_count_does_not_solve(self):
         inst = validate_3p(7, [2, 2, 3, 2, 2, 3])

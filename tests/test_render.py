@@ -32,3 +32,12 @@ def test_short_embedding_rejected():
     with pytest.raises(ValidationError) as err:
         render_svg(instance, Embedding((1, 0)))
     assert err.value.code == "MappingLengthMismatch"
+
+
+@pytest.mark.parametrize("highlight", [True, 1.0, "1"], ids=["bool", "float", "string"])
+def test_non_integer_highlight_rejected(highlight):
+    # True is not point 1: nothing is highlighted by a converted value.
+    instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
+    with pytest.raises(ValidationError) as err:
+        render_svg(instance, None, highlight)
+    assert err.value.code == "InvalidConfig"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -5,6 +6,7 @@ import time
 import pytest
 
 from oracles import (
+    between,
     can_tile,
     exhaustive_feasible,
     first_collinear_triple,
@@ -199,6 +201,71 @@ class TestVisibilityGraph:
         assert rows == [len(line)]
         assert fans == [(anchor, len(line))]
 
+    def test_each_neighbour_pair_decided_once_beyond_the_reduction(self, monkeypatch):
+        # The comb fixture of test_matches_oracle_with_fans_in_the_comb, with
+        # fans sourced on a later row and small fans tested pair by pair, and
+        # every interior lattice point of the reflex L, keyed along rows
+        # (343 pairs of points on rows against 281 on columns). Every pair
+        # with no point strictly between its ends is handed to one kernel
+        # once, and no other pair to any.
+        decided, fanned = [], []
+        blocks, blocks_row, blocks_fan = (
+            SimplePolygon.blocks,
+            SimplePolygon.blocks_row,
+            SimplePolygon.blocks_fan,
+        )
+
+        def one(polygon, ax, ay, bx, by):
+            decided.append(frozenset([(ax, ay), (bx, by)]))
+            return blocks(polygon, ax, ay, bx, by)
+
+        def row(polygon, y, xs):
+            decided.extend(frozenset([(a, y), (b, y)]) for a, b in zip(xs, xs[1:]))
+            return blocks_row(polygon, y, xs)
+
+        def fan(polygon, sx, sy, y, xs):
+            fanned.append((sx, sy))
+            decided.extend(frozenset([(sx, sy), (x, y)]) for x in xs)
+            return blocks_fan(polygon, sx, sy, y, xs)
+
+        comb = [(3 * x, 3 * y) for x, y in COMB]
+        teeth = [
+            (x, y)
+            for x in range(1, 42)
+            for y in range(7, 18)
+            if point_location(comb, (x, y)) == "inside"
+        ]
+        draws = []
+        for seed in range(3):
+            rng = random.Random(seed)
+            rows = rng.sample(range(1, 6), 3)
+            apex = rng.sample(teeth, 4)
+            chosen = [(x, y) for y in rows for x in range(1, 42)] + apex
+            rng.shuffle(chosen)
+            draws.append((f"comb {seed}", comb, chosen, True))
+        ell = POLYGON_CATALOG[3]
+        lattice = [
+            (x, y) for x in range(11) for y in range(9) if point_location(ell, (x, y)) == "inside"
+        ]
+        draws.append(("L lattice", ell, lattice, False))
+        monkeypatch.setattr(SimplePolygon, "blocks", one)
+        monkeypatch.setattr(SimplePolygon, "blocks_row", row)
+        monkeypatch.setattr(SimplePolygon, "blocks_fan", fan)
+        for label, verts, chosen, fans in draws:
+            decided.clear()
+            fanned.clear()
+            polygon = SimplePolygon(tuple(Point(x, y) for x, y in verts))
+            points = PointSet(tuple(Point(x, y) for x, y in chosen))
+            build_visibility_graph(path_instance(points, polygon))
+            want = {
+                frozenset([p, q])
+                for p, q in itertools.combinations(chosen, 2)
+                if not any(between(*p, *q, *r) for r in chosen if r != p and r != q)
+            }
+            assert len(decided) == len(set(decided)), label
+            assert set(decided) == want, label
+            assert bool(fanned) is fans, label
+
     @pytest.mark.parametrize("mirror_y", [False, True])
     @pytest.mark.parametrize("flip", [False, True])
     def test_row_neighbours_are_not_keyed(self, monkeypatch, flip, mirror_y):
@@ -309,22 +376,6 @@ class TestVisibilityGraph:
                 matrix, clean = visibility(verts, chosen)
                 assert [list(r) for r in graph.matrix] == matrix, verts
                 assert [list(c) for c in graph.clean] == clean, verts
-                # Each run is two or more points, each a step further the
-                # same way along one line, and the runs' neighbour pairs are
-                # the clean sightlines, each once.
-                pairs = []
-                for run in graph.runs:
-                    assert len(run) >= 2, (verts, run)
-                    steps = [
-                        (chosen[b][0] - chosen[a][0], chosen[b][1] - chosen[a][1])
-                        for a, b in zip(run, run[1:])
-                    ]
-                    dx, dy = steps[0]
-                    for ex, ey in steps:
-                        assert ex * dy == ey * dx and ex * dx + ey * dy > 0, (verts, run)
-                    pairs += [(min(a, b), max(a, b)) for a, b in zip(run, run[1:])]
-                edges = [(i, j) for i, c in enumerate(clean) for j in c if i < j]
-                assert sorted(pairs) == edges, verts
 
 
 class TestDecideEmbedding:
