@@ -36,6 +36,10 @@ def render_svg(
         )
     if highlight_point is not None:
         exact_ints((highlight_point,), "InvalidConfig", "highlight_point")
+        if not 0 <= highlight_point < len(instance.points):
+            raise ValidationError(
+                "InvalidConfig", f"highlight_point {highlight_point} out of range"
+            )
     poly = instance.polygon.vertices
     xs, ys = instance.points.xs, instance.points.ys
     all_x = [p.x for p in poly] + list(xs)

@@ -85,7 +85,7 @@ class VisibilityGraph(Record):
         return tuple(map(tuple, rows))
 
 
-_FAN_BATCH = 24  # the fewest targets decided as one fan; see build_visibility_graph
+_FAN_BATCH = 24  # a cross-row pair joins a fan iff its denser row holds this many points
 
 
 def build_visibility_graph(
@@ -147,19 +147,18 @@ def _clean_sightlines(
     nothing, so points on few rows, as in the reduction, key few pairs.
 
     A pair across rows has a source, its point on the row with fewer points
-    (the lower point on a tie), and a target on the other row. One source's
-    targets on one row form a fan, and a fan of ``_FAN_BATCH`` or more
-    targets is decided by
-    :meth:`~polyembed.geometry.SimplePolygon.blocks_fan`, one pass over the
-    edges; only a row of that many points can hold such a fan, so the pairs
-    of points past the last such row in the sweep are never grouped. On the
-    reduction the row is one batch and the anchor's pairs one fan. Every
-    other pair gets one :meth:`~polyembed.geometry.SimplePolygon.blocks`
-    call. On any polygon the shadow pass costs about as much as five
-    ``blocks`` calls, as both are linear in the edges, but grouping costs
-    each pair about a third of a ``blocks`` call on a small polygon, so
-    the threshold is set where lattice draws in small polygons run no
-    slower than with no fans at all.
+    (the lower point on a tie), and a target on the other row. The pair
+    joins a fan, its source's targets on that row, iff the target row holds
+    ``_FAN_BATCH`` or more points, so the pairs of points past the last such
+    row in the sweep are never grouped. Every fan, whatever its size, is
+    decided by :meth:`~polyembed.geometry.SimplePolygon.blocks_fan`, one
+    pass over the edges, and every other pair by one
+    :meth:`~polyembed.geometry.SimplePolygon.blocks` call. On the reduction
+    the row is one batch and the anchor's pairs one fan. On any polygon the
+    shadow pass costs about as much as five ``blocks`` calls, as both are
+    linear in the edges, but grouping costs each pair about a third of a
+    ``blocks`` call on a small polygon, so the threshold is set where
+    lattice draws in small polygons run no slower than with no fans at all.
 
     Each neighbour pair is decided once, and the clear ones are the clean
     sightlines. The clock is read once per point that keys and before each
@@ -174,9 +173,9 @@ def _clean_sightlines(
     sign = 1 if up else -1
     order = sorted(range(n), key=lambda k: (sign * ys[k], xs[k]))
     size = {}  # points per row
-    # A fan's targets lie on one row, so only a row of _FAN_BATCH points can
-    # hold a batch, and only the pairs of points up to the last such row in
-    # the sweep are grouped: those before `top` in `order`.
+    # Only a pair with a row of _FAN_BATCH points joins a fan, so only the
+    # pairs of points up to the last such row in the sweep are grouped: those
+    # before `top` in `order`.
     top = end = 0
     for y, row in groupby(order, ys.__getitem__):
         row = list(row)
@@ -214,7 +213,7 @@ def _clean_sightlines(
         single = nearest.values()  # the pairs tested one by one
         if t < top:
             # i's own fans, one per later row it is the source for, are
-            # complete here, and a small one is tested pair by pair.
+            # complete here.
             single, mine = [], {}
             for b in nearest.values():
                 yb = ys[b]
@@ -226,10 +225,7 @@ def _clean_sightlines(
                 else:
                     mine.setdefault(yb, []).append(b)
             for y, targets in mine.items():
-                if len(targets) < _FAN_BATCH:
-                    single += targets
-                else:
-                    fans[i, y] = targets
+                fans[i, y] = targets
         for b in single:
             if clock() >= deadline:
                 raise _Expired
@@ -237,18 +233,10 @@ def _clean_sightlines(
                 clean[i].append(b)
                 clean[b].append(i)
     for (s, y), targets in fans.items():
-        sx, sy = xs[s], ys[s]
-        if len(targets) >= _FAN_BATCH:
-            if clock() >= deadline:
-                raise _Expired
-            targets.sort(key=xs.__getitem__)
-            hits = polygon.blocks_fan(sx, sy, y, [xs[j] for j in targets])
-        else:
-            hits = []
-            for j in targets:
-                if clock() >= deadline:
-                    raise _Expired
-                hits.append(blocks(sx, sy, xs[j], y))
+        if clock() >= deadline:
+            raise _Expired
+        targets.sort(key=xs.__getitem__)
+        hits = polygon.blocks_fan(xs[s], ys[s], y, [xs[j] for j in targets])
         for j, hit in zip(targets, hits):
             if not hit:
                 clean[s].append(j)

@@ -213,6 +213,20 @@ class TestRender:
         assert "MappingLengthMismatch" in capsys.readouterr().err
         assert not svg.exists()
 
+    def test_anchor_past_the_points_exits_2(self, tmp_path, capsys):
+        # A valid meta of the 15-point two-group reduction whose anchor is
+        # point 14, rendered over the 8-point one-group instance.
+        inst, meta, svg = tmp_path / "inst.json", tmp_path / "m.json", tmp_path / "pic.svg"
+        run("gen", "--B", "7", "--a", "2,2,3,2,2,3", "--out", str(inst), "--meta", str(meta))
+        obj = json.loads(meta.read_text())
+        obj["p0_point"], obj["group_points"][-1][-1] = obj["group_points"][-1][-1], obj["p0_point"]
+        assert obj["p0_point"] == 14
+        meta.write_text(json.dumps(obj))
+        run("gen", "--B", "7", "--a", "2,2,3", "--out", str(inst), "--meta", str(tmp_path / "m1.json"))
+        assert run("render", "--in", str(inst), "--meta", str(meta), "--out", str(svg)) == 2
+        assert "highlight_point 14 out of range" in capsys.readouterr().err
+        assert not svg.exists()
+
 
 class TestEmbedFree:
     def test_three_node_path(self, tmp_path):

@@ -41,3 +41,12 @@ def test_non_integer_highlight_rejected(highlight):
     with pytest.raises(ValidationError) as err:
         render_svg(instance, None, highlight)
     assert err.value.code == "InvalidConfig"
+
+
+@pytest.mark.parametrize("highlight", [-1, 8, 10**30])
+def test_highlight_past_the_points_rejected(highlight):
+    # The 8-point reduction has points 0-7; any other index names no point.
+    instance, _ = build_instance(validate_3p(7, [2, 2, 3]))
+    with pytest.raises(ValidationError, match=f"highlight_point {highlight} out of range") as err:
+        render_svg(instance, None, highlight)
+    assert err.value.code == "InvalidConfig"

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -203,7 +204,7 @@ class TestVisibilityGraph:
 
     def test_each_neighbour_pair_decided_once_beyond_the_reduction(self, monkeypatch):
         # The comb fixture of test_matches_oracle_with_fans_in_the_comb, with
-        # fans sourced on a later row and small fans tested pair by pair, and
+        # fans sourced on a later row and fans of few targets, and
         # every interior lattice point of the reflex L, keyed along rows
         # (343 pairs of points on rows against 281 on columns). Every pair
         # with no point strictly between its ends is handed to one kernel
@@ -266,6 +267,41 @@ class TestVisibilityGraph:
             assert set(decided) == want, label
             assert bool(fanned) is fans, label
 
+    def test_only_pairs_between_sparse_rows_are_tested_singly(self, monkeypatch):
+        # The comb draws above. A pair joins a fan iff one of its rows holds
+        # _FAN_BATCH points, and every fan is one shadow pass whatever its
+        # size, so each pair handed to blocks joins two sparse rows: a fan
+        # of a few targets, such as an apex point's on a long row, is not
+        # tested pair by pair.
+        single = []
+        blocks = SimplePolygon.blocks
+
+        def one(polygon, ax, ay, bx, by):
+            single.append((ay, by))
+            return blocks(polygon, ax, ay, bx, by)
+
+        monkeypatch.setattr(SimplePolygon, "blocks", one)
+        comb = [(3 * x, 3 * y) for x, y in COMB]
+        polygon = SimplePolygon(tuple(Point(x, y) for x, y in comb))
+        teeth = [
+            (x, y)
+            for x in range(1, 42)
+            for y in range(7, 18)
+            if point_location(comb, (x, y)) == "inside"
+        ]
+        for seed in range(3):
+            rng = random.Random(seed)
+            rows = rng.sample(range(1, 6), 3)
+            apex = rng.sample(teeth, 4)
+            chosen = [(x, y) for y in rows for x in range(1, 42)] + apex
+            rng.shuffle(chosen)
+            single.clear()
+            points = PointSet(tuple(Point(x, y) for x, y in chosen))
+            build_visibility_graph(path_instance(points, polygon))
+            size = Counter(y for _, y in chosen)
+            assert single, seed
+            assert all(max(size[a], size[b]) < solver._FAN_BATCH for a, b in single), seed
+
     @pytest.mark.parametrize("mirror_y", [False, True])
     @pytest.mark.parametrize("flip", [False, True])
     def test_row_neighbours_are_not_keyed(self, monkeypatch, flip, mirror_y):
@@ -302,6 +338,33 @@ class TestVisibilityGraph:
         assert len(keyed) == 400
         assert len(reads) == 3
         assert sum(map(len, graph.clean)) == 2 * 792
+
+    @pytest.mark.parametrize("late", [1, 2, 3, None])
+    def test_every_clock_read_can_end_the_pass(self, monkeypatch, late):
+        # The 401-point reduction reads the clock three times: before the
+        # row's batch, before the anchor keys and before the anchor's fan.
+        # A read past the deadline ends the pass at once, before any fan.
+        instance, _ = build_instance(validate_3p(50, [17, 17, 16] * 8))
+        reads, fans = [], []
+        blocks_fan = SimplePolygon.blocks_fan
+
+        def read():
+            reads.append(None)
+            return 2.0 if len(reads) == late else 0.0
+
+        def fan(polygon, sx, sy, y, xs):
+            fans.append(len(xs))
+            return blocks_fan(polygon, sx, sy, y, xs)
+
+        monkeypatch.setattr(time, "perf_counter", read)
+        monkeypatch.setattr(SimplePolygon, "blocks_fan", fan)
+        if late is None:
+            build_visibility_graph(instance, deadline=1.0)
+        else:
+            with pytest.raises(_Expired):
+                build_visibility_graph(instance, deadline=1.0)
+        monkeypatch.undo()
+        assert (len(reads), fans) == ((3, [400]) if late is None else (late, []))
 
     def test_pass_builds_no_runs(self):
         # The pass keeps only the clean lists; runs and the matrix are
